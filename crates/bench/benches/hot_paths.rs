@@ -52,9 +52,9 @@ fn bench_filter_fast_path(c: &mut Criterion) {
     g.finish();
 }
 
-/// Batched SIMD scoring over the paper-sized weight arena at the depth
-/// windows that matter: 1 (degenerate/scalar-equivalent), 8 (the default
-/// `PPF_BATCH_WINDOW`), and 40 (SPP's max_candidates — a full lookahead
+/// Batched scoring over the paper-sized weight arena at the depth
+/// windows that matter: 1 (degenerate/scalar-equivalent), 8 (the wrapper's
+/// depth window), and 40 (SPP's max_candidates — a full lookahead
 /// burst in one call).
 fn bench_sum_batch(c: &mut Criterion) {
     let mut g = c.benchmark_group("sum_batch");

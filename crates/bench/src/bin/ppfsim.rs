@@ -19,7 +19,7 @@
 //!   exit instead of simulating. A `.csv` extension selects the text format
 //!   (`pc,addr,kind,work,dependent`); anything else writes binary `PPFT`.
 
-use ppf::{Ppf, PpfConfig, RosenblattFilter, MAX_BATCH};
+use ppf::{Ppf, RosenblattFilter};
 use ppf_prefetchers::{Bop, DaAmpm, NextLine, Sandbox, Sms, Spp, StridePrefetcher, Vldp};
 use ppf_sim::{NoPrefetcher, Prefetcher, Simulation, SystemConfig};
 use ppf_trace::{load_trace_csv, record_trace, record_trace_csv, AccessPattern, TraceBuilder, TraceFile, Workload};
@@ -42,8 +42,6 @@ OPTIONS:
     --warmup N                  warmup instructions per core  [default: 200000]
     --measure N                 measured instructions per core [default: 1000000]
     --seed N                    trace-generation seed         [default: 42]
-    --batch-window N            PPF depth-window size for batched inference,
-                                1..=64 (env PPF_BATCH_WINDOW) [default: 8]
     --record FILE               dump the workload to a trace file and exit
                                 (.csv writes `pc,addr,kind,work,dependent` text)
     --records N                 records to dump with --record [default: 1000000]
@@ -76,7 +74,6 @@ struct Args {
     records: u64,
     list: bool,
     profile: bool,
-    batch_window: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -92,7 +89,6 @@ fn parse_args() -> Result<Args, String> {
         records: 1_000_000,
         list: false,
         profile: false,
-        batch_window: ppf::batch_window_from_env(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -121,15 +117,6 @@ fn parse_args() -> Result<Args, String> {
                 args.records =
                     value("--records")?.parse().map_err(|e| format!("--records: {e}"))?;
             }
-            "--batch-window" => {
-                let n: usize = value("--batch-window")?
-                    .parse()
-                    .map_err(|e| format!("--batch-window: {e}"))?;
-                if !(1..=MAX_BATCH).contains(&n) {
-                    return Err(format!("--batch-window must be in 1..={MAX_BATCH}, got {n}"));
-                }
-                args.batch_window = n;
-            }
             "--list" => args.list = true,
             "--profile" => args.profile = true,
             "--help" | "-h" => {
@@ -142,8 +129,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn build_prefetcher(name: &str, batch_window: usize) -> Result<Box<dyn Prefetcher>, String> {
-    let ppf_cfg = || PpfConfig { batch_window, ..PpfConfig::default() };
+fn build_prefetcher(name: &str) -> Result<Box<dyn Prefetcher>, String> {
     Ok(match name {
         "none" => Box::new(NoPrefetcher),
         "nextline" => Box::new(NextLine::default()),
@@ -154,8 +140,8 @@ fn build_prefetcher(name: &str, batch_window: usize) -> Result<Box<dyn Prefetche
         "vldp" => Box::new(Vldp::default()),
         "sms" => Box::new(Sms::default()),
         "sandbox" => Box::new(Sandbox::default()),
-        "ppf" => Box::new(Ppf::with_config(Spp::default(), ppf_cfg())),
-        "ppf-vldp" => Box::new(Ppf::with_config(Vldp::default(), ppf_cfg())),
+        "ppf" => Box::new(Ppf::new(Spp::default())),
+        "ppf-vldp" => Box::new(Ppf::new(Vldp::default())),
         "rosenblatt" => Box::new(RosenblattFilter::new(Spp::default())),
         other => return Err(format!("unknown prefetcher {other}")),
     })
@@ -234,7 +220,7 @@ fn run() -> Result<(), String> {
         sim.add_core(
             path.clone(),
             Box::new(trace),
-            build_prefetcher(&args.prefetcher, args.batch_window)?,
+            build_prefetcher(&args.prefetcher)?,
         );
     } else {
         for (i, name) in args.workloads.iter().enumerate() {
@@ -245,7 +231,7 @@ fn run() -> Result<(), String> {
             sim.add_core(
                 name.clone(),
                 trace,
-                build_prefetcher(&args.prefetcher, args.batch_window)?,
+                build_prefetcher(&args.prefetcher)?,
             );
         }
     }

@@ -8,30 +8,10 @@ use crate::tables::MetaTable;
 use ppf_prefetchers::MAX_SOURCES;
 use ppf_sim::addr::block_number;
 
-/// Most candidates one [`ScoredBatch`] holds (and the most one
-/// [`PpfFilter::infer_batch`] call accepts). Sized above SPP's
-/// `max_candidates` (40) so a full lookahead burst fits in one batch.
+/// Most candidates one [`PpfFilter::score_and_record`] scoring pass holds;
+/// longer streams are scored in chunks of this size. Sized above SPP's
+/// `max_candidates` (40) so a full lookahead burst fits in one pass.
 pub const MAX_BATCH: usize = 64;
-
-/// Default [`PpfConfig::batch_window`]: how many consecutive lookahead
-/// depth levels are scored per [`PpfFilter::infer_batch`] call.
-pub const DEFAULT_BATCH_WINDOW: usize = 8;
-
-/// Resolves the depth-window size from `PPF_BATCH_WINDOW`: unset, empty, or
-/// unparsable means [`DEFAULT_BATCH_WINDOW`]; numeric values are clamped to
-/// `1..=MAX_BATCH`.
-pub fn batch_window_from_env() -> usize {
-    match std::env::var("PPF_BATCH_WINDOW") {
-        Ok(raw) if !raw.trim().is_empty() => match raw.trim().parse::<usize>() {
-            Ok(n) => n.clamp(1, MAX_BATCH),
-            Err(_) => {
-                eprintln!("PPF_BATCH_WINDOW={raw:?} is not a number; using {DEFAULT_BATCH_WINDOW}");
-                DEFAULT_BATCH_WINDOW
-            }
-        },
-        _ => DEFAULT_BATCH_WINDOW,
-    }
-}
 
 /// Inference outcome for one candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,10 +56,6 @@ pub struct PpfConfig {
     pub features: Vec<FeatureKind>,
     /// Keep the most recent training events for offline analysis (0 = off).
     pub event_log_capacity: usize,
-    /// Lookahead depth levels batched per [`PpfFilter::infer_batch`] call
-    /// (clamped to `1..=MAX_BATCH`; purely a scheduling knob — results are
-    /// bit-identical at any value). Defaults from `PPF_BATCH_WINDOW`.
-    pub batch_window: usize,
 }
 
 impl Default for PpfConfig {
@@ -94,7 +70,6 @@ impl Default for PpfConfig {
             train_on_replacement: true,
             features: FeatureKind::default_set(),
             event_log_capacity: 0,
-            batch_window: batch_window_from_env(),
         }
     }
 }
@@ -149,48 +124,24 @@ pub struct TrainingEvent {
     pub useful: bool,
 }
 
-/// A depth-window of candidates scored in one [`PpfFilter::infer_batch`]
-/// call: per-candidate arena indices and perceptron sums, plus the weight
-/// [epoch](Perceptron::epoch) they were scored under.
-///
-/// Scoring is split from judging so the whole window can be summed with one
-/// transposed SIMD pass, while decisions are still issued strictly in
-/// candidate order by [`PpfFilter::judge_scored`] — which rescores a
-/// candidate if recording a previous one trained the weights in between.
-/// That makes the batched path bit-identical to the sequential
-/// infer/record loop.
-#[derive(Debug, Clone, Copy)]
-pub struct ScoredBatch {
-    len: usize,
-    epoch: u64,
-    sums: [i32; MAX_BATCH],
+/// Scratch for [`PpfFilter::score_and_record`]: one chunk of candidates
+/// with their arena indices and the sums they were scored to.
+#[derive(Debug, Clone)]
+struct ScoredBatch {
+    targets: [u64; MAX_BATCH],
+    inputs: [FeatureInputs; MAX_BATCH],
     indices: [IndexList; MAX_BATCH],
-    /// Per-candidate provenance, carried so [`PpfFilter::judge_scored`]
-    /// attributes its decision counters exactly like the sequential path.
-    sources: [u8; MAX_BATCH],
+    sums: [i32; MAX_BATCH],
 }
 
 impl Default for ScoredBatch {
     fn default() -> Self {
         Self {
-            len: 0,
-            epoch: 0,
-            sums: [0; MAX_BATCH],
+            targets: [0; MAX_BATCH],
+            inputs: [FeatureInputs::default(); MAX_BATCH],
             indices: [IndexList::default(); MAX_BATCH],
-            sources: [0; MAX_BATCH],
+            sums: [0; MAX_BATCH],
         }
-    }
-}
-
-impl ScoredBatch {
-    /// Candidates currently scored in the batch.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the batch holds no candidates.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -222,6 +173,9 @@ pub struct PpfFilter {
     telemetry: DecisionTelemetry,
     event_log: Vec<TrainingEvent>,
     event_cursor: usize,
+    /// Boxed so the filter stays cheap to move; allocated once here, so
+    /// scoring stays allocation-free.
+    batch: Box<ScoredBatch>,
 }
 
 impl PpfFilter {
@@ -245,6 +199,7 @@ impl PpfFilter {
             // the event-logging path allocation-free after construction.
             event_log: Vec::with_capacity(cfg.event_log_capacity),
             event_cursor: 0,
+            batch: Box::default(),
             cfg,
         }
     }
@@ -376,7 +331,7 @@ impl PpfFilter {
 
     /// Thresholds an inference sum and commits the decision: counters
     /// (aggregate and per-source) and the telemetry hook. Shared tail of
-    /// [`PpfFilter::infer_indexed`] and [`PpfFilter::judge_scored`].
+    /// [`PpfFilter::infer_indexed`] and [`PpfFilter::score_and_record`].
     fn judge(&mut self, sum: i32, idxs: &IndexList, source: u8) -> Decision {
         self.stats.inferences += 1;
         let src = usize::from(source).min(MAX_SOURCES - 1);
@@ -408,50 +363,53 @@ impl PpfFilter {
         decision
     }
 
-    /// Scores a depth-window of candidates in one transposed SIMD pass:
-    /// feature-hashes every input, then sums all index lists with
-    /// [`Perceptron::sum_batch`]. No counters or telemetry fire here —
-    /// decisions are committed per candidate by
-    /// [`PpfFilter::judge_scored`], in order, so the observable behavior
-    /// matches one [`PpfFilter::infer_indexed`] call per candidate exactly.
+    /// Steps 1-2 for a stream of `(target, inputs)` candidates: scores
+    /// them, then commits and records each decision in candidate order,
+    /// calling `on_decision(position, decision)` after each record.
     ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` holds more than [`MAX_BATCH`] candidates.
-    pub fn infer_batch(&self, inputs: &[FeatureInputs], batch: &mut ScoredBatch) {
-        assert!(inputs.len() <= MAX_BATCH, "batch of {} exceeds MAX_BATCH", inputs.len());
-        batch.len = inputs.len();
-        batch.epoch = self.perceptron.epoch();
-        for (i, inp) in inputs.iter().enumerate() {
-            batch.indices[i] = self.index(inp);
-            batch.sources[i] = inp.source;
+    /// Scoring runs in chunks of up to [`MAX_BATCH`] candidates: every
+    /// chunk is feature-hashed and summed in one transposed pass
+    /// ([`Perceptron::sum_batch`]). Recording a candidate can
+    /// displacement-train the weights (see [`PpfFilter::record_indexed`]);
+    /// when the [epoch](Perceptron::epoch) has moved since the chunk was
+    /// summed, the candidate being judged is rescored against the current
+    /// weights. So the decisions, counters, and trained weights equal those
+    /// of one [`PpfFilter::infer_indexed`] + [`PpfFilter::record_indexed`]
+    /// call per candidate, and the work never exceeds that loop's.
+    pub fn score_and_record<I>(&mut self, candidates: I, mut on_decision: impl FnMut(usize, Decision))
+    where
+        I: IntoIterator<Item = (u64, FeatureInputs)>,
+    {
+        let mut candidates = candidates.into_iter();
+        let mut base = 0usize;
+        loop {
+            let mut n = 0usize;
+            for (target, inputs) in candidates.by_ref().take(MAX_BATCH) {
+                self.batch.targets[n] = target;
+                self.batch.inputs[n] = inputs;
+                self.batch.indices[n] = self.index(&inputs);
+                n += 1;
+            }
+            let batch = &mut *self.batch;
+            self.perceptron.sum_batch(&batch.indices[..n], &mut batch.sums[..n]);
+            let epoch = self.perceptron.epoch();
+            for i in 0..n {
+                let idxs = self.batch.indices[i];
+                let sum = if epoch != self.perceptron.epoch() {
+                    self.perceptron.sum_at(&idxs)
+                } else {
+                    self.batch.sums[i]
+                };
+                let inputs = self.batch.inputs[i];
+                let decision = self.judge(sum, &idxs, inputs.source);
+                self.record_indexed(self.batch.targets[i], inputs, idxs, sum, decision);
+                on_decision(base + i, decision);
+            }
+            if n < MAX_BATCH {
+                return;
+            }
+            base += n;
         }
-        self.perceptron.sum_batch(&batch.indices[..batch.len], &mut batch.sums[..batch.len]);
-    }
-
-    /// Commits the decision for candidate `i` of a scored batch, in
-    /// candidate order. If the weights moved since the batch was scored
-    /// (recording an earlier candidate can displacement-train — see
-    /// [`PpfFilter::record_indexed`]), this candidate is rescored against
-    /// the current weights, so every decision sees exactly the weights the
-    /// sequential loop would have seen. The rescore is per-candidate (one
-    /// fresh gather), not a tail rescore: when training fires on most
-    /// records, a tail rescore degenerates to quadratic work while this
-    /// path never exceeds the sequential loop's cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is outside the batch.
-    pub fn judge_scored(&mut self, batch: &mut ScoredBatch, i: usize) -> (Decision, i32, IndexList) {
-        assert!(i < batch.len, "candidate {i} outside batch of {}", batch.len);
-        let sum = if batch.epoch != self.perceptron.epoch() {
-            self.perceptron.sum_at(&batch.indices[i])
-        } else {
-            batch.sums[i]
-        };
-        let idxs = batch.indices[i];
-        let decision = self.judge(sum, &idxs, batch.sources[i]);
-        (decision, sum, idxs)
     }
 
     /// Step 1, inference, without surfacing the indices (convenience; see
@@ -774,11 +732,7 @@ mod tests {
         // The batched path attributes identically.
         let mut b = PpfFilter::new(PpfConfig::hybrid());
         let window = [i0, i1, i1, far];
-        let mut batch = ScoredBatch::default();
-        b.infer_batch(&window, &mut batch);
-        for j in 0..window.len() {
-            b.judge_scored(&mut batch, j);
-        }
+        b.score_and_record(window.iter().map(|&i| (i.trigger_addr, i)), |_, _| {});
         assert_eq!(b.stats, f.stats);
     }
 
@@ -789,19 +743,11 @@ mod tests {
         PpfFilter::new(cfg);
     }
 
-    #[test]
-    fn batch_window_default_is_sane() {
-        assert!((1..=MAX_BATCH).contains(&DEFAULT_BATCH_WINDOW));
-        // The suite never sets PPF_BATCH_WINDOW, so the config default is
-        // the compiled-in one.
-        assert_eq!(PpfConfig::default().batch_window, DEFAULT_BATCH_WINDOW);
-    }
-
-    /// The batched score/judge split must reproduce the sequential
-    /// infer/record loop exactly — including when recording one candidate
-    /// displacement-trains the weights before the next is judged. Tiny
-    /// metadata tables make displacement constant, exercising the epoch
-    /// rescore in `judge_scored`.
+    /// Batched scoring must reproduce the sequential infer/record loop
+    /// exactly — including when recording one candidate displacement-trains
+    /// the weights before the next is judged. Tiny metadata tables make
+    /// displacement constant, exercising the epoch rescore in
+    /// `score_and_record`.
     #[test]
     fn batched_path_matches_sequential_with_mid_batch_training() {
         let tiny = PpfConfig {
@@ -817,7 +763,6 @@ mod tests {
                 (addr, inputs(addr, (n % 100) as u8))
             })
             .collect();
-        let mut batch = ScoredBatch::default();
         for window in stream.chunks(11) {
             // Sequential reference.
             for &(addr, inp) in window {
@@ -825,12 +770,7 @@ mod tests {
                 seq.record_indexed(addr, inp, idxs, sum, d);
             }
             // Batched path.
-            let inps: Vec<FeatureInputs> = window.iter().map(|&(_, i)| i).collect();
-            bat.infer_batch(&inps, &mut batch);
-            for (j, &(addr, inp)) in window.iter().enumerate() {
-                let (d, sum, idxs) = bat.judge_scored(&mut batch, j);
-                bat.record_indexed(addr, inp, idxs, sum, d);
-            }
+            bat.score_and_record(window.iter().copied(), |_, _| {});
             // Occasional eviction feedback so training fires on both sides.
             for &(addr, _) in window.iter().step_by(3) {
                 seq.train_on_eviction(addr, false);
@@ -901,16 +841,5 @@ mod tests {
         let before = f.weights_digest();
         assert!(f.warm_start(&[0u8; 3]).is_err());
         assert_eq!(f.weights_digest(), before);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside batch")]
-    fn judging_past_the_batch_panics() {
-        let mut f = PpfFilter::default();
-        let mut batch = ScoredBatch::default();
-        f.infer_batch(&[inputs(0x1000, 50)], &mut batch);
-        assert_eq!(batch.len(), 1);
-        assert!(!batch.is_empty());
-        f.judge_scored(&mut batch, 1);
     }
 }

@@ -91,8 +91,9 @@ pub struct Perceptron {
     masks: Vec<u32>,
     /// Bumped on every weight mutation ([`Perceptron::train_at`],
     /// [`Perceptron::load_weights`]). Batched scoring records the epoch it
-    /// scored under; a later epoch means the cached sums may be stale and
-    /// the unjudged tail must be rescored (see `PpfFilter::judge_scored`).
+    /// scored under; a later epoch means the cached sums may be stale, so
+    /// each candidate judged after the move is rescored on its own (see
+    /// `PpfFilter::score_and_record`).
     epoch: u64,
 }
 
@@ -168,10 +169,9 @@ impl Perceptron {
     }
 
     /// Inference over arena positions from [`Perceptron::globalize`]: a
-    /// single gather-and-sum over the flat weight slice, vectorized by
-    /// [`ppf_sim::simd::sum_gather_i32`] (AVX2 gathers when available,
-    /// bit-identical portable unroll otherwise — `i32` addition over 5-bit
-    /// weights cannot overflow, so lane order doesn't matter).
+    /// single gather-and-sum over the flat weight slice, unrolled by
+    /// [`ppf_sim::simd::sum_gather_i32`] (`i32` addition over 5-bit weights
+    /// cannot overflow, so lane order doesn't matter).
     pub fn sum_at(&self, globals: &IndexList) -> i32 {
         ppf_sim::simd::sum_gather_i32(&self.arena, globals.as_slice())
     }
@@ -180,7 +180,7 @@ impl Perceptron {
     /// candidate in one call. Index lists are transposed into feature-major
     /// order on the stack so each feature's weight-table cache lines are
     /// touched once per chunk of [`BATCH_CHUNK`] candidates, then summed by
-    /// the same SIMD gather machinery as [`Perceptron::sum_at`]. Results
+    /// the same unrolled gather loops as [`Perceptron::sum_at`]. Results
     /// are bit-identical to calling `sum_at` per candidate at this epoch.
     ///
     /// # Panics

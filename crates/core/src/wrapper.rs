@@ -9,7 +9,7 @@
 //! filter downward.
 
 use crate::features::FeatureInputs;
-use crate::filter::{Decision, FilterStats, PpfConfig, PpfFilter, ScoredBatch, MAX_BATCH};
+use crate::filter::{Decision, FilterStats, PpfConfig, PpfFilter, MAX_BATCH};
 use ppf_prefetchers::{
     depth_window_len, Candidate, Feedback, LookaheadSource, SourceId, MAX_SOURCES,
 };
@@ -20,6 +20,11 @@ use ppf_sim::{
 /// Depth buckets tracked by [`PpfStats`] (depths beyond clamp into the
 /// last bucket).
 pub const DEPTH_BUCKETS: usize = 16;
+
+/// Distinct lookahead depths scored per [`PpfFilter::score_and_record`]
+/// call (see `depth_window_len`). Only the host-side batching depends on
+/// it; decisions are the same at any window.
+const BATCH_WINDOW: usize = 8;
 
 /// PPF-specific run statistics (Sec 6.1 depth analysis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +69,34 @@ fn bucket(depth: u8) -> usize {
     (usize::from(depth).saturating_sub(1)).min(DEPTH_BUCKETS - 1)
 }
 
+/// The filter's view of one candidate: the trigger, the global PC history
+/// before it, and the lookahead metadata.
+fn build_inputs(
+    ctx: &AccessContext,
+    pc_history: &[u64; 3],
+    c: &Candidate,
+    last_signature: u16,
+) -> FeatureInputs {
+    FeatureInputs {
+        trigger_addr: ctx.addr,
+        trigger_pc: c.meta.trigger_pc,
+        pc_1: pc_history[0],
+        pc_2: pc_history[1],
+        pc_3: pc_history[2],
+        signature: c.meta.signature,
+        last_signature,
+        // Boundary clamp: `FeatureInputs.confidence` is documented 0..=100,
+        // and an out-of-range value would silently index the wrong row of
+        // the 128-entry confidence table. Well-behaved sources already
+        // construct via `Candidate::new` (which asserts in debug); this
+        // keeps literal-built candidates honest too.
+        confidence: c.meta.confidence.min(100),
+        delta: c.meta.delta,
+        depth: c.meta.depth,
+        source: c.meta.source.0,
+    }
+}
+
 impl PpfStats {
     /// Average lookahead depth of accepted prefetches.
     pub fn average_accepted_depth(&self) -> f64 {
@@ -96,13 +129,6 @@ pub struct Ppf<S> {
     // The paper's three global PC trackers (Table 3).
     pc_history: [u64; 3],
     candidate_buf: Vec<Candidate>,
-    /// Scratch for batched scoring: one depth-window of feature inputs and
-    /// the scored sums/indices. Lives in the struct so the demand-access
-    /// path stays allocation-free.
-    inputs_buf: [FeatureInputs; MAX_BATCH],
-    batch: ScoredBatch,
-    /// Depth levels per `infer_batch` call (clamped config knob).
-    batch_window: usize,
     /// Run statistics.
     pub stats: PpfStats,
 }
@@ -119,23 +145,13 @@ impl<S: LookaheadSource> Ppf<S> {
     ///
     /// Panics under the same conditions as [`PpfFilter::new`].
     pub fn with_config(source: S, cfg: PpfConfig) -> Self {
-        let batch_window = cfg.batch_window.clamp(1, MAX_BATCH);
         Self {
             source,
             filter: PpfFilter::new(cfg),
             pc_history: [0; 3],
             candidate_buf: Vec::new(),
-            inputs_buf: [FeatureInputs::default(); MAX_BATCH],
-            batch: ScoredBatch::default(),
-            batch_window,
             stats: PpfStats::default(),
         }
-    }
-
-    /// The effective depth-window size (config value clamped to
-    /// `1..=MAX_BATCH`).
-    pub fn batch_window(&self) -> usize {
-        self.batch_window
     }
 
     /// Borrow of the filter (weights, tables, stats).
@@ -163,27 +179,6 @@ impl<S: LookaheadSource> Ppf<S> {
         &mut self.source
     }
 
-    fn build_inputs(&self, ctx: &AccessContext, c: &Candidate, last_signature: u16) -> FeatureInputs {
-        FeatureInputs {
-            trigger_addr: ctx.addr,
-            trigger_pc: c.meta.trigger_pc,
-            pc_1: self.pc_history[0],
-            pc_2: self.pc_history[1],
-            pc_3: self.pc_history[2],
-            signature: c.meta.signature,
-            last_signature,
-            // Boundary clamp: `FeatureInputs.confidence` is documented
-            // 0..=100, and an out-of-range value would silently index the
-            // wrong row of the 128-entry confidence table. Well-behaved
-            // sources already construct via `Candidate::new` (which asserts
-            // in debug); this keeps literal-built candidates honest too.
-            confidence: c.meta.confidence.min(100),
-            delta: c.meta.delta,
-            depth: c.meta.depth,
-            source: c.meta.source.0,
-        }
-    }
-
     /// Resolves address-keyed cache feedback to the provenance recorded for
     /// the issued prefetch, falling back to broadcast when the tracking
     /// entry is gone.
@@ -206,49 +201,43 @@ impl<S: LookaheadSource> Prefetcher for Ppf<S> {
         cands.clear();
         self.source.candidates(ctx, &mut cands);
 
-        // Judge the stream one depth-window at a time: feature-index and
-        // score a whole window with one batched SIMD pass, then commit
-        // decisions strictly in candidate order (judge_scored rescores if
-        // recording an earlier candidate trained the weights), so emission
-        // order and τ-threshold semantics match the per-candidate loop
-        // exactly. `last_signature` chains through the lookahead path (the
-        // previous step's signature) and depends only on candidate
-        // metadata, so the whole window's inputs can be built up front.
+        // Judge the stream one depth-window at a time: the filter scores a
+        // whole window in one batched pass, then commits decisions strictly
+        // in candidate order, so emission order and τ-threshold semantics
+        // match the per-candidate loop exactly. `last_signature` chains
+        // through the lookahead path (the previous step's signature) and
+        // depends only on candidate metadata.
         let mut last_signature = cands.first().map_or(0, |c| c.meta.signature);
         let mut start = 0usize;
         while start < cands.len() {
-            let n = depth_window_len(&cands[start..], self.batch_window, MAX_BATCH);
-            for (j, c) in cands[start..start + n].iter().enumerate() {
-                let inputs = self.build_inputs(ctx, c, last_signature);
-                last_signature = c.meta.signature;
-                self.inputs_buf[j] = inputs;
-            }
-            self.filter.infer_batch(&self.inputs_buf[..n], &mut self.batch);
-            for (j, c) in cands[start..start + n].iter().enumerate() {
-                // Zero-allocation fast path: judging hands back the weight-
-                // arena indices and recording stores them for training.
-                let (decision, sum, indices) = self.filter.judge_scored(&mut self.batch, j);
-                self.filter.record_indexed(c.addr, self.inputs_buf[j], indices, sum, decision);
-                match decision {
-                    Decision::PrefetchL2 => {
-                        self.stats.accepted += 1;
-                        self.stats.accepted_depth_sum += u64::from(c.meta.depth);
-                        self.stats.accepted_by_depth[bucket(c.meta.depth)] += 1;
-                        out.push(PrefetchRequest::new(c.addr, FillLevel::L2));
-                    }
-                    Decision::PrefetchLlc => {
-                        self.stats.accepted += 1;
-                        self.stats.accepted_depth_sum += u64::from(c.meta.depth);
-                        self.stats.accepted_by_depth[bucket(c.meta.depth)] += 1;
-                        out.push(PrefetchRequest::new(c.addr, FillLevel::Llc));
-                    }
-                    Decision::Reject => {
-                        self.stats.rejected += 1;
-                        self.stats.rejected_by_depth[bucket(c.meta.depth)] += 1;
-                    }
-                }
-            }
-            start += n;
+            let window =
+                &cands[start..start + depth_window_len(&cands[start..], BATCH_WINDOW, MAX_BATCH)];
+            let pc_history = &self.pc_history;
+            let stats = &mut self.stats;
+            self.filter.score_and_record(
+                window.iter().map(|c| {
+                    let inputs = build_inputs(ctx, pc_history, c, last_signature);
+                    last_signature = c.meta.signature;
+                    (c.addr, inputs)
+                }),
+                |j, decision| {
+                    let c = &window[j];
+                    let level = match decision {
+                        Decision::PrefetchL2 => FillLevel::L2,
+                        Decision::PrefetchLlc => FillLevel::Llc,
+                        Decision::Reject => {
+                            stats.rejected += 1;
+                            stats.rejected_by_depth[bucket(c.meta.depth)] += 1;
+                            return;
+                        }
+                    };
+                    stats.accepted += 1;
+                    stats.accepted_depth_sum += u64::from(c.meta.depth);
+                    stats.accepted_by_depth[bucket(c.meta.depth)] += 1;
+                    out.push(PrefetchRequest::new(c.addr, level));
+                },
+            );
+            start += window.len();
         }
         self.candidate_buf = cands;
 
@@ -315,7 +304,7 @@ impl<S: LookaheadSource> Prefetcher for Ppf<S> {
             negative_trains: s.negative_trains,
             false_negative_recoveries: s.false_negative_recoveries,
             replacement_trains: s.replacement_trains,
-            batch_window: self.batch_window as u64,
+            batch_window: BATCH_WINDOW as u64,
         }
     }
 
@@ -420,14 +409,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_window_is_clamped_and_reported() {
-        let cfg = PpfConfig { batch_window: 0, ..PpfConfig::default() };
-        let ppf = Ppf::with_config(TwoFaced, cfg);
-        assert_eq!(ppf.batch_window(), 1);
-        let cfg = PpfConfig { batch_window: 10_000, ..PpfConfig::default() };
-        let ppf = Ppf::with_config(TwoFaced, cfg);
-        assert_eq!(ppf.batch_window(), MAX_BATCH);
-        assert_eq!(ppf.filter_counters().batch_window, MAX_BATCH as u64);
+    fn counters_report_the_batch_window() {
+        assert_eq!(Ppf::new(TwoFaced).filter_counters().batch_window, BATCH_WINDOW as u64);
     }
 
     /// A source that pushes one literal candidate per access at a fixed
@@ -574,31 +557,78 @@ mod tests {
         assert_eq!(ppf.stats.unattributed_useful, 1);
     }
 
-    /// The depth-window size is a pure scheduling knob: any value must
-    /// produce the same requests, decisions, and trained weights.
-    #[test]
-    fn window_size_does_not_change_behavior() {
-        let run = |window: usize| {
-            let cfg = PpfConfig { batch_window: window, ..PpfConfig::default() };
-            let mut ppf = Ppf::with_config(TwoFaced, cfg);
-            let mut all = Vec::new();
-            for i in 0..300u64 {
-                let addr = 0x10_0000 + i * 64;
-                ppf.on_demand_access(&ctx(0x400, addr), &mut all);
-                ppf.on_eviction(&EvictionInfo {
-                    addr: addr + 4096 * 8,
-                    was_prefetch: true,
-                    was_used: false,
+    /// A deep lookahead burst: 20 candidates over 12 distinct depths, so
+    /// one access spans two depth windows.
+    struct Burst;
+
+    impl LookaheadSource for Burst {
+        fn candidates(&mut self, ctx: &AccessContext, out: &mut Vec<Candidate>) {
+            for k in 0..20u64 {
+                out.push(Candidate {
+                    addr: ctx.addr + (k + 1) * 64 * (1 + k % 3),
+                    meta: CandidateMeta {
+                        depth: (k * 3 / 5 + 1) as u8,
+                        signature: ((0x100 + k * 37) & 0xfff) as u16,
+                        confidence: ((k * 17 + ctx.addr / 64) % 101) as u8,
+                        delta: (k % 5) as i16 + 1,
+                        trigger_pc: ctx.pc,
+                        trigger_addr: ctx.addr,
+                        source: SourceId::PRIMARY,
+                    },
                 });
             }
-            (all, ppf.filter_stats(), ppf.filter().save_weights())
-        };
-        let baseline = run(1);
-        for window in [2, 8, MAX_BATCH] {
-            let got = run(window);
-            assert_eq!(got.0, baseline.0, "requests differ at window {window}");
-            assert_eq!(got.1, baseline.1, "stats differ at window {window}");
-            assert_eq!(got.2, baseline.2, "weights differ at window {window}");
         }
+        fn name(&self) -> &'static str {
+            "burst"
+        }
+    }
+
+    /// `on_demand_access` scores through the batched filter path; it must
+    /// issue the same requests and leave the same counters and weights as
+    /// scoring the same candidate stream one `infer_indexed` +
+    /// `record_indexed` at a time. Tiny metadata tables make recording
+    /// displacement-train mid-window.
+    #[test]
+    fn demand_access_matches_a_sequential_filter_loop() {
+        let tiny =
+            PpfConfig { prefetch_table_entries: 8, reject_table_entries: 8, ..PpfConfig::default() };
+        let mut ppf = Ppf::with_config(Burst, tiny.clone());
+        let mut seq = PpfFilter::new(tiny);
+        let mut pc_history = [0u64; 3];
+        let (mut got, mut want, mut cands) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..300u64 {
+            let access = ctx(0x400 + (i % 5) * 4, 0x10_0000 + i * 192);
+            ppf.on_demand_access(&access, &mut got);
+
+            seq.train_on_demand(access.addr);
+            cands.clear();
+            Burst.candidates(&access, &mut cands);
+            let mut last_signature = cands[0].meta.signature;
+            for c in &cands {
+                let inputs = build_inputs(&access, &pc_history, c, last_signature);
+                last_signature = c.meta.signature;
+                let (d, sum, idxs) = seq.infer_indexed(&inputs);
+                seq.record_indexed(c.addr, inputs, idxs, sum, d);
+                match d {
+                    Decision::PrefetchL2 => want.push(PrefetchRequest::new(c.addr, FillLevel::L2)),
+                    Decision::PrefetchLlc => {
+                        want.push(PrefetchRequest::new(c.addr, FillLevel::Llc))
+                    }
+                    Decision::Reject => {}
+                }
+            }
+            if pc_history[0] != access.pc {
+                pc_history = [access.pc, pc_history[0], pc_history[1]];
+            }
+
+            let evicted = cands[(i % 20) as usize].addr;
+            ppf.on_eviction(&EvictionInfo { addr: evicted, was_prefetch: true, was_used: false });
+            seq.train_on_eviction(evicted, false);
+        }
+        assert!(seq.stats.replacement_trains > 0, "tiny tables must displace-train");
+        assert!(seq.stats.rejected > 0, "training must reject some candidates");
+        assert_eq!(got, want);
+        assert_eq!(ppf.filter_stats(), seq.stats);
+        assert_eq!(ppf.filter().save_weights(), seq.save_weights());
     }
 }

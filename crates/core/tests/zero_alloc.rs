@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ppf::{Decision, FeatureInputs, PpfConfig, PpfFilter, ScoredBatch};
+use ppf::{Decision, FeatureInputs, PpfConfig, PpfFilter, MAX_BATCH};
 
 struct CountingAllocator;
 
@@ -143,29 +143,30 @@ fn steady_state_filter_path_never_allocates() {
     );
     assert_eq!(f.training_events().len(), 64, "the ring must have filled and wrapped");
 
-    // Batched scoring path: infer_batch + judge_scored over stack-resident
-    // ScoredBatch windows (including epoch-triggered per-candidate rescores
-    // when recording displacement-trains mid-window) is allocation-free too.
+    // Batched scoring path: score_and_record over windows of 9 and of
+    // MAX_BATCH + 6 (two internal chunks), including epoch-triggered
+    // per-candidate rescores when recording displacement-trains
+    // mid-window, is allocation-free too: its scratch lives in the filter.
     let mut f = PpfFilter::new(PpfConfig {
         prefetch_table_entries: 8, // tiny tables force mid-window training
         reject_table_entries: 8,
         ..PpfConfig::default()
     });
-    let mut batch = ScoredBatch::default();
-    let mut batched_cycles = |f: &mut PpfFilter, lo: u64, hi: u64| {
-        let mut inps = [FeatureInputs::default(); 9];
-        for base in (lo..hi).step_by(9) {
-            for (j, slot) in inps.iter_mut().enumerate() {
-                *slot = inputs(base + j as u64);
-            }
-            f.infer_batch(&inps, &mut batch);
-            for (j, inp) in inps.iter().enumerate() {
-                let (d, sum, idxs) = f.judge_scored(&mut batch, j);
-                f.record_indexed(inp.trigger_addr + 64, *inp, idxs, sum, d);
-                if d != Decision::Reject && j % 2 == 0 {
-                    f.train_on_eviction(inp.trigger_addr + 64, false);
+    let batched_cycles = |f: &mut PpfFilter, lo: u64, hi: u64| {
+        let mut accepted = [false; MAX_BATCH + 6];
+        let mut base = lo;
+        let mut long = false;
+        while base < hi {
+            let n = if long { MAX_BATCH as u64 + 6 } else { 9 }.min(hi - base);
+            long = !long;
+            let window = (base..base + n).map(|i| (inputs(i).trigger_addr + 64, inputs(i)));
+            f.score_and_record(window, |j, d| accepted[j] = d != Decision::Reject);
+            for j in (0..n).step_by(2) {
+                if accepted[j as usize] {
+                    f.train_on_eviction(inputs(base + j).trigger_addr + 64, false);
                 }
             }
+            base += n;
         }
     };
     batched_cycles(&mut f, 0, 20_000);

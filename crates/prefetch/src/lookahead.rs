@@ -142,9 +142,10 @@ pub trait LookaheadSource {
 
 /// How many leading candidates of `cands` form one *depth window*: a run
 /// spanning at most `max_depths` *distinct* depth values, capped at
-/// `max_cands` candidates. PPF's batched scoring feeds one window per
-/// `infer_batch` call, so this is purely a scheduling boundary — candidates
-/// are still judged in stream order within and across windows.
+/// `max_cands` candidates. PPF's wrapper feeds one window per
+/// `PpfFilter::score_and_record` call, so this is purely a scheduling
+/// boundary — candidates are still judged in stream order within and across
+/// windows.
 ///
 /// Distinctness is over the *set* of depth values, not consecutive runs:
 /// hybrid interleaving legitimately revisits a depth (source A depth 1,

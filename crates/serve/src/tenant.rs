@@ -7,7 +7,7 @@
 //! tenant's filter, which is then discarded and rebuilt from its last
 //! checkpoint.
 
-use ppf::{Decision, FeatureInputs, PpfConfig, PpfFilter, ScoredBatch, MAX_BATCH};
+use ppf::{Decision, PpfConfig, PpfFilter};
 
 use crate::protocol::ScoreRequest;
 
@@ -48,32 +48,17 @@ impl TenantState {
         Ok(t)
     }
 
-    /// Scores one request: batch-infer the candidates through the SIMD
-    /// summing path, commit each decision in candidate order, then apply
-    /// the piggybacked feedback.
-    ///
-    /// Decisions are identical to scoring one candidate at a time:
-    /// `judge_scored` re-sums any candidate whose batch epoch went stale
-    /// when recording an earlier one displacement-trained the weights, so
-    /// batching changes where the sums are computed, never their values
-    /// (pinned by `batched_scoring_matches_sequential`).
+    /// Serves one request: scores and records the candidates in order
+    /// (`PpfFilter::score_and_record`), then applies the piggybacked
+    /// feedback. Decisions are identical to scoring one candidate at a
+    /// time (pinned by `batched_scoring_matches_sequential`).
     pub fn process(&mut self, req: &ScoreRequest) -> Vec<Decision> {
         self.seen += 1;
         self.since_checkpoint += 1;
         let mut decisions = Vec::with_capacity(req.candidates.len());
-        let mut batch = ScoredBatch::default();
-        let mut inputs = [FeatureInputs::default(); MAX_BATCH];
-        for chunk in req.candidates.chunks(MAX_BATCH) {
-            for (slot, c) in inputs.iter_mut().zip(chunk) {
-                *slot = c.inputs;
-            }
-            self.filter.infer_batch(&inputs[..chunk.len()], &mut batch);
-            for (i, c) in chunk.iter().enumerate() {
-                let (d, sum, indices) = self.filter.judge_scored(&mut batch, i);
-                self.filter.record_indexed(c.target, c.inputs, indices, sum, d);
-                decisions.push(d);
-            }
-        }
+        self.filter.score_and_record(req.candidates.iter().map(|c| (c.target, c.inputs)), |_, d| {
+            decisions.push(d)
+        });
         for &addr in &req.demands {
             self.filter.train_on_demand(addr);
         }
@@ -119,7 +104,7 @@ impl TenantState {
 mod tests {
     use super::*;
     use crate::protocol::Candidate;
-    use ppf::FeatureInputs;
+    use ppf::{FeatureInputs, MAX_BATCH};
 
     fn req(tag: u64, n: u64) -> ScoreRequest {
         let candidates = (0..n)

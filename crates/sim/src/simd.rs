@@ -1,11 +1,11 @@
-//! Lane-width SIMD machinery shared by the perceptron's weight gathers and
-//! the simulator's packed tag scans.
+//! Lane-width loops shared by the perceptron's weight gathers and the
+//! simulator's packed tag scans.
 //!
-//! Two primitive shapes cover every vectorized hot path in the workspace:
+//! Two primitive shapes cover every unrolled hot path in the workspace:
 //!
 //! * **Gather-and-sum** ([`sum_gather_i32`], [`sum_batch_transposed`]) —
 //!   read `i32` weights at `u32` indices from one flat slice and add them
-//!   up. This is exactly perceptron inference over the PR-2 arena; the
+//!   up. This is exactly perceptron inference over the flat arena; the
 //!   batched form scores many candidates against a feature-major
 //!   (transposed) index buffer so one pass over a feature's weight table
 //!   serves the whole batch.
@@ -13,253 +13,35 @@
 //!   a packed slice. This is the SoA cache's tag probe, its invalid-way
 //!   victim scan, and the duplicate-tag invariant check.
 //!
-//! Every primitive has two implementations with **bit-identical** results:
-//!
-//! * a portable, manually-unrolled 8-lane (gathers) / 4-lane (tag scans)
-//!   fallback that compiles on every target and contains no `std::arch`
-//!   code at all, and
-//! * an x86-64 AVX2 path (`_mm256_i32gather_epi32` gathers,
-//!   `_mm256_cmpeq_epi64` compares) compiled only on x86-64 and selected
-//!   at runtime via `is_x86_feature_detected!`.
-//!
-//! Identity holds because the summed values are `i32` weights whose totals
-//! stay far inside `i32` range (no overflow, and integer addition is
-//! associative), and because scans report the *first* matching lane.
-//!
-//! # Dispatch
-//!
-//! The level is resolved once per process and cached. `PPF_NO_SIMD`
-//! (any value other than empty/`0`/`off`/`false`/`no`) forces the portable
-//! path. Otherwise, on CPUs that report AVX2, the dispatcher **calibrates**:
-//! it times both implementations of the batched gather on a synthetic
-//! workload (~a hundred microseconds, once per process) and keeps the
-//! winner. Hardware gathers are microcoded on several x86
-//! microarchitectures (pre-Zen 4 AMD, and most VMs that mask the uarch),
-//! where `vpgatherdd` costs more than eight scalar loads — blind
-//! "AVX2-if-present" dispatch would *lose* throughput there. Both
-//! implementations are bit-identical, so the calibration outcome can only
-//! affect speed, never results. `PPF_FORCE_SIMD` (same truthy convention)
-//! skips calibration and trusts the feature bit.
-//!
-//! Tests compare the implementations directly (they are all `pub`) instead
-//! of racing on the process-global level; [`force_level`] exists for the
-//! few that need to pin the dispatcher itself.
+//! All three are portable, manually-unrolled scalar code (8 accumulator
+//! lanes for the gathers, 4-way for the tag scan) with no `unsafe`. They
+//! match a plain scalar loop bit-for-bit: the summed values are `i32`
+//! weights whose totals stay far inside `i32` range (no overflow, and
+//! integer addition is associative), and the scan reports the *first*
+//! matching position. DESIGN.md §5c records why there is no intrinsic
+//! path: on the measured host hardware gathers lost to this code.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Accumulator lanes in the portable unrolled gather loops (and `i32`
-/// lanes per AVX2 vector).
+/// Accumulator lanes in the unrolled gather loops.
 pub const LANES: usize = 8;
 
-/// Which implementation the dispatcher selects.
+/// Which lane implementation runs. There is one; the enum survives so
+/// host records can keep printing [`active_level`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
     /// Manually-unrolled scalar code; compiles everywhere.
     Portable,
-    /// x86-64 AVX2 gathers and packed compares.
-    Avx2,
 }
 
-/// Cached dispatch level: 0 = unresolved, 1 = portable, 2 = AVX2.
-static LEVEL: AtomicU8 = AtomicU8::new(0);
-
-/// True when `raw` (the value of `PPF_NO_SIMD`, `None` when unset) disables
-/// the SIMD paths. Follows the workspace's env-flag conventions
-/// (`PPF_CHECK_INVARIANTS`, `PPF_TELEMETRY`): empty and the usual negative
-/// words mean "not disabled", anything else disables.
-pub fn no_simd(raw: Option<&str>) -> bool {
-    match raw {
-        None => false,
-        Some(s) => !matches!(
-            s.trim().to_ascii_lowercase().as_str(),
-            "" | "0" | "off" | "false" | "no"
-        ),
-    }
-}
-
-/// True when `raw` (the value of `PPF_FORCE_SIMD`, `None` when unset) skips
-/// the calibration shoot-out and trusts CPU feature detection alone. Same
-/// truthy convention as [`no_simd`].
-pub fn force_simd(raw: Option<&str>) -> bool {
-    no_simd(raw)
-}
-
-#[cfg(target_arch = "x86_64")]
-fn detect() -> SimdLevel {
-    if std::arch::is_x86_feature_detected!("avx2") {
-        SimdLevel::Avx2
-    } else {
-        SimdLevel::Portable
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect() -> SimdLevel {
+/// The lane implementation in use: always [`SimdLevel::Portable`].
+pub fn active_level() -> SimdLevel {
     SimdLevel::Portable
 }
 
-/// Times both implementations on a synthetic workload shaped like the
-/// *real* inference profile and reports whether the AVX2 path wins.
-///
-/// Shape matters here: a dense 64-wide batch over an L1-resident arena
-/// flatters hardware gathers, but the simulator mostly scores **small
-/// depth windows** (1–8 candidates, so the masked-tail gather path runs
-/// constantly) against the **paper-sized ~88 KB arena** (L2-resident),
-/// plus single-candidate rescores. The calibration loop reproduces that
-/// mix — window widths {1, 1, 1, 3, 3, 8} plus a lone nine-index gather —
-/// so the winner it picks is the winner the sweep will see. Best-of-three
-/// trials absorb scheduler noise; the whole shoot-out costs well under a
-/// millisecond, once per process. On cores with microcoded gathers the
-/// AVX2 path loses this mix by 2× or more, far wider than timer noise.
-#[cfg(target_arch = "x86_64")]
-pub fn avx2_wins_calibration() -> bool {
-    use std::hint::black_box;
-
-    if detect() != SimdLevel::Avx2 {
-        return false;
-    }
-
-    // The paper's Table 3 arena: 22,656 i32 weights (~88 KB).
-    const ARENA: usize = 22_656;
-    const FEATURES: usize = 9;
-    const STRIDE: usize = 64;
-    const WINDOWS: [usize; 6] = [1, 1, 1, 3, 3, 8];
-    const REPS: usize = 48;
-
-    let mut arena = vec![0i32; ARENA];
-    for (i, w) in arena.iter_mut().enumerate() {
-        *w = (i as i32 * 7 % 31) - 16;
-    }
-    let mut idx = [0u32; FEATURES * STRIDE];
-    let mut s = 0x9e37_79b9_7f4a_7c15u64;
-    for slot in idx.iter_mut() {
-        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        *slot = ((s >> 33) % ARENA as u64) as u32;
-    }
-    let single: [u32; FEATURES] = std::array::from_fn(|f| idx[f * STRIDE]);
-
-    let time = |level: SimdLevel| {
-        let mut best = std::time::Duration::MAX;
-        let mut out = [0i32; STRIDE];
-        for _ in 0..3 {
-            let t = std::time::Instant::now();
-            for _ in 0..REPS {
-                for &n in &WINDOWS {
-                    match level {
-                        SimdLevel::Avx2 => {
-                            sum_batch_transposed_avx2(
-                                black_box(&arena),
-                                black_box(&idx),
-                                FEATURES,
-                                STRIDE,
-                                n,
-                                &mut out,
-                            );
-                            black_box(sum_gather_i32_avx2(black_box(&arena), &single));
-                        }
-                        SimdLevel::Portable => {
-                            sum_batch_transposed_portable(
-                                black_box(&arena),
-                                black_box(&idx),
-                                FEATURES,
-                                STRIDE,
-                                n,
-                                &mut out,
-                            );
-                            black_box(sum_gather_i32_portable(black_box(&arena), &single));
-                        }
-                    }
-                    black_box(&out);
-                }
-            }
-            best = best.min(t.elapsed());
-        }
-        best
-    };
-
-    // Interleave a warmup of each before timing so neither pays the
-    // first-touch cost of the arena or the AVX2 frequency transition.
-    let _ = time(SimdLevel::Portable);
-    let _ = time(SimdLevel::Avx2);
-    time(SimdLevel::Avx2) < time(SimdLevel::Portable)
-}
-
-fn resolve_level() -> SimdLevel {
-    if no_simd(std::env::var("PPF_NO_SIMD").ok().as_deref()) {
-        return SimdLevel::Portable;
-    }
-    match detect() {
-        SimdLevel::Portable => SimdLevel::Portable,
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => {
-            if force_simd(std::env::var("PPF_FORCE_SIMD").ok().as_deref())
-                || avx2_wins_calibration()
-            {
-                SimdLevel::Avx2
-            } else {
-                SimdLevel::Portable
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2 => unreachable!("AVX2 cannot be detected off x86-64"),
-    }
-}
-
-/// The implementation the dispatching entry points use, resolved once per
-/// process from `PPF_NO_SIMD`, CPU feature detection, and the calibration
-/// shoot-out (see the module docs).
-pub fn active_level() -> SimdLevel {
-    match LEVEL.load(Ordering::Relaxed) {
-        1 => SimdLevel::Portable,
-        2 => SimdLevel::Avx2,
-        _ => {
-            let level = resolve_level();
-            LEVEL.store(if level == SimdLevel::Avx2 { 2 } else { 1 }, Ordering::Relaxed);
-            level
-        }
-    }
-}
-
-/// Pins the dispatch level (`Some`) or clears the cache so the next call to
-/// [`active_level`] re-resolves from the environment (`None`). Process
-/// global — only for single-threaded tests of the dispatcher.
-pub fn force_level(level: Option<SimdLevel>) {
-    let v = match level {
-        None => 0,
-        Some(SimdLevel::Portable) => 1,
-        Some(SimdLevel::Avx2) => 2,
-    };
-    LEVEL.store(v, Ordering::Relaxed);
-}
-
-/// Panics (like the scalar slice-index path would) if any index in `idx` is
-/// out of bounds for `weights`; the AVX2 gathers need the check up front
-/// because a hardware gather has no bounds checking of its own.
-#[inline]
-fn check_indices(weights: &[i32], idx: &[u32]) {
-    // Offsets ride in i32 gather lanes; the arenas here are a few tens of
-    // thousands of entries, nowhere near the limit.
-    assert!(weights.len() <= i32::MAX as usize, "weight slice too large for i32 gather offsets");
-    for &i in idx {
-        assert!((i as usize) < weights.len(), "index {i} out of bounds for {}", weights.len());
-    }
-}
-
 /// Sums `weights[i]` over the indices in `idx` — perceptron inference over
-/// the flat arena. Dispatches to AVX2 when available, else the portable
-/// unrolled loop; both match a plain scalar gather bit-for-bit.
+/// the flat arena: eight independent accumulator lanes, manually unrolled,
+/// with a scalar tail.
 #[inline]
 pub fn sum_gather_i32(weights: &[i32], idx: &[u32]) -> i32 {
-    #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
-        return sum_gather_i32_avx2(weights, idx);
-    }
-    sum_gather_i32_portable(weights, idx)
-}
-
-/// Portable [`sum_gather_i32`]: eight independent accumulator lanes,
-/// manually unrolled, with a scalar tail.
-pub fn sum_gather_i32_portable(weights: &[i32], idx: &[u32]) -> i32 {
     let mut chunks = idx.chunks_exact(LANES);
     let mut acc = [0i32; LANES];
     for c in chunks.by_ref() {
@@ -279,64 +61,13 @@ pub fn sum_gather_i32_portable(weights: &[i32], idx: &[u32]) -> i32 {
     sum
 }
 
-/// AVX2 [`sum_gather_i32`]: 8-lane hardware gathers, with the tail handled
-/// by one masked gather (inactive lanes contribute zero) instead of a
-/// scalar loop.
-#[cfg(target_arch = "x86_64")]
-pub fn sum_gather_i32_avx2(weights: &[i32], idx: &[u32]) -> i32 {
-    check_indices(weights, idx);
-    // SAFETY: AVX2 is verified by the caller reaching this path only via
-    // runtime detection (or a test that checked the feature); all gather
-    // offsets were bounds-checked above.
-    unsafe { sum_gather_i32_avx2_impl(weights, idx) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn sum_gather_i32_avx2_impl(weights: &[i32], idx: &[u32]) -> i32 {
-    use std::arch::x86_64::*;
-    let base = weights.as_ptr();
-    // SAFETY (whole body): loads read `LANES` u32s from within `idx` or
-    // from local buffers; gathers read in-bounds offsets (checked by the
-    // caller) scaled by 4 from `base`.
-    unsafe {
-        let mut accv = _mm256_setzero_si256();
-        let mut chunks = idx.chunks_exact(LANES);
-        for c in chunks.by_ref() {
-            let iv = _mm256_loadu_si256(c.as_ptr().cast());
-            accv = _mm256_add_epi32(accv, _mm256_i32gather_epi32::<4>(base, iv));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            // Masked tail gather: live lanes carry real offsets and an
-            // all-ones mask; dead lanes keep offset 0 with a zero mask, so
-            // the hardware never touches memory for them and they add 0.
-            let mut ibuf = [0u32; LANES];
-            ibuf[..rem.len()].copy_from_slice(rem);
-            let mut mbuf = [0i32; LANES];
-            for m in &mut mbuf[..rem.len()] {
-                *m = -1;
-            }
-            let iv = _mm256_loadu_si256(ibuf.as_ptr().cast());
-            let mv = _mm256_loadu_si256(mbuf.as_ptr().cast());
-            let g = _mm256_mask_i32gather_epi32::<4>(_mm256_setzero_si256(), base, iv, mv);
-            accv = _mm256_add_epi32(accv, g);
-        }
-        // Horizontal sum of the eight i32 lanes.
-        let lo = _mm256_castsi256_si128(accv);
-        let hi = _mm256_extracti128_si256::<1>(accv);
-        let s = _mm_add_epi32(lo, hi);
-        let s = _mm_hadd_epi32(s, s);
-        let s = _mm_hadd_epi32(s, s);
-        _mm_cvtsi128_si32(s)
-    }
-}
-
 /// Batched gather-and-sum over a feature-major (transposed) index buffer:
 /// candidate `c` of `n` sums `weights[idx[f * stride + c]]` over
 /// `f < features` into `out[c]`. The transposition means each feature's
 /// weight table is swept once per batch — across the batch the gathers for
-/// one feature land in the same few cache lines.
+/// one feature land in the same few cache lines. Blocks of eight
+/// candidates run with eight independent accumulators, then a scalar tail
+/// per candidate.
 ///
 /// # Panics
 ///
@@ -354,24 +85,6 @@ pub fn sum_batch_transposed(
     assert!(n <= stride, "batch of {n} exceeds transposed stride {stride}");
     assert!(features * stride <= idx.len() || features == 0, "transposed index buffer too short");
     assert!(out.len() >= n, "output slice shorter than batch");
-    #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
-        sum_batch_transposed_avx2(weights, idx, features, stride, n, out);
-        return;
-    }
-    sum_batch_transposed_portable(weights, idx, features, stride, n, out);
-}
-
-/// Portable [`sum_batch_transposed`]: blocks of eight candidates with eight
-/// independent accumulators, scalar tail per candidate.
-pub fn sum_batch_transposed_portable(
-    weights: &[i32],
-    idx: &[u32],
-    features: usize,
-    stride: usize,
-    n: usize,
-    out: &mut [i32],
-) {
     let mut c0 = 0usize;
     while c0 + LANES <= n {
         let mut acc = [0i32; LANES];
@@ -393,86 +106,11 @@ pub fn sum_batch_transposed_portable(
     }
 }
 
-/// AVX2 [`sum_batch_transposed`]: one 8-lane gather per feature per block
-/// of eight candidates; the final partial block uses masked gathers.
-#[cfg(target_arch = "x86_64")]
-pub fn sum_batch_transposed_avx2(
-    weights: &[i32],
-    idx: &[u32],
-    features: usize,
-    stride: usize,
-    n: usize,
-    out: &mut [i32],
-) {
-    for f in 0..features {
-        check_indices(weights, &idx[f * stride..f * stride + n]);
-    }
-    // SAFETY: AVX2 presence guaranteed by the dispatching caller; all used
-    // offsets bounds-checked above.
-    unsafe { sum_batch_transposed_avx2_impl(weights, idx, features, stride, n, out) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn sum_batch_transposed_avx2_impl(
-    weights: &[i32],
-    idx: &[u32],
-    features: usize,
-    stride: usize,
-    n: usize,
-    out: &mut [i32],
-) {
-    use std::arch::x86_64::*;
-    let base = weights.as_ptr();
-    // SAFETY (whole body): index loads stay inside `idx` (callers checked
-    // `features * stride <= idx.len()` and `n <= stride`); gather offsets
-    // were bounds-checked; stores stay inside `out[..n]`.
-    unsafe {
-        let mut c0 = 0usize;
-        while c0 + LANES <= n {
-            let mut accv = _mm256_setzero_si256();
-            for f in 0..features {
-                let iv = _mm256_loadu_si256(idx.as_ptr().add(f * stride + c0).cast());
-                accv = _mm256_add_epi32(accv, _mm256_i32gather_epi32::<4>(base, iv));
-            }
-            _mm256_storeu_si256(out.as_mut_ptr().add(c0).cast(), accv);
-            c0 += LANES;
-        }
-        let rem = n - c0;
-        if rem > 0 {
-            let mut mbuf = [0i32; LANES];
-            for m in &mut mbuf[..rem] {
-                *m = -1;
-            }
-            let mv = _mm256_loadu_si256(mbuf.as_ptr().cast());
-            let mut accv = _mm256_setzero_si256();
-            for f in 0..features {
-                let mut ibuf = [0u32; LANES];
-                ibuf[..rem].copy_from_slice(&idx[f * stride + c0..f * stride + c0 + rem]);
-                let iv = _mm256_loadu_si256(ibuf.as_ptr().cast());
-                let g = _mm256_mask_i32gather_epi32::<4>(_mm256_setzero_si256(), base, iv, mv);
-                accv = _mm256_add_epi32(accv, g);
-            }
-            let mut obuf = [0i32; LANES];
-            _mm256_storeu_si256(obuf.as_mut_ptr().cast(), accv);
-            out[c0..n].copy_from_slice(&obuf[..rem]);
-        }
-    }
-}
-
 /// First position of `needle` in `haystack` — the packed tag scan behind
 /// the SoA cache's probes, victim selection, and duplicate-tag invariant.
+/// Four-way unrolled with an early exit per block.
 #[inline]
 pub fn find_u64(haystack: &[u64], needle: u64) -> Option<usize> {
-    #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
-        return find_u64_avx2(haystack, needle);
-    }
-    find_u64_portable(haystack, needle)
-}
-
-/// Portable [`find_u64`]: four-way unrolled scan with early exit per block.
-pub fn find_u64_portable(haystack: &[u64], needle: u64) -> Option<usize> {
     let mut chunks = haystack.chunks_exact(4);
     let mut base = 0usize;
     for c in chunks.by_ref() {
@@ -498,96 +136,26 @@ pub fn find_u64_portable(haystack: &[u64], needle: u64) -> Option<usize> {
     None
 }
 
-/// AVX2 [`find_u64`]: 4×64-bit packed compares; the lane mask's lowest set
-/// bit preserves first-match semantics.
-#[cfg(target_arch = "x86_64")]
-pub fn find_u64_avx2(haystack: &[u64], needle: u64) -> Option<usize> {
-    // SAFETY: AVX2 presence guaranteed by the dispatching caller (or a
-    // test that detected it); loads stay inside `haystack`.
-    unsafe { find_u64_avx2_impl(haystack, needle) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn find_u64_avx2_impl(haystack: &[u64], needle: u64) -> Option<usize> {
-    use std::arch::x86_64::*;
-    // SAFETY (whole body): each load reads four u64s from inside a
-    // `chunks_exact(4)` chunk of `haystack`.
-    unsafe {
-        let nv = _mm256_set1_epi64x(needle as i64);
-        let mut chunks = haystack.chunks_exact(4);
-        let mut base = 0usize;
-        for c in chunks.by_ref() {
-            let v = _mm256_loadu_si256(c.as_ptr().cast());
-            let m = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(v, nv))) as u32;
-            if m != 0 {
-                return Some(base + m.trailing_zeros() as usize);
-            }
-            base += 4;
-        }
-        for (i, &t) in chunks.remainder().iter().enumerate() {
-            if t == needle {
-                return Some(base + i);
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Plain scalar reference the fancy paths must match bit-for-bit.
+    /// Plain scalar reference the unrolled loops must match bit-for-bit.
     fn scalar_sum(weights: &[i32], idx: &[u32]) -> i32 {
         idx.iter().map(|&i| weights[i as usize]).sum()
     }
 
     #[test]
-    fn no_simd_follows_env_conventions() {
-        assert!(!no_simd(None));
-        for v in ["", "0", "off", "FALSE", "no", "  0  "] {
-            assert!(!no_simd(Some(v)), "{v:?}");
-        }
-        for v in ["1", "on", "true", "yes", "anything"] {
-            assert!(no_simd(Some(v)), "{v:?}");
-        }
-    }
-
-    #[test]
-    fn active_level_respects_no_simd_env() {
-        // verify.sh runs the suite once normally and once under
-        // PPF_NO_SIMD=1; this test pins the dispatcher to whichever the
-        // environment demands. (Read-only: never mutates process env.)
-        let disabled = no_simd(std::env::var("PPF_NO_SIMD").ok().as_deref());
-        if disabled {
-            assert_eq!(active_level(), SimdLevel::Portable, "PPF_NO_SIMD must force portable");
-        }
-    }
-
-    #[test]
-    #[cfg(target_arch = "x86_64")]
-    fn calibration_runs_on_avx2_hosts() {
-        // The winner is host-dependent (microcoded gathers lose); only the
-        // mechanics are pinned here — it must complete and be callable
-        // repeatedly without touching the process-global level.
-        if detect() == SimdLevel::Avx2 {
-            eprintln!("calibration: avx2_wins = {}", avx2_wins_calibration());
-        }
-    }
-
-    #[test]
     fn empty_and_tiny_inputs() {
         let w = [5i32, -3, 7];
-        assert_eq!(sum_gather_i32_portable(&w, &[]), 0);
         assert_eq!(sum_gather_i32(&w, &[]), 0);
         assert_eq!(sum_gather_i32(&w, &[2]), 7);
         assert_eq!(find_u64(&[], 9), None);
-        assert_eq!(find_u64_portable(&[9], 9), Some(0));
+        assert_eq!(find_u64(&[9], 9), Some(0));
         let mut out = [0i32; 4];
         sum_batch_transposed(&w, &[], 0, 4, 0, &mut out);
-        sum_batch_transposed_portable(&w, &[], 0, 4, 0, &mut out);
+        assert_eq!(active_level(), SimdLevel::Portable);
     }
 
     #[test]
@@ -597,20 +165,14 @@ mod tests {
         let weights: Vec<i32> = (0..97).map(|i| (i * 7 % 31) - 16).collect();
         for len in 0..20usize {
             let idx: Vec<u32> = (0..len).map(|i| ((i * 13 + 5) % weights.len()) as u32).collect();
-            let want = scalar_sum(&weights, &idx);
-            assert_eq!(sum_gather_i32_portable(&weights, &idx), want, "portable len {len}");
-            assert_eq!(sum_gather_i32(&weights, &idx), want, "dispatch len {len}");
-            #[cfg(target_arch = "x86_64")]
-            if detect() == SimdLevel::Avx2 {
-                assert_eq!(sum_gather_i32_avx2(&weights, &idx), want, "avx2 len {len}");
-            }
+            assert_eq!(sum_gather_i32(&weights, &idx), scalar_sum(&weights, &idx), "len {len}");
         }
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn gather_bounds_checked() {
-        sum_gather_i32_portable(&[1, 2, 3], &[0, 7]);
+        sum_gather_i32(&[1, 2, 3], &[0, 7]);
     }
 
     proptest! {
@@ -620,13 +182,7 @@ mod tests {
             raw_idx in proptest::collection::vec(0usize..10_000, 0..40),
         ) {
             let idx: Vec<u32> = raw_idx.iter().map(|&i| (i % weights.len()) as u32).collect();
-            let want = scalar_sum(&weights, &idx);
-            prop_assert_eq!(sum_gather_i32_portable(&weights, &idx), want);
-            prop_assert_eq!(sum_gather_i32(&weights, &idx), want);
-            #[cfg(target_arch = "x86_64")]
-            if detect() == SimdLevel::Avx2 {
-                prop_assert_eq!(sum_gather_i32_avx2(&weights, &idx), want);
-            }
+            prop_assert_eq!(sum_gather_i32(&weights, &idx), scalar_sum(&weights, &idx));
         }
 
         #[test]
@@ -648,17 +204,8 @@ mod tests {
                 .map(|c| (0..features).map(|f| weights[idx[f * stride + c] as usize]).sum())
                 .collect();
             let mut got = vec![0i32; n];
-            sum_batch_transposed_portable(&weights, &idx, features, stride, n, &mut got);
+            sum_batch_transposed(&weights, &idx, features, stride, n, &mut got);
             prop_assert_eq!(&got, &want);
-            let mut got2 = vec![0i32; n];
-            sum_batch_transposed(&weights, &idx, features, stride, n, &mut got2);
-            prop_assert_eq!(&got2, &want);
-            #[cfg(target_arch = "x86_64")]
-            if detect() == SimdLevel::Avx2 {
-                let mut got3 = vec![0i32; n];
-                sum_batch_transposed_avx2(&weights, &idx, features, stride, n, &mut got3);
-                prop_assert_eq!(&got3, &want);
-            }
         }
 
         #[test]
@@ -667,25 +214,14 @@ mod tests {
             needle in 0u64..32,
         ) {
             let want = haystack.iter().position(|&t| t == needle);
-            prop_assert_eq!(find_u64_portable(&haystack, needle), want);
             prop_assert_eq!(find_u64(&haystack, needle), want);
-            #[cfg(target_arch = "x86_64")]
-            if detect() == SimdLevel::Avx2 {
-                prop_assert_eq!(find_u64_avx2(&haystack, needle), want);
-            }
         }
     }
 
     #[test]
     fn find_reports_first_of_duplicates() {
         let h = [7u64, 3, 7, 7, 1, 7, 7, 7, 7];
-        assert_eq!(find_u64_portable(&h, 7), Some(0));
         assert_eq!(find_u64(&h, 7), Some(0));
         assert_eq!(find_u64(&h[1..], 7), Some(1));
-        #[cfg(target_arch = "x86_64")]
-        if detect() == SimdLevel::Avx2 {
-            assert_eq!(find_u64_avx2(&h, 7), Some(0));
-            assert_eq!(find_u64_avx2(&h[1..], 7), Some(1));
-        }
     }
 }

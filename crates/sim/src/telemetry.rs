@@ -126,9 +126,9 @@ pub struct FilterCounters {
     pub false_negative_recoveries: u64,
     /// Negative trainings triggered by metadata-table replacement.
     pub replacement_trains: u64,
-    /// Depth-window size used for batched inference (config metadata, not a
-    /// counter: carried through [`FilterCounters::delta`] unchanged so
-    /// interval snapshots record the knob a run was swept at).
+    /// Depth-window size used for batched inference (metadata, not a
+    /// counter: carried through [`FilterCounters::delta`] unchanged; PPF
+    /// reports its fixed window of 8).
     pub batch_window: u64,
 }
 

@@ -10,8 +10,6 @@
 #                                 #       throughput comparison table
 #   scripts/verify.sh --faults    # fault drill only (assumes a release build)
 #   scripts/verify.sh --telemetry # telemetry gate only
-#   scripts/verify.sh --simd      # SIMD gate only: tier-1 tests twice
-#                                 #   (default dispatch, then PPF_NO_SIMD=1)
 #   scripts/verify.sh --horizon   # horizon gate only: fig09 --quick stdout
 #                                 #   must be byte-identical with cycle
 #                                 #   skipping on (default) and off
@@ -35,6 +33,14 @@ set -eu
 cd "$(dirname "$0")/.."
 
 mode="${1:-}"
+
+case "$mode" in
+    ""|--quick|--bench|--faults|--telemetry|--horizon|--serve|--profile|--hybrid) ;;
+    *)
+        echo "usage: $0 [--quick|--bench|--faults|--telemetry|--horizon|--serve|--profile|--hybrid]" >&2
+        exit 2
+        ;;
+esac
 
 # Fault drill: targeted fault-injection tests, then a real sweep binary with
 # one job deliberately panicked via PPF_FAULT_INJECT. The sweep must still
@@ -78,17 +84,6 @@ run_telemetry_gate() {
              rm -rf "$telem_dir"; exit 1; }
     rm -rf "$telem_dir"
     echo "telemetry gate: OK (every export schema-valid)"
-}
-
-# SIMD gate: the whole test suite must pass with the portable fallback
-# pinned (PPF_NO_SIMD=1) and produce results bit-identical to the default
-# dispatch — the differential suites (simd_equivalence, arena_equivalence,
-# layout_golden) compare against scalar references under whichever level is
-# active, so two passes cover both implementations.
-run_simd_gate() {
-    echo "== SIMD gate: cargo test -q --workspace with PPF_NO_SIMD=1 =="
-    PPF_NO_SIMD=1 cargo test -q --workspace
-    echo "simd gate: OK (portable fallback passes the full suite)"
 }
 
 # Horizon gate: the event-horizon run loop must be observationally exact.
@@ -276,14 +271,6 @@ if [ "$mode" = "--horizon" ]; then
     exit 0
 fi
 
-if [ "$mode" = "--simd" ]; then
-    echo "== cargo test -q --workspace (default SIMD dispatch) =="
-    cargo test -q --workspace
-    run_simd_gate
-    echo "verify: OK"
-    exit 0
-fi
-
 if [ "$mode" = "--faults" ]; then
     run_fault_drill
     echo "verify: OK"
@@ -304,8 +291,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
-
-run_simd_gate
 
 run_fault_drill
 

@@ -1,135 +1,14 @@
-//! Interval-telemetry ingestion: parse, validate, and aggregate the JSONL
-//! the simulator's interval snapshots export.
-//!
-//! The exporter ([`ppf_sim::IntervalSnapshot::to_jsonl`]) writes one flat
-//! JSON object per line — string keys, numeric values, no nesting. That
-//! restricted shape lets this module parse it with a small hand-rolled
-//! scanner instead of a JSON dependency, keeping the workspace's
-//! no-external-deps rule intact while still validating the schema version
-//! and the presence of every required column.
+//! Interval-telemetry aggregation over the `interval` records the
+//! simulator's snapshots export ([`ppf_sim::IntervalSnapshot::to_jsonl`]),
+//! parsed and validated by [`crate::observe`].
 //!
 //! Snapshots are *cumulative* from the start of the measurement region, so
 //! phase behaviour comes from differencing consecutive records per core —
 //! [`interval_deltas`] does that, and [`render_intervals`] turns the result
 //! into the aligned per-interval table the `fig_telemetry` binary prints.
 
+use crate::observe::{Kind, Record};
 use crate::render::TextTable;
-
-/// Schema version this parser understands (matches
-/// [`ppf_sim::telemetry::SCHEMA_VERSION`]).
-pub const SCHEMA_VERSION: u32 = 1;
-
-/// Keys every record must carry (the identity and headline columns; the
-/// full counter set rides along but only these are load-bearing for
-/// aggregation).
-pub const REQUIRED_KEYS: [&str; 10] = [
-    "v", "core", "seq", "instr", "cycles", "ipc", "l2_mpki", "llc_mpki", "pf_issued", "pf_useful",
-];
-
-/// One parsed JSONL record: keys in file order with numeric values. Exact
-/// integers survive to 2^53, far beyond any counter a simulated region
-/// produces.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntervalRecord {
-    fields: Vec<(String, f64)>,
-}
-
-impl IntervalRecord {
-    /// Value of a key, if present.
-    pub fn get(&self, key: &str) -> Option<f64> {
-        self.fields.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
-    }
-
-    /// Value of a key that [`validate`] guaranteed present.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is absent (call [`validate`] first).
-    pub fn req(&self, key: &str) -> f64 {
-        self.get(key).unwrap_or_else(|| panic!("required key {key:?} missing"))
-    }
-
-    /// All fields in file order.
-    pub fn fields(&self) -> &[(String, f64)] {
-        &self.fields
-    }
-}
-
-/// Parses one flat JSON object (`{"key":value,...}`, numeric values only).
-///
-/// # Errors
-///
-/// Returns a description of the first malformed construct.
-pub fn parse_line(line: &str) -> Result<IntervalRecord, String> {
-    let s = line.trim();
-    let inner = s
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| "record is not a JSON object".to_string())?;
-    let mut fields = Vec::new();
-    if inner.trim().is_empty() {
-        return Ok(IntervalRecord { fields });
-    }
-    // Values are plain numbers and keys contain no commas or escapes, so
-    // splitting on top-level commas is exact for this schema.
-    for pair in inner.split(',') {
-        let (k, v) = pair
-            .split_once(':')
-            .ok_or_else(|| format!("field {pair:?} has no ':' separator"))?;
-        let key = k
-            .trim()
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or_else(|| format!("key {k:?} is not quoted"))?;
-        if key.is_empty() {
-            return Err("empty key".to_string());
-        }
-        let value: f64 =
-            v.trim().parse().map_err(|_| format!("value {v:?} of {key:?} is not numeric"))?;
-        if fields.iter().any(|(k, _)| k == key) {
-            return Err(format!("duplicate key {key:?}"));
-        }
-        fields.push((key.to_string(), value));
-    }
-    Ok(IntervalRecord { fields })
-}
-
-/// Checks one record against the schema: version match and every
-/// [`REQUIRED_KEYS`] entry present.
-///
-/// # Errors
-///
-/// Returns the first violation.
-pub fn validate(rec: &IntervalRecord) -> Result<(), String> {
-    let v = rec.get("v").ok_or_else(|| "missing schema version \"v\"".to_string())?;
-    if v != f64::from(SCHEMA_VERSION) {
-        return Err(format!("schema version {v} (parser understands {SCHEMA_VERSION})"));
-    }
-    for key in REQUIRED_KEYS {
-        if rec.get(key).is_none() {
-            return Err(format!("missing required key {key:?}"));
-        }
-    }
-    Ok(())
-}
-
-/// Parses and validates a whole JSONL document (blank lines skipped).
-///
-/// # Errors
-///
-/// Returns `line N: <why>` for the first bad line.
-pub fn parse_jsonl(text: &str) -> Result<Vec<IntervalRecord>, String> {
-    let mut records = Vec::new();
-    for (n, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rec = parse_line(line).map_err(|e| format!("line {}: {e}", n + 1))?;
-        validate(&rec).map_err(|e| format!("line {}: {e}", n + 1))?;
-        records.push(rec);
-    }
-    Ok(records)
-}
 
 /// One per-interval row derived by differencing consecutive cumulative
 /// snapshots of the same core.
@@ -157,25 +36,19 @@ pub struct IntervalDelta {
     pub ppf_rejects: f64,
 }
 
-/// Differences consecutive records per core into per-interval rows. Records
-/// may interleave cores; within one core they must be in `seq` order (the
-/// exporter guarantees it).
-pub fn interval_deltas(records: &[IntervalRecord]) -> Vec<IntervalDelta> {
+/// Differences consecutive `interval` records per core into per-interval
+/// rows; records of other kinds are skipped. Records may interleave cores;
+/// within one core they must be in `seq` order (the exporter guarantees it).
+pub fn interval_deltas(records: &[Record]) -> Vec<IntervalDelta> {
     let mut out = Vec::new();
-    let mut cores: Vec<(u32, IntervalRecord)> = Vec::new();
-    for rec in records {
+    let mut cores: Vec<(u32, &Record)> = Vec::new();
+    for rec in records.iter().filter(|r| r.kind() == Kind::Interval) {
         let core = rec.req("core") as u32;
-        let prev = cores.iter().find(|(c, _)| *c == core).map(|(_, p)| p);
+        let prev = cores.iter().find(|(c, _)| *c == core).map(|&(_, p)| p);
         let d = |key: &str| rec.req(key) - prev.map_or(0.0, |p| p.req(key));
         let instructions = d("instr");
         let cycles = d("cycles");
-        let misses = {
-            let acc = rec.get("l2_acc").map_or(0.0, |v| v)
-                - prev.and_then(|p| p.get("l2_acc")).unwrap_or(0.0);
-            let hits = rec.get("l2_hit").map_or(0.0, |v| v)
-                - prev.and_then(|p| p.get("l2_hit")).unwrap_or(0.0);
-            acc - hits
-        };
+        let misses = d("l2_acc") - d("l2_hit");
         out.push(IntervalDelta {
             core,
             seq: rec.req("seq") as u64,
@@ -185,17 +58,12 @@ pub fn interval_deltas(records: &[IntervalRecord]) -> Vec<IntervalDelta> {
             l2_mpki: if instructions > 0.0 { misses * 1000.0 / instructions } else { 0.0 },
             issued: d("pf_issued"),
             useful: d("pf_useful"),
-            ppf_accepts: rec.get("ppf_accept_l2").map_or(0.0, |v| v)
-                + rec.get("ppf_accept_llc").map_or(0.0, |v| v)
-                - prev.map_or(0.0, |p| {
-                    p.get("ppf_accept_l2").unwrap_or(0.0) + p.get("ppf_accept_llc").unwrap_or(0.0)
-                }),
-            ppf_rejects: rec.get("ppf_reject").map_or(0.0, |v| v)
-                - prev.and_then(|p| p.get("ppf_reject")).unwrap_or(0.0),
+            ppf_accepts: d("ppf_accept_l2") + d("ppf_accept_llc"),
+            ppf_rejects: d("ppf_reject"),
         });
         match cores.iter_mut().find(|(c, _)| *c == core) {
-            Some(slot) => slot.1 = rec.clone(),
-            None => cores.push((core, rec.clone())),
+            Some(slot) => slot.1 = rec,
+            None => cores.push((core, rec)),
         }
     }
     out
@@ -203,7 +71,7 @@ pub fn interval_deltas(records: &[IntervalRecord]) -> Vec<IntervalDelta> {
 
 /// Renders per-interval rows as an aligned table (the phase-behaviour view
 /// `fig_telemetry` prints).
-pub fn render_intervals(records: &[IntervalRecord]) -> String {
+pub fn render_intervals(records: &[Record]) -> String {
     let mut t = TextTable::new(vec![
         "core", "seq", "instr", "ipc", "l2_mpki", "pf_issued", "pf_useful", "ppf_acc", "ppf_rej",
     ]);
@@ -226,6 +94,8 @@ pub fn render_intervals(records: &[IntervalRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::{parse_document, parse_line};
+    use ppf_sim::observe::SCHEMA_VERSION;
     use ppf_sim::{CacheStats, FilterCounters, IntervalSnapshot, PrefetchStats};
 
     fn snapshot(core: u32, seq: u64) -> IntervalSnapshot {
@@ -258,8 +128,8 @@ mod tests {
     #[test]
     fn parses_exporter_output_roundtrip() {
         let s = snapshot(0, 3);
-        let rec = parse_line(&s.to_jsonl()).expect("exporter output parses");
-        validate(&rec).expect("exporter output validates");
+        let rec = parse_line(&s.to_jsonl()).expect("exporter output validates");
+        assert_eq!(rec.kind(), Kind::Interval);
         assert_eq!(rec.req("core"), 0.0);
         assert_eq!(rec.req("seq"), 3.0);
         assert_eq!(rec.req("instr"), 4_000.0);
@@ -271,32 +141,32 @@ mod tests {
 
     #[test]
     fn rejects_malformed_lines() {
+        let good = snapshot(0, 0).to_jsonl();
         assert!(parse_line("not json").is_err());
         assert!(parse_line("{\"a\" 1}").is_err());
         assert!(parse_line("{a:1}").is_err());
-        assert!(parse_line("{\"a\":\"str\"}").is_err());
-        assert!(parse_line("{\"a\":1,\"a\":2}").is_err());
+        assert!(parse_line(&good.replacen("\"core\":0", "\"core\":\"0\"", 1)).is_err());
+        assert!(parse_line(&good.replacen("\"seq\":0", "\"seq\":0,\"seq\":1", 1)).is_err());
     }
 
     #[test]
     fn validation_requires_version_and_keys() {
-        let rec = parse_line("{\"v\":1,\"core\":0}").unwrap();
-        let err = validate(&rec).unwrap_err();
+        let good = snapshot(0, 0).to_jsonl();
+        let err = parse_line(&good.replacen(",\"seq\":0", "", 1)).unwrap_err();
         assert!(err.contains("seq"), "{err}");
-        let rec = parse_line("{\"v\":99}").unwrap();
-        let err = validate(&rec).unwrap_err();
+        let version = format!("\"v\":{SCHEMA_VERSION}");
+        let err = parse_line(&good.replacen(&version, "\"v\":99", 1)).unwrap_err();
         assert!(err.contains("version"), "{err}");
-        let rec = parse_line("{\"core\":0}").unwrap();
-        assert!(validate(&rec).is_err());
+        assert!(parse_line(&good.replacen(&format!("{version},"), "", 1)).is_err());
     }
 
     #[test]
     fn jsonl_reports_offending_line() {
         let good = snapshot(0, 0).to_jsonl();
-        let doc = format!("{good}\n\n{{\"v\":1}}\n");
-        let err = parse_jsonl(&doc).unwrap_err();
+        let doc = format!("{good}\n\n{{\"v\":{SCHEMA_VERSION},\"kind\":\"interval\"}}\n");
+        let err = parse_document(&doc).unwrap_err();
         assert!(err.starts_with("line 3:"), "{err}");
-        assert_eq!(parse_jsonl(&good).unwrap().len(), 1);
+        assert_eq!(parse_document(&good).unwrap().len(), 1);
     }
 
     #[test]
@@ -308,7 +178,7 @@ mod tests {
             snapshot(0, 1).to_jsonl(),
             snapshot(1, 1).to_jsonl(),
         ];
-        let records = parse_jsonl(&doc.join("\n")).unwrap();
+        let records = parse_document(&doc.join("\n")).unwrap();
         let deltas = interval_deltas(&records);
         assert_eq!(deltas.len(), 4);
         for d in &deltas {
@@ -330,7 +200,7 @@ mod tests {
     #[test]
     fn renders_one_row_per_interval() {
         let doc = [snapshot(0, 0).to_jsonl(), snapshot(0, 1).to_jsonl()].join("\n");
-        let records = parse_jsonl(&doc).unwrap();
+        let records = parse_document(&doc).unwrap();
         let out = render_intervals(&records);
         assert!(out.contains("l2_mpki"), "{out}");
         // Header + separator + 2 rows.

@@ -7,12 +7,13 @@
 //!   Pearson correlation against prefetch outcomes, plus the cross-
 //!   correlation pruning of redundant features,
 //! * [`histogram`] — trained-weight distributions (Figure 6),
-//! * [`interval`] — interval-telemetry JSONL ingestion: parse, schema
-//!   validation, per-interval differencing, and phase tables,
-//! * [`profile`] — self-profiler JSONL ingestion and flat/top-down
-//!   cost-center tables (span taxonomy from [`ppf_sim::prof`]),
-//! * [`serve`] — serving-telemetry ingestion: daemon counter snapshots,
-//!   chaos-drill reports, and latency reconstruction from log2 buckets,
+//! * [`observe`] — the one validating parser for every observability
+//!   export (`interval`, `span`, `flight`, `serve` and `drill` records),
+//! * [`interval`] — per-interval differencing and phase tables,
+//! * [`profile`] — flat and top-down cost-center tables (span taxonomy
+//!   from [`ppf_sim::prof`]),
+//! * [`serve`] — the fleet-health report over daemon snapshots and
+//!   chaos-drill reports,
 //! * [`render`] — aligned tables, bar charts and sorted-series plots used by
 //!   the experiment binaries to print paper-style figures in a terminal.
 //!
@@ -26,6 +27,7 @@
 
 pub mod histogram;
 pub mod interval;
+pub mod observe;
 pub mod pearson;
 pub mod profile;
 pub mod render;
@@ -33,13 +35,12 @@ pub mod serve;
 pub mod stats;
 
 pub use histogram::WeightHistogram;
-pub use interval::{
-    interval_deltas, parse_jsonl, render_intervals, IntervalDelta, IntervalRecord,
-};
+pub use interval::{interval_deltas, render_intervals, IntervalDelta};
+pub use observe::{parse_document, parse_line, Kind, Record};
 pub use pearson::{
     cross_correlation_matrix, feature_correlations, pearson as pearson_r, redundant_pairs,
     FeatureCorrelation,
 };
-pub use profile::{parse_document as parse_profile, render_flat, render_topdown, SpanRecord};
+pub use profile::{render_flat, render_topdown, SpanRecord};
 pub use render::{bar_chart, sorted_series, TextTable};
 pub use stats::{geomean_bootstrap_ci, geometric_mean, mean, percent_gain, weighted_speedup, ConfidenceInterval};

@@ -1,28 +1,22 @@
-//! Profile-JSONL ingestion and cost-center rendering.
+//! Span tables: flat and top-down cost-center rendering over the `span`
+//! records the self-profiler ([`ppf_sim::prof`]) exports, parsed and
+//! validated by [`crate::observe`].
 //!
-//! The self-profiler ([`ppf_sim::prof`]) exports one flat JSON object per
-//! span — numeric values only, same restricted shape as the interval
-//! telemetry — so this module reuses [`crate::interval::parse_line`] and
-//! stays dependency-free. Records carry *sampled* wall time: fine-grained
-//! tick spans are stamped once every `stride` executed ticks, so rendered
-//! figures scale `calls`/`wall_ns` by the record's stride to estimate
-//! full-run cost. The root `run_loop` span is always recorded at stride 1
-//! and anchors the percentage column and the coverage check.
+//! Records carry *sampled* wall time: fine-grained tick spans are stamped
+//! once every `stride` executed ticks, so rendered figures scale
+//! `calls`/`wall_ns` by the record's stride to estimate full-run cost. The
+//! root `run_loop` span is always recorded at stride 1 and anchors the
+//! percentage column and the coverage check. Every function here takes a
+//! whole document and skips records of other kinds, so a mixed `OP_STATS`
+//! payload renders as-is.
 
-use crate::interval::parse_line;
+use crate::observe::{Kind, Record};
 use crate::render::TextTable;
 use ppf_sim::Span;
 
-/// Schema version this parser understands (matches
-/// [`ppf_sim::prof::SCHEMA_VERSION`]).
-pub const SCHEMA_VERSION: u32 = 1;
-
-/// Keys every profile record must carry.
-pub const REQUIRED_KEYS: [&str; 6] = ["v", "span", "calls", "wall_ns", "cycles", "stride"];
-
-/// One parsed profile record: a span's accumulated counters, plus the
-/// sampling stride they were collected under and (for serve-side tables)
-/// the shard that produced them.
+/// The typed view of one `span` record: a span's accumulated counters,
+/// plus the sampling stride they were collected under and (for serve-side
+/// tables) the shard that produced them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {
     /// The instrumented span.
@@ -49,76 +43,29 @@ impl SpanRecord {
     pub fn est_calls(&self) -> u64 {
         self.calls.saturating_mul(self.stride.max(1))
     }
-}
 
-/// Parses and validates one profile JSONL line.
-///
-/// # Errors
-///
-/// Returns a description of the first problem: malformed JSON, wrong
-/// schema version, a missing required key, or an unknown span id.
-pub fn parse_record(line: &str) -> Result<SpanRecord, String> {
-    let rec = parse_line(line)?;
-    let v = rec.get("v").ok_or_else(|| "missing schema version \"v\"".to_string())?;
-    if v != f64::from(SCHEMA_VERSION) {
-        return Err(format!("schema version {v} (parser understands {SCHEMA_VERSION})"));
-    }
-    for key in REQUIRED_KEYS {
-        if rec.get(key).is_none() {
-            return Err(format!("missing required key {key:?}"));
-        }
-    }
-    let id = rec.req("span");
-    if id < 0.0 || id.fract() != 0.0 || id > f64::from(u8::MAX) {
-        return Err(format!("span id {id} is not a u8"));
-    }
+    /// The typed view of `rec`, or `None` if it is not a `span` record.
+    /// The parser already checked the span id and stride.
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let span = Span::from_id(id as u64).ok_or_else(|| format!("unknown span id {id}"))?;
-    let stride = rec.req("stride");
-    if stride < 1.0 {
-        return Err(format!("stride {stride} must be >= 1"));
-    }
-    // Declared parent (if any) must agree with the span taxonomy compiled
-    // into this binary, or the top-down rollup would silently mis-nest.
-    if let Some(p) = rec.get("parent") {
-        #[allow(clippy::cast_precision_loss)]
-        let expect = span.parent().map(|p| p.id() as f64);
-        if Some(p) != expect {
-            return Err(format!("span {:?} declares parent {p}, taxonomy says {expect:?}", span.name()));
+    pub fn from_record(rec: &Record) -> Option<SpanRecord> {
+        if rec.kind() != Kind::Span {
+            return None;
         }
-    } else if span.parent().is_some() {
-        return Err(format!("span {:?} is missing its parent tag", span.name()));
+        Some(SpanRecord {
+            span: Span::from_id(rec.req("span") as u64)?,
+            calls: rec.req("calls") as u64,
+            wall_ns: rec.req("wall_ns") as u64,
+            cycles: rec.req("cycles") as u64,
+            stride: rec.req("stride") as u64,
+            shard: rec.get("shard").map(|s| s as u64),
+        })
     }
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    Ok(SpanRecord {
-        span,
-        calls: rec.req("calls") as u64,
-        wall_ns: rec.req("wall_ns") as u64,
-        cycles: rec.req("cycles") as u64,
-        stride: stride as u64,
-        shard: rec.get("shard").map(|s| s as u64),
-    })
 }
 
-/// Parses a whole profile JSONL document (blank lines skipped).
-///
-/// # Errors
-///
-/// Returns `line N: <why>` for the first bad line.
-pub fn parse_document(text: &str) -> Result<Vec<SpanRecord>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(parse_record(line).map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    Ok(out)
-}
-
-/// Sums records per span across shards/threads into one row each,
-/// preserving taxonomy order.
-fn aggregate(records: &[SpanRecord]) -> Vec<SpanRecord> {
+/// Sums the `span` records per span across shards/threads into one row
+/// each, preserving taxonomy order.
+fn aggregate(records: &[Record]) -> Vec<SpanRecord> {
+    let records: Vec<SpanRecord> = records.iter().filter_map(SpanRecord::from_record).collect();
     let mut out: Vec<SpanRecord> = Vec::new();
     for span in Span::ALL {
         let mut agg: Option<SpanRecord> = None;
@@ -210,7 +157,7 @@ fn fmt_pct(part: u64, total: u64) -> String {
 
 /// Renders the flat cost-center table: one row per span, ranked by
 /// estimated wall time, with the share of root-span wall time.
-pub fn render_flat(records: &[SpanRecord]) -> String {
+pub fn render_flat(records: &[Record]) -> String {
     let mut agg = normalized(aggregate(records));
     let total = total_wall_ns(&agg);
     agg.sort_by_key(|r| std::cmp::Reverse(r.est_wall_ns()));
@@ -231,7 +178,7 @@ pub fn render_flat(records: &[SpanRecord]) -> String {
 
 /// Renders the hierarchical rollup: each span nested under its parent,
 /// with inclusive and self time (inclusive minus measured children).
-pub fn render_topdown(records: &[SpanRecord]) -> String {
+pub fn render_topdown(records: &[Record]) -> String {
     let agg = normalized(aggregate(records));
     let total = total_wall_ns(&agg);
     let mut t = TextTable::new(vec!["span", "incl ms", "self ms", "% total"]);
@@ -266,8 +213,8 @@ pub fn render_topdown(records: &[SpanRecord]) -> String {
 /// Fraction of the root `run_loop` wall time that its direct children
 /// account for (stride-scaled, clamped to 1.0). `None` without a root
 /// record. This is the "spans cover >= 90% of measured wall time" figure
-/// the profile gate checks.
-pub fn coverage(records: &[SpanRecord]) -> Option<f64> {
+/// `fig_profile` (and so the observe gate) checks.
+pub fn coverage(records: &[Record]) -> Option<f64> {
     let agg = aggregate(records);
     let root = agg.iter().find(|r| r.span == Span::RunLoop)?;
     if root.wall_ns == 0 {
@@ -285,22 +232,19 @@ pub fn coverage(records: &[SpanRecord]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::{parse_document, parse_line};
+    use ppf_sim::observe::envelope;
+    use ppf_sim::prof::span_jsonl;
+    use ppf_sim::SpanStat;
 
     fn line(span: Span, calls: u64, wall: u64, stride: u64) -> String {
-        let mut s = format!(
-            "{{\"v\":1,\"span\":{},\"calls\":{calls},\"wall_ns\":{wall},\"cycles\":{calls},\"stride\":{stride}",
-            span.id()
-        );
-        if let Some(p) = span.parent() {
-            s.push_str(&format!(",\"parent\":{}", p.id()));
-        }
-        s.push('}');
-        s
+        span_jsonl(span, SpanStat { calls, wall_ns: wall, cycles: calls }, stride, None)
     }
 
     #[test]
     fn parses_and_scales_by_stride() {
-        let r = parse_record(&line(Span::Tick, 10, 5_000, 64)).unwrap();
+        let rec = parse_line(&line(Span::Tick, 10, 5_000, 64)).unwrap();
+        let r = SpanRecord::from_record(&rec).expect("a span record");
         assert_eq!(r.span, Span::Tick);
         assert_eq!(r.est_calls(), 640);
         assert_eq!(r.est_wall_ns(), 320_000);
@@ -309,20 +253,23 @@ mod tests {
 
     #[test]
     fn rejects_bad_records() {
-        assert!(parse_record("not json").is_err());
-        assert!(parse_record("{\"v\":2,\"span\":0,\"calls\":1,\"wall_ns\":1,\"cycles\":1,\"stride\":1}")
+        let span = |rest: &str| format!("{},{rest}}}", envelope("span"));
+        assert!(parse_line("not json").is_err());
+        assert!(parse_line(&span("\"span\":0,\"calls\":1,\"wall_ns\":1,\"cycles\":1,\"stride\":1"))
+            .is_ok());
+        assert!(parse_line(&span("\"span\":250,\"calls\":1,\"wall_ns\":1,\"cycles\":1,\"stride\":1"))
             .is_err());
-        assert!(parse_record("{\"v\":1,\"span\":250,\"calls\":1,\"wall_ns\":1,\"cycles\":1,\"stride\":1}")
+        assert!(parse_line(&span("\"span\":0,\"calls\":1,\"wall_ns\":1,\"cycles\":1,\"stride\":0"))
             .is_err());
         // Missing a required key.
-        assert!(parse_record("{\"v\":1,\"span\":0,\"calls\":1,\"wall_ns\":1,\"stride\":1}").is_err());
+        assert!(parse_line(&span("\"span\":0,\"calls\":1,\"wall_ns\":1,\"stride\":1")).is_err());
         // Child span without its parent tag.
-        assert!(parse_record("{\"v\":1,\"span\":1,\"calls\":1,\"wall_ns\":1,\"cycles\":1,\"stride\":1}")
+        assert!(parse_line(&span("\"span\":1,\"calls\":1,\"wall_ns\":1,\"cycles\":1,\"stride\":1"))
             .is_err());
         // Parent tag contradicting the taxonomy.
-        assert!(parse_record(
-            "{\"v\":1,\"span\":1,\"calls\":1,\"wall_ns\":1,\"cycles\":1,\"stride\":1,\"parent\":5}"
-        )
+        assert!(parse_line(&span(
+            "\"span\":1,\"calls\":1,\"wall_ns\":1,\"cycles\":1,\"stride\":1,\"parent\":5"
+        ))
         .is_err());
     }
 
@@ -383,10 +330,11 @@ mod tests {
 
     #[test]
     fn aggregates_across_shards() {
-        let a = "{\"v\":1,\"span\":15,\"calls\":10,\"wall_ns\":100,\"cycles\":0,\"stride\":1,\"shard\":0}";
-        let b = "{\"v\":1,\"span\":15,\"calls\":30,\"wall_ns\":300,\"cycles\":0,\"stride\":1,\"shard\":1}";
+        let stat = |calls| SpanStat { calls, wall_ns: calls * 10, cycles: 0 };
+        let a = span_jsonl(Span::Score, stat(10), 1, Some(0));
+        let b = span_jsonl(Span::Score, stat(30), 1, Some(1));
         let recs = parse_document(&format!("{a}\n{b}")).unwrap();
-        assert_eq!(recs[0].shard, Some(0));
+        assert_eq!(SpanRecord::from_record(&recs[0]).unwrap().shard, Some(0));
         let flat = render_flat(&recs);
         assert!(flat.contains("score"), "{flat}");
         assert!(flat.contains("40"), "aggregated calls: {flat}");

@@ -1,79 +1,10 @@
-//! Serving-telemetry ingestion: daemon counter snapshots and chaos-drill
-//! reports.
-//!
-//! The `ppf-serve` daemon and `ppf_loadgen --drill` both emit the same
-//! restricted JSONL shape as the interval telemetry (flat object, numeric
-//! values), so this module rides on [`crate::interval::parse_line`] — no
-//! new parsing machinery. What is serving-specific lives here: the schema
-//! (which keys a daemon snapshot must carry), latency reconstruction from
-//! the exporter's log2 histogram buckets (`lat_b<i>` = samples in
-//! `[2^i, 2^{i+1})` µs), and a terminal report of fleet health.
+//! Fleet-health report over the `serve` records the `ppf-serve` daemon
+//! exports and the `drill` records `ppf_loadgen --drill` prints, parsed and
+//! validated by [`crate::observe`]. Both kinds carry exact `p50_us` and
+//! `p99_us` columns, so nothing is reconstructed here.
 
-use crate::interval::{parse_line, IntervalRecord};
+use crate::observe::{Kind, Record};
 use crate::render::TextTable;
-
-/// Schema version this parser understands (matches
-/// `ppf_serve::counters` and the drill report).
-pub const SCHEMA_VERSION: u32 = 1;
-
-/// Keys every daemon counter snapshot carries.
-pub const SNAPSHOT_KEYS: [&str; 9] = [
-    "v",
-    "requests",
-    "degraded_replies",
-    "shed_overflow",
-    "shed_quota",
-    "deadline_misses",
-    "tenant_restarts",
-    "shard_replacements",
-    "checkpoint_records",
-];
-
-/// Parses and validates one daemon snapshot line.
-///
-/// # Errors
-///
-/// Returns the first schema violation.
-pub fn parse_snapshot(line: &str) -> Result<IntervalRecord, String> {
-    let rec = parse_line(line)?;
-    let v = rec.get("v").ok_or_else(|| "missing schema version \"v\"".to_string())?;
-    if v != f64::from(SCHEMA_VERSION) {
-        return Err(format!("schema version {v} (parser understands {SCHEMA_VERSION})"));
-    }
-    for key in SNAPSHOT_KEYS {
-        if rec.get(key).is_none() {
-            return Err(format!("missing required key {key:?}"));
-        }
-    }
-    Ok(rec)
-}
-
-/// Reconstructs the latency quantile `q` (0.0–1.0) from a record's
-/// `lat_b<i>` histogram fields, returning the bucket's upper bound in µs.
-/// Returns `None` when the record carries no latency buckets.
-pub fn latency_quantile_us(rec: &IntervalRecord, q: f64) -> Option<u64> {
-    let mut buckets: Vec<(usize, u64)> = rec
-        .fields()
-        .iter()
-        .filter_map(|(k, v)| {
-            k.strip_prefix("lat_b").and_then(|i| i.parse().ok()).map(|i| (i, *v as u64))
-        })
-        .collect();
-    buckets.sort_unstable();
-    let total: u64 = buckets.iter().map(|&(_, n)| n).sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
-    let mut seen = 0;
-    for (i, n) in buckets {
-        seen += n;
-        if seen >= rank {
-            return Some(1u64 << (i + 1));
-        }
-    }
-    None
-}
 
 /// Per-mille helper for rate columns (integer-friendly, avoids "0.00%"
 /// rounding for rare events).
@@ -85,52 +16,41 @@ fn per_mille(num: f64, den: f64) -> f64 {
     }
 }
 
-/// Renders a fleet-health report from one or more snapshot lines (e.g. a
-/// daemon's telemetry JSONL, or the drill's report line). One table row
-/// per record.
+/// Renders a fleet-health report, one table row per `serve` or `drill`
+/// record (records of other kinds are skipped).
 ///
 /// # Errors
 ///
-/// Propagates the first parse/schema failure as `line N: <why>`.
-pub fn render_report(text: &str) -> Result<String, String> {
-    let mut records = Vec::new();
-    for (n, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        records.push(parse_snapshot(line).map_err(|e| format!("line {}: {e}", n + 1))?);
-    }
-    if records.is_empty() {
-        return Err("no snapshot records".into());
-    }
+/// Fails when `records` holds no `serve` or `drill` record.
+pub fn render_report(records: &[Record]) -> Result<String, String> {
     let mut table = TextTable::new(vec![
         "requests", "p50 us", "p99 us", "degraded/1k", "shed/1k", "restarts", "shard repl",
         "ckpt drops",
     ]);
-    for rec in &records {
+    let mut rows = 0;
+    for rec in records {
+        let (degraded, shed) = match rec.kind() {
+            Kind::Serve => {
+                (rec.req("degraded_replies"), rec.req("shed_overflow") + rec.req("shed_quota"))
+            }
+            Kind::Drill => (rec.req("degraded"), rec.req("shed")),
+            _ => continue,
+        };
         let requests = rec.req("requests");
-        let degraded = rec.req("degraded_replies");
-        let shed = rec.req("shed_overflow") + rec.req("shed_quota");
-        let p50 = rec
-            .get("p50_us")
-            .map(|v| v as u64)
-            .or_else(|| latency_quantile_us(rec, 0.50))
-            .unwrap_or(0);
-        let p99 = rec
-            .get("p99_us")
-            .map(|v| v as u64)
-            .or_else(|| latency_quantile_us(rec, 0.99))
-            .unwrap_or(0);
         table.row(vec![
             format!("{requests:.0}"),
-            format!("{p50}"),
-            format!("{p99}"),
+            format!("{:.0}", rec.req("p50_us")),
+            format!("{:.0}", rec.req("p99_us")),
             format!("{:.2}", per_mille(degraded, requests)),
             format!("{:.2}", per_mille(shed, requests)),
             format!("{:.0}", rec.req("tenant_restarts")),
             format!("{:.0}", rec.req("shard_replacements")),
-            format!("{:.0}", rec.get("checkpoint_drops").unwrap_or(0.0)),
+            format!("{:.0}", rec.req("checkpoint_drops")),
         ]);
+        rows += 1;
+    }
+    if rows == 0 {
+        return Err("no serve or drill records".into());
     }
     Ok(table.render())
 }
@@ -138,8 +58,9 @@ pub fn render_report(text: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::{parse_document, parse_line};
 
-    const SNAPSHOT: &str = "{\"v\":1,\"elapsed_ms\":60,\"requests\":200,\
+    const SNAPSHOT: &str = "{\"v\":2,\"kind\":\"serve\",\"elapsed_ms\":60,\"requests\":200,\
         \"candidates\":800,\"accepted\":790,\"rejected\":10,\"shed_overflow\":2,\
         \"shed_quota\":1,\"degraded_replies\":3,\"deadline_misses\":0,\
         \"tenant_restarts\":1,\"shard_replacements\":0,\"checkpoint_records\":4,\
@@ -147,76 +68,45 @@ mod tests {
         \"warm_started_tenants\":0,\"p50_us\":8,\"p99_us\":1024,\
         \"lat_b1\":89,\"lat_b2\":92,\"lat_b3\":9,\"lat_b9\":10}";
 
+    const DRILL: &str = "{\"v\":2,\"kind\":\"drill\",\"requests\":7200,\"p50_us\":30,\
+        \"p99_us\":6452,\"max_us\":102169,\"stalled_callers\":0,\"degraded\":18,\"shed\":0,\
+        \"deadline_misses\":16,\"tenant_restarts\":1,\"shard_replacements\":1,\
+        \"checkpoint_records\":450,\"checkpoint_bitflips\":75,\
+        \"checkpoint_drops\":75,\"warm_restored\":5,\"warm_matched\":5,\
+        \"warm_expected_mismatch\":1,\"warm_unexplained_mismatch\":0}";
+
     #[test]
     fn snapshot_parses_and_validates() {
-        let rec = parse_snapshot(SNAPSHOT).expect("valid snapshot");
+        let rec = parse_line(SNAPSHOT).expect("valid snapshot");
+        assert_eq!(rec.kind(), Kind::Serve);
         assert_eq!(rec.req("requests"), 200.0);
-        assert!(parse_snapshot("{\"v\":2,\"requests\":1}").is_err(), "wrong version");
-        assert!(parse_snapshot("{\"v\":1,\"requests\":1}").is_err(), "missing keys");
-    }
-
-    #[test]
-    fn latency_reconstructs_from_buckets() {
-        let rec = parse_snapshot(SNAPSHOT).unwrap();
-        // 200 samples; rank 100 falls in bucket 2 (89 + 92 ≥ 100) → 8 µs.
-        assert_eq!(latency_quantile_us(&rec, 0.50), Some(8));
-        // rank 198 falls in bucket 9 (89+92+9 = 190 < 198) → 1024 µs.
-        assert_eq!(latency_quantile_us(&rec, 0.99), Some(1024));
-        let empty = parse_line("{\"v\":1}").unwrap();
-        assert_eq!(latency_quantile_us(&empty, 0.5), None);
-    }
-
-    #[test]
-    fn quantile_edge_cases() {
-        // Buckets present but all zero: indistinguishable from "no
-        // samples", so no quantile, not a zero quantile.
-        let zeroed = parse_line("{\"v\":1,\"lat_b0\":0,\"lat_b5\":0}").unwrap();
-        assert_eq!(latency_quantile_us(&zeroed, 0.5), None);
-        assert_eq!(latency_quantile_us(&zeroed, 0.99), None);
-
-        // A single occupied bucket answers every quantile with its upper
-        // bound: lat_b4 covers [16, 32) µs → 32.
-        let single = parse_line("{\"v\":1,\"lat_b4\":10}").unwrap();
-        for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(latency_quantile_us(&single, q), Some(32), "q={q}");
-        }
-
-        // All mass in the last exporter bucket (i = 31): the upper bound
-        // 2^32 µs must not wrap or drop to a lower bucket.
-        let last = parse_line("{\"v\":1,\"lat_b31\":5}").unwrap();
-        assert_eq!(latency_quantile_us(&last, 0.5), Some(1u64 << 32));
-        assert_eq!(latency_quantile_us(&last, 1.0), Some(4294967296));
-
-        // One sample: every rank clamps to it.
-        let one = parse_line("{\"v\":1,\"lat_b0\":1}").unwrap();
-        assert_eq!(latency_quantile_us(&one, 0.0), Some(2));
-        assert_eq!(latency_quantile_us(&one, 1.0), Some(2));
+        assert_eq!(rec.get("lat_b9"), Some(10.0));
+        let v1 = SNAPSHOT.replacen("\"v\":2", "\"v\":1", 1);
+        assert!(parse_line(&v1).is_err(), "wrong version");
+        let no_p99 = SNAPSHOT.replacen(",\"p99_us\":1024", "", 1);
+        assert!(parse_line(&no_p99).unwrap_err().contains("p99_us"), "missing keys");
     }
 
     #[test]
     fn report_renders_rates() {
-        let report = render_report(SNAPSHOT).expect("renders");
+        let records = parse_document(SNAPSHOT).unwrap();
+        let report = render_report(&records).expect("renders");
         assert!(report.contains("degraded/1k"));
         assert!(report.contains("200"), "request count shown");
         assert!(report.contains("15.00"), "3/200 degraded = 15 per mille");
-        assert!(render_report("").is_err());
-        assert!(render_report("not json").is_err());
+        assert!(report.contains("1024"), "p99 comes from the record");
+        assert!(render_report(&[]).is_err());
     }
 
     #[test]
     fn drill_report_line_parses_too() {
-        // The loadgen drill line carries its own key set; the snapshot
-        // schema only demands the fleet-health keys, which it includes...
-        let drill = "{\"v\":1,\"requests\":7200,\"p50_us\":30,\"p99_us\":6452,\
-            \"max_us\":102169,\"stalled_callers\":0,\"degraded\":17,\"shed\":0,\
-            \"deadline_misses\":16,\"tenant_restarts\":1,\"shard_replacements\":1,\
-            \"checkpoint_records\":450,\"checkpoint_bitflips\":75,\
-            \"checkpoint_drops\":75,\"warm_restored\":5,\"warm_matched\":5,\
-            \"warm_expected_mismatch\":1,\"warm_unexplained_mismatch\":0}";
-        // ...except the split degraded/shed counters, so it goes through
-        // the lenient parse_line path instead.
-        let rec = parse_line(drill).expect("parses");
-        assert_eq!(rec.get("stalled_callers"), Some(0.0));
-        assert_eq!(rec.get("warm_unexplained_mismatch"), Some(0.0));
+        // The drill line has its own required-key row, so it validates
+        // strictly and renders next to daemon snapshots.
+        let records = parse_document(&format!("{SNAPSHOT}\n{DRILL}")).expect("parses");
+        assert_eq!(records[1].kind(), Kind::Drill);
+        assert_eq!(records[1].get("stalled_callers"), Some(0.0));
+        let report = render_report(&records).unwrap();
+        assert!(report.contains("7200"), "{report}");
+        assert!(report.contains("2.50"), "18/7200 degraded = 2.5 per mille: {report}");
     }
 }

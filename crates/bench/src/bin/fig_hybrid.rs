@@ -6,7 +6,7 @@
 //! Fused columns run with the source-id feature table
 //! ([`ppf::PpfConfig::hybrid`]) so the perceptron can learn a per-scheme
 //! trust bias; credit for useful prefetches is routed back to the issuing
-//! member through the filter's tracking table (see DESIGN.md §12).
+//! member through the filter's tracking table (see DESIGN.md §11).
 //!
 //! ```text
 //! cargo run --release -p ppf-bench --bin fig_hybrid [-- --quick] [--threads N]

@@ -1,27 +1,20 @@
-//! Self-profiler driver: overhead A/B, coverage check, cost-center tables,
-//! and profile-JSONL schema validation (the profiling counterpart of
-//! `fig_telemetry`).
+//! Self-profiler driver: overhead A/B, coverage check and cost-center
+//! tables (the profiling counterpart of `fig_telemetry`).
 //!
-//! Two modes:
-//!
-//! * `fig_profile [--quick] [--workload NAME]` — runs one workload under
-//!   PPF twice with the profiler off and twice with it on (no `PPF_PROFILE`
-//!   needed; the binary already requires the `profiling` feature), keeps
-//!   the best wall time of each pair, and enforces the overhead budget:
-//!   profiled wall <= unprofiled wall * 1.05 + 0.3 s of slack for short
-//!   runs. Prints the flat and top-down cost-center tables, checks the
-//!   spans cover >= 90% of the root span's wall time, exports the profile
-//!   JSONL under `PPF_PROFILE_DIR` (default `results/profile`), and
-//!   re-validates the export through the parser. Exits non-zero if any
-//!   check fails.
-//! * `fig_profile --validate FILE...` — parses and schema-validates
-//!   existing profile JSONL (used by `scripts/verify.sh --profile`).
+//! `fig_profile [--quick] [--workload NAME]` runs one workload under PPF
+//! twice with the profiler off and twice with it on (no `PPF_OBSERVE`
+//! needed; the binary already requires the `observe` feature), keeps
+//! the best wall time of each pair, and enforces the overhead budget:
+//! profiled wall <= unprofiled wall * 1.05 + 0.3 s of slack for short runs.
+//! Prints the flat and top-down cost-center tables, checks the spans cover
+//! at least 90% of the root span's wall time, and exports the `span` records
+//! under `PPF_OBSERVE_DIR` (default `results/observe`). Exits non-zero if
+//! any check fails. `fig_telemetry --validate` re-checks the export.
 
-use ppf_analysis::profile;
+use ppf_analysis::{observe::parse_document, profile};
 use ppf_bench::{RunScale, Scheme};
-use ppf_sim::{ProfConfig, Simulation, SystemConfig};
+use ppf_sim::{observe, ProfConfig, Simulation, SystemConfig};
 use ppf_trace::{TraceBuilder, Workload};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Profiled wall must stay within this fraction of the unprofiled wall...
@@ -35,36 +28,12 @@ fn arg_value(flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
 }
 
-fn export_dir() -> PathBuf {
-    std::env::var("PPF_PROFILE_DIR").map(PathBuf::from).unwrap_or_else(|_| "results/profile".into())
-}
-
-fn validate_files(files: &[String]) -> ! {
-    let mut failed = false;
-    for f in files {
-        match std::fs::read_to_string(f).map_err(|e| e.to_string()).and_then(|text| {
-            let records = profile::parse_document(&text)?;
-            if records.is_empty() {
-                return Err("no records".to_string());
-            }
-            Ok(records.len())
-        }) {
-            Ok(n) => println!("OK {f}: {n} schema-valid record(s)"),
-            Err(e) => {
-                eprintln!("FAIL {f}: {e}");
-                failed = true;
-            }
-        }
-    }
-    std::process::exit(if failed { 1 } else { 0 });
-}
-
 /// One measured run; returns wall time and (when profiled) the export.
 fn run_once(workload: &Workload, scale: RunScale, profiled: bool) -> (Duration, String) {
     let trace = Box::new(TraceBuilder::new(workload.clone()).seed(42).build());
     let mut sim = Simulation::new(SystemConfig::single_core());
     sim.add_core(workload.name(), trace, Scheme::Ppf.build());
-    // Programmatic control, not PPF_PROFILE: the A and B runs must differ
+    // Programmatic control, not PPF_OBSERVE: the A and B runs must differ
     // only in this switch, whatever the environment says.
     sim.set_profiling(if profiled { ProfConfig::enabled() } else { ProfConfig::disabled() });
     let t0 = Instant::now();
@@ -73,17 +42,6 @@ fn run_once(workload: &Workload, scale: RunScale, profiled: bool) -> (Duration, 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--validate") {
-        let files: Vec<String> =
-            args[i + 1..].iter().filter(|a| !a.starts_with("--")).cloned().collect();
-        if files.is_empty() {
-            eprintln!("usage: fig_profile --validate FILE...");
-            std::process::exit(2);
-        }
-        validate_files(&files);
-    }
-
     let scale = RunScale::from_args();
     let name = arg_value("--workload").unwrap_or_else(|| "605.mcf_s".to_string());
     let workload = Workload::by_name(&name).unwrap_or_else(|| {
@@ -119,7 +77,7 @@ fn main() {
         failed = true;
     }
 
-    let records = match profile::parse_document(&jsonl) {
+    let records = match parse_document(&jsonl) {
         Ok(r) if !r.is_empty() => r,
         Ok(_) => {
             eprintln!("FAIL: profiled run exported no spans");
@@ -147,7 +105,7 @@ fn main() {
         }
     }
 
-    let dir = export_dir();
+    let dir = observe::export_dir();
     let path = dir.join(format!("profile__{}.jsonl", workload.name().replace('.', "_")));
     if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &jsonl)) {
         eprintln!("FAIL: export: {e}");

@@ -1,24 +1,24 @@
-//! Interval-telemetry driver: phase tables, introspection dumps, and JSONL
-//! schema validation (the observability counterpart of the fig* binaries).
+//! Interval-telemetry driver: phase tables, introspection dumps, and the
+//! one JSONL validator (the observability counterpart of the fig* binaries).
 //!
 //! Two modes:
 //!
 //! * `fig_telemetry [--quick] [--workload NAME] [--interval N]` — runs one
-//!   workload under SPP and PPF with telemetry forced on (no `PPF_TELEMETRY`
-//!   needed; the binary already requires the `telemetry` feature), prints
+//!   workload under SPP and PPF with telemetry forced on (no `PPF_OBSERVE`
+//!   needed; the binary already requires the `observe` feature), prints
 //!   the per-interval phase table and PPF's introspection dump, exports the
 //!   snapshots as JSONL/CSV, re-parses the JSONL through the schema
 //!   validator, and cross-checks the final snapshot against the end-of-run
 //!   report. Exits non-zero if any check fails.
-//! * `fig_telemetry --validate FILE...` — parses and schema-validates
-//!   existing JSONL exports (used by `scripts/verify.sh --telemetry`).
+//! * `fig_telemetry --validate FILE...` — parses and validates existing
+//!   exports of any kind (`interval`, `span`, `flight`, `serve`, `drill`;
+//!   used by `scripts/verify.sh --observe`).
 
 use ppf::Ppf;
+use ppf_analysis::observe::parse_document;
 use ppf_bench::{telemetry, RunScale, Scheme, Shared};
 use ppf_prefetchers::Spp;
-use ppf_sim::{
-    IntervalSnapshot, SimReport, Simulation, SystemConfig, TelemetryConfig,
-};
+use ppf_sim::{observe, IntervalSnapshot, SimReport, Simulation, SystemConfig, TelemetryConfig};
 use ppf_trace::{TraceBuilder, Workload};
 
 fn arg_value(flag: &str) -> Option<String> {
@@ -30,13 +30,13 @@ fn validate_files(files: &[String]) -> ! {
     let mut failed = false;
     for f in files {
         match std::fs::read_to_string(f).map_err(|e| e.to_string()).and_then(|text| {
-            let records = ppf_analysis::parse_jsonl(&text)?;
+            let records = parse_document(&text)?;
             if records.is_empty() {
                 return Err("no records".to_string());
             }
             Ok(records.len())
         }) {
-            Ok(n) => println!("OK {f}: {n} schema-valid record(s)"),
+            Ok(n) => println!("OK {f}: {n} valid record(s)"),
             Err(e) => {
                 eprintln!("FAIL {f}: {e}");
                 failed = true;
@@ -82,7 +82,7 @@ fn run_one(
     match scheme {
         Scheme::Ppf => {
             // Force the filter's decision introspection on, independent of
-            // PPF_TELEMETRY (the simulator side is forced on below).
+            // PPF_OBSERVE (the simulator side is forced on below).
             let mut ppf = Ppf::new(Spp::default());
             ppf.filter_mut().set_telemetry_enabled(true);
             let (wrapper, _handle) = Shared::new(ppf);
@@ -136,7 +136,7 @@ fn main() {
 
         // Phase table: export, re-parse through the validator, difference.
         let (jsonl_path, csv_path) = match telemetry::write_snapshots(
-            &telemetry::export_dir(),
+            &observe::export_dir(),
             &format!("{}__{}", workload.name(), scheme.label()),
             &snaps,
         ) {
@@ -148,7 +148,7 @@ fn main() {
             }
         };
         let text = std::fs::read_to_string(&jsonl_path).expect("just wrote it");
-        match ppf_analysis::parse_jsonl(&text) {
+        match parse_document(&text) {
             Ok(records) => {
                 print!("{}", ppf_analysis::render_intervals(&records));
                 println!("exported {} and {}", jsonl_path.display(), csv_path.display());

@@ -46,8 +46,8 @@ OPTIONS:
                                 (.csv writes `pc,addr,kind,work,dependent` text)
     --records N                 records to dump with --record [default: 1000000]
     --profile                   print flat + top-down cost-center tables after
-                                the run (needs --features profiling; stride
-                                from PPF_PROFILE, default 64)
+                                the run (needs --features observe; stride
+                                from PPF_OBSERVE=spans=N, default 64)
     --list                      print every available workload model and exit
     -h, --help                  print this help and exit
 
@@ -237,14 +237,14 @@ fn run() -> Result<(), String> {
     }
 
     if args.profile {
-        if !cfg!(feature = "profiling") {
+        if !cfg!(feature = "observe") {
             return Err(
-                "--profile needs the profiling feature; recompile with \
-                 `cargo run --release -p ppf-bench --features profiling --bin ppfsim`"
+                "--profile needs the observe feature; recompile with \
+                 `cargo run --release -p ppf-bench --features observe --bin ppfsim`"
                     .into(),
             );
         }
-        // Honour an explicit PPF_PROFILE stride, default to the standard
+        // Honour an explicit PPF_OBSERVE=spans=N stride, default to the standard
         // sampling stride otherwise (the flag itself is the opt-in).
         let env = ppf_sim::ProfConfig::from_env();
         sim.set_profiling(if env.stride != 0 { env } else { ppf_sim::ProfConfig::enabled() });
@@ -255,7 +255,7 @@ fn run() -> Result<(), String> {
     let wall = t0.elapsed();
 
     if args.profile {
-        let records = ppf_analysis::profile::parse_document(&sim.profile_jsonl())
+        let records = ppf_analysis::observe::parse_document(&sim.profile_jsonl())
             .map_err(|e| format!("profile export does not validate: {e}"))?;
         println!();
         print!("{}", ppf_analysis::profile::render_flat(&records));

@@ -126,9 +126,9 @@ impl RunScale {
 }
 
 /// Runs one workload on a single-core system under `scheme`. When interval
-/// telemetry is active (`PPF_TELEMETRY` + the `telemetry` feature), the
-/// run's snapshots are exported as `<workload>__<scheme>` JSONL/CSV under
-/// the telemetry directory (see [`telemetry::export_simulation`]).
+/// telemetry is active (the `observe` feature + `PPF_OBSERVE=intervals`),
+/// the run's snapshots are exported as `<workload>__<scheme>` JSONL/CSV
+/// under the export directory (see [`telemetry::export_simulation`]).
 pub fn run_single(cfg: SystemConfig, workload: &Workload, scheme: Scheme, scale: RunScale) -> SimReport {
     let trace = Box::new(TraceBuilder::new(workload.clone()).seed(42).build());
     let mut sim = Simulation::new(cfg);

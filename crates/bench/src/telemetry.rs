@@ -4,31 +4,15 @@
 //! Every [`crate::run_single`] / [`crate::run_mix`] call funnels through
 //! [`export_simulation`] after the run completes. With telemetry off (the
 //! default) that is a single integer compare; with telemetry on, one
-//! `<run-label>.jsonl` and one `<run-label>.csv` land under the export
-//! directory — `PPF_TELEMETRY_DIR`, defaulting to [`DEFAULT_DIR`] — so a
-//! checkpointed sweep accumulates one pair of files per (workload, scheme)
-//! cell alongside its checkpoint records.
+//! `<run-label>.jsonl` and one `<run-label>.csv` land under
+//! [`observe::export_dir`], so a checkpointed sweep accumulates one pair of
+//! files per (workload, scheme) cell alongside its checkpoint records.
 
+use ppf_sim::observe::{self, sanitize};
 use ppf_sim::{IntervalSnapshot, Simulation};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-
-/// Export directory when `PPF_TELEMETRY_DIR` is unset.
-pub const DEFAULT_DIR: &str = "results/telemetry";
-
-/// Resolves the export directory from `PPF_TELEMETRY_DIR`.
-pub fn export_dir() -> PathBuf {
-    std::env::var("PPF_TELEMETRY_DIR").map(PathBuf::from).unwrap_or_else(|_| DEFAULT_DIR.into())
-}
-
-/// Makes a run label filesystem-safe (sweep keys contain `/`).
-fn sanitize(label: &str) -> String {
-    label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.') { c } else { '_' })
-        .collect()
-}
 
 /// Writes `snapshots` as `<dir>/<label>.jsonl` and `<dir>/<label>.csv`,
 /// creating the directory as needed. Returns the two paths.
@@ -68,7 +52,7 @@ pub fn export_simulation(label: &str, sim: &Simulation) -> Option<(PathBuf, Path
     if sim.telemetry().interval == 0 {
         return None;
     }
-    match write_snapshots(&export_dir(), label, &sim.all_interval_snapshots()) {
+    match write_snapshots(&observe::export_dir(), label, &sim.all_interval_snapshots()) {
         Ok(paths) => Some(paths),
         Err(e) => {
             eprintln!("warning: telemetry export for {label:?} failed: {e}");
@@ -103,7 +87,7 @@ mod tests {
         assert!(jsonl.file_name().unwrap().to_str().unwrap().contains("603.bwaves_s_PPF"));
 
         let text = fs::read_to_string(&jsonl).unwrap();
-        let records = ppf_analysis::parse_jsonl(&text).expect("exported JSONL validates");
+        let records = ppf_analysis::observe::parse_document(&text).expect("exported JSONL validates");
         assert_eq!(records.len(), 2);
         assert_eq!(records[1].req("instr"), 200.0);
 
@@ -112,6 +96,32 @@ mod tests {
         assert_eq!(lines.next(), Some(IntervalSnapshot::CSV_HEADER));
         assert_eq!(lines.count(), 2);
 
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// One fig09 cell (PPF on a SPEC CPU2017 model) with intervals and
+    /// spans on: both exports validate through the one parser.
+    #[cfg(feature = "observe")]
+    #[test]
+    fn fig09_cell_exports_validate() {
+        use ppf_analysis::observe::{parse_document, Kind};
+        use ppf_sim::{ProfConfig, SystemConfig, TelemetryConfig};
+        let workload = &ppf_trace::Workload::spec2017()[0];
+        let trace = Box::new(ppf_trace::TraceBuilder::new(workload.clone()).seed(42).build());
+        let mut sim = Simulation::new(SystemConfig::single_core());
+        sim.add_core(workload.name(), trace, crate::Scheme::Ppf.build());
+        sim.set_telemetry(TelemetryConfig { interval: 10_000 });
+        sim.set_profiling(ProfConfig::enabled());
+        sim.run(20_000, 60_000);
+
+        let dir = std::env::temp_dir().join(format!("ppf-fig09-cell-test-{}", std::process::id()));
+        let (jsonl, _) = write_snapshots(&dir, workload.name(), &sim.all_interval_snapshots())
+            .expect("write");
+        let intervals = parse_document(&fs::read_to_string(&jsonl).unwrap()).expect("valid intervals");
+        assert!(intervals.len() >= 6, "{} interval records", intervals.len());
+        assert!(intervals.iter().all(|r| r.kind() == Kind::Interval));
+        let spans = parse_document(&sim.profile_jsonl()).expect("valid spans");
+        assert!(spans.iter().any(|r| r.kind() == Kind::Span && r.req("span") == 0.0));
         let _ = fs::remove_dir_all(&dir);
     }
 

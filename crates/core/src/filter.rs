@@ -232,9 +232,9 @@ impl PpfFilter {
     }
 
     /// Enables or disables decision telemetry programmatically, overriding
-    /// the `PPF_TELEMETRY` resolution done at construction (tests use this
+    /// the `PPF_OBSERVE` resolution done at construction (tests use this
     /// so they never race on process-global environment). Forced off when
-    /// the `telemetry` feature is not compiled in.
+    /// the `observe` feature is not compiled in.
     pub fn set_telemetry_enabled(&mut self, enabled: bool) {
         self.telemetry.set_enabled(enabled);
     }
@@ -350,7 +350,7 @@ impl PpfFilter {
         };
         // Double-gated: without the feature the cfg! folds the whole hook
         // away; with it, a disabled block costs one branch.
-        if cfg!(feature = "telemetry") && self.telemetry.enabled() {
+        if cfg!(feature = "observe") && self.telemetry.enabled() {
             self.telemetry.record(
                 &self.perceptron,
                 idxs,

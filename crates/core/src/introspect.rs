@@ -18,9 +18,10 @@
 //!   from flipping.
 //!
 //! Recording is double-gated exactly like the simulator's hooks: without
-//! the `telemetry` cargo feature the guard in
+//! the `observe` cargo feature the guard in
 //! [`PpfFilter::infer_indexed`](crate::PpfFilter::infer_indexed) folds to
-//! `false` at compile time, and at runtime `PPF_TELEMETRY` must enable it
+//! `false` at compile time, and at runtime `PPF_OBSERVE=intervals` must
+//! enable it
 //! (or a test calls
 //! [`PpfFilter::set_telemetry_enabled`](crate::PpfFilter::set_telemetry_enabled)).
 //! All recording state is fixed-size arrays, so the telemetry-enabled hot
@@ -29,7 +30,7 @@
 use crate::features::{FeatureKind, IndexList, MAX_FEATURES};
 use crate::filter::{Decision, PpfFilter};
 use crate::perceptron::{Perceptron, WEIGHT_MAX, WEIGHT_MIN};
-use ppf_sim::TelemetryConfig;
+use ppf_sim::observe;
 
 /// Buckets in each threshold-margin histogram.
 pub const MARGIN_BUCKETS: usize = 16;
@@ -89,12 +90,12 @@ impl DecisionTelemetry {
         }
     }
 
-    /// Resolves enablement from `PPF_TELEMETRY` (same conventions as the
-    /// simulator's [`TelemetryConfig::from_env`]); always disabled without
-    /// the `telemetry` feature.
+    /// Enabled by the `intervals` token of `PPF_OBSERVE`, like the
+    /// simulator's interval snapshots; always disabled without the
+    /// `observe` feature.
     pub fn from_env() -> Self {
         let mut t = Self::disabled();
-        t.set_enabled(TelemetryConfig::from_env().interval != 0);
+        t.set_enabled(observe::from_env().interval != 0);
         t
     }
 
@@ -103,11 +104,11 @@ impl DecisionTelemetry {
         self.enabled
     }
 
-    /// Enables or disables recording. Forced off when the `telemetry`
+    /// Enables or disables recording. Forced off when the `observe`
     /// feature is not compiled in, so the guard in the inference hot path
     /// stays statically false and the hook folds away.
     pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = cfg!(feature = "telemetry") && enabled;
+        self.enabled = cfg!(feature = "observe") && enabled;
     }
 
     /// Decisions recorded that accepted the candidate (either fill level).
@@ -281,7 +282,7 @@ pub fn render_report(filter: &PpfFilter) -> String {
         let _ = writeln!(
             out,
             "  decision telemetry: no decisions recorded \
-             (build with --features telemetry and set PPF_TELEMETRY)"
+             (build with --features observe and set PPF_OBSERVE=intervals)"
         );
     }
 
@@ -403,7 +404,7 @@ mod tests {
         assert!(report.contains("reject-table recoveries"), "{report}");
     }
 
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "observe")]
     #[test]
     fn recording_attributes_every_decision() {
         let mut f = PpfFilter::default();
@@ -428,7 +429,7 @@ mod tests {
         assert!(report.contains("margin sum-tau_hi:"), "{report}");
     }
 
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "observe")]
     #[test]
     fn disabled_telemetry_records_nothing() {
         let mut f = PpfFilter::default();
@@ -438,7 +439,7 @@ mod tests {
         assert_eq!(f.telemetry().accepts() + f.telemetry().rejects(), 0);
     }
 
-    #[cfg(not(feature = "telemetry"))]
+    #[cfg(not(feature = "observe"))]
     #[test]
     fn enable_is_forced_off_without_the_feature() {
         let mut f = PpfFilter::default();

@@ -102,7 +102,7 @@ fn steady_state_filter_path_never_allocates() {
 
     // With decision telemetry recording (fixed-size contribution arrays and
     // margin histograms), the hot path must still not allocate. Without the
-    // `telemetry` feature the enable is forced off, so this window also
+    // `observe` feature the enable is forced off, so this window also
     // proves the disabled hook costs nothing.
     f.set_telemetry_enabled(true);
     let before = ALLOCATIONS.load(Ordering::SeqCst);
@@ -116,7 +116,7 @@ fn steady_state_filter_path_never_allocates() {
         "telemetry-enabled filter path allocated {} time(s)",
         after - before
     );
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "observe")]
     assert!(
         f.telemetry().accepts() + f.telemetry().rejects() >= 100_000,
         "telemetry should have recorded the measured window"

@@ -5,8 +5,8 @@
 //! - `--drill`: boots an **in-process** fleet, injects the faults from
 //!   `PPF_FAULT_INJECT` (strict parsing; malformed specs exit 2), drives
 //!   a spike-paced multi-tenant replay through it, warm-restarts from the
-//!   checkpoints, and prints a human summary plus one machine-readable
-//!   JSONL line (`ppf_analysis::serve` renders it). Exits 1 if the drill
+//!   checkpoints, and prints a human summary plus one `drill` JSONL record
+//!   (validated by `ppf_analysis::observe`). Exits 1 if the drill
 //!   misses the acceptance bar (a stalled caller or an unexplained
 //!   warm-start mismatch).
 //! - `--connect <socket>`: replays against a running `ppf_serve` over its
@@ -199,8 +199,8 @@ fn main() {
                 eprintln!("error: stats failed: {e}");
                 std::process::exit(1);
             });
-            // Raw JSONL: the counters snapshot line, then span-table
-            // lines when the daemon runs with profiling live.
+            // Raw JSONL: the `serve` counters record, then `span` records
+            // when the daemon runs with spans on.
             print!("{report}");
         }
         #[cfg(unix)]

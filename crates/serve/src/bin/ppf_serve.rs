@@ -10,8 +10,10 @@
 //! ```
 //!
 //! `PPF_FAULT_INJECT` (strict: malformed specs exit 2) injects chaos —
-//! see `ppf_bench::fault` for the grammar. Counters export as JSONL via
-//! the `telemetry` feature + `PPF_TELEMETRY`, like every other tool here.
+//! see `ppf_bench::fault` for the grammar. On exit the counters snapshot
+//! is appended to `serve-daemon.jsonl` under `PPF_OBSERVE_DIR` when built
+//! with the `observe` feature and run with `PPF_OBSERVE=intervals`, like
+//! every other tool here.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -85,8 +87,8 @@ fn main() {
         println!("listening on {}", listen.display());
         match ppf_serve::server::serve_unix(daemon, &listen) {
             Ok(daemon) => {
-                #[cfg(feature = "telemetry")]
-                daemon.export_telemetry("daemon");
+                #[cfg(feature = "observe")]
+                daemon.export_snapshot("daemon");
                 println!("final: {}", daemon.snapshot());
                 daemon.shutdown();
             }

@@ -3,9 +3,11 @@
 //! Counters are plain relaxed atomics: the serving hot path pays one
 //! uncontended `fetch_add` per event and nothing else, so they stay on
 //! in every build. Exporting a JSONL snapshot for offline analysis is a
-//! separate, telemetry-gated concern (see [`crate::daemon`]).
+//! separate, `observe`-gated concern (see [`crate::daemon`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use ppf_sim::observe::envelope;
 
 /// Number of log2 latency buckets (bucket `i` covers `[2^i, 2^{i+1})` µs,
 /// bucket 0 covers `[0, 2)`). 32 buckets reach ~71 minutes.
@@ -65,7 +67,8 @@ impl Counters {
     }
 
     /// Upper bound (µs) of the bucket containing quantile `q` (0.0–1.0),
-    /// reconstructed from the histogram. Returns 0 with no samples.
+    /// reconstructed from the histogram. Returns 0 with no samples. Every
+    /// `serve` record carries its p50 and p99, so readers never redo this.
     pub fn latency_quantile_us(&self, q: f64) -> u64 {
         let buckets = self.latency_buckets();
         let total: u64 = buckets.iter().sum();
@@ -83,19 +86,20 @@ impl Counters {
         1u64 << LATENCY_BUCKETS
     }
 
-    /// One flat JSONL record of every counter (plus latency buckets with
-    /// samples), in the same numeric-only shape the interval telemetry
-    /// uses, so `ppf-analysis` parses it with the existing machinery.
+    /// One `serve` record of every counter (plus latency buckets with
+    /// samples) in the shared envelope, so `ppf_analysis::observe` parses
+    /// it like every other export.
     pub fn snapshot_jsonl(&self, elapsed_ms: u64) -> String {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut line = format!(
-            "{{\"v\":1,\"elapsed_ms\":{elapsed_ms},\
+            "{},\"elapsed_ms\":{elapsed_ms},\
              \"requests\":{},\"candidates\":{},\"accepted\":{},\"rejected\":{},\
              \"shed_overflow\":{},\"shed_quota\":{},\"degraded_replies\":{},\
              \"deadline_misses\":{},\"tenant_restarts\":{},\
              \"shard_replacements\":{},\"checkpoint_records\":{},\
              \"checkpoint_bitflips\":{},\"checkpoint_drops\":{},\
              \"warm_started_tenants\":{},\"p50_us\":{},\"p99_us\":{}",
+            envelope("serve"),
             g(&self.requests),
             g(&self.candidates),
             g(&self.accepted),
@@ -152,6 +156,46 @@ mod tests {
         assert_eq!(c.latency_quantile_us(0.99), 16);
         assert_eq!(c.latency_quantile_us(1.0), 8192);
         assert_eq!(Counters::new().latency_quantile_us(0.5), 0);
+
+        // 89 + 92 + 9 + 10 samples in buckets 1, 2, 3 and 9: rank 100
+        // falls in bucket 2 (-> 8 µs), rank 198 in bucket 9 (-> 1024 µs).
+        let c = Counters::new();
+        for (us, n) in [(2, 89), (4, 92), (8, 9), (512, 10)] {
+            for _ in 0..n {
+                c.record_latency_us(us);
+            }
+        }
+        assert_eq!(c.latency_quantile_us(0.50), 8);
+        assert_eq!(c.latency_quantile_us(0.99), 1024);
+    }
+
+    #[test]
+    fn quantile_edge_cases() {
+        // A single occupied bucket answers every quantile with its upper
+        // bound: bucket 4 covers [16, 32) µs -> 32.
+        let single = Counters::new();
+        for _ in 0..10 {
+            single.record_latency_us(20);
+        }
+        for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
+            assert_eq!(single.latency_quantile_us(q), 32, "q={q}");
+        }
+
+        // All mass in the last bucket (i = 31): the upper bound 2^32 µs
+        // must not wrap or drop to a lower bucket.
+        let last = Counters::new();
+        for _ in 0..5 {
+            last.record_latency_us(u64::MAX);
+        }
+        assert_eq!(last.latency_buckets()[LATENCY_BUCKETS - 1], 5);
+        assert_eq!(last.latency_quantile_us(0.5), 1u64 << 32);
+        assert_eq!(last.latency_quantile_us(1.0), 4294967296);
+
+        // One sample: every rank clamps to it, q=0 included.
+        let one = Counters::new();
+        one.record_latency_us(0);
+        assert_eq!(one.latency_quantile_us(0.0), 2);
+        assert_eq!(one.latency_quantile_us(1.0), 2);
     }
 
     #[test]
@@ -160,9 +204,11 @@ mod tests {
         c.requests.fetch_add(7, Ordering::Relaxed);
         c.record_latency_us(100);
         let line = c.snapshot_jsonl(1234);
-        let rec = ppf_analysis::interval::parse_line(&line).expect("parseable");
+        let rec = ppf_analysis::observe::parse_line(&line).expect("valid serve record");
+        assert_eq!(rec.kind(), ppf_analysis::Kind::Serve);
         assert_eq!(rec.get("requests"), Some(7.0));
         assert_eq!(rec.get("elapsed_ms"), Some(1234.0));
         assert_eq!(rec.get("lat_b6"), Some(1.0));
+        assert_eq!(rec.get("p99_us"), Some(128.0));
     }
 }

@@ -157,10 +157,9 @@ impl Daemon {
                                  replacing (incarnation {incarnation})"
                             );
                             slot.inner.retire();
-                            // Post-mortem before the rings go away with
+                            // Post-mortem before the ring goes away with
                             // the slot: the retiring shard's flight
-                            // recorder and verdict trace hit disk next to
-                            // its checkpoints.
+                            // recorder hits disk next to its checkpoints.
                             Self::dump_black_box(&cfg.checkpoint_dir, &slot.inner);
                             // Abandon the stuck worker: its JoinHandle is
                             // dropped, the thread detaches, and the retired
@@ -190,13 +189,13 @@ impl Daemon {
             stop,
             started: Instant::now(),
             decode_prof: SharedSpanTable::new(),
-            prof_on: cfg!(feature = "profiling") && ProfConfig::from_env().stride != 0,
+            prof_on: ProfConfig::from_env().stride != 0,
         }
     }
 
     /// Writes the retiring shard's flight-recorder ring (JSONL) and its
-    /// human-readable rendering plus verdict trace (`.trace`) into the
-    /// checkpoint directory: `flight-shard<idx>-inc<inc>.{jsonl,trace}`.
+    /// human-readable rendering (`.trace`) into the checkpoint directory:
+    /// `flight-shard<idx>-inc<inc>.{jsonl,trace}`.
     /// Failures are reported, never fatal — the replacement matters more
     /// than the post-mortem.
     fn dump_black_box(dir: &std::path::Path, inner: &ShardInner) {
@@ -210,8 +209,7 @@ impl Daemon {
             eprintln!("[serve] flight dump {} failed: {e}", jsonl.display());
         }
         let trace = dir.join(format!("flight-{tag}.trace"));
-        let text = format!("{}{}", inner.flight.render(), lock_unpoisoned(&inner.events).render());
-        if let Err(e) = std::fs::write(&trace, text) {
+        if let Err(e) = std::fs::write(&trace, inner.flight.render()) {
             eprintln!("[serve] flight trace {} failed: {e}", trace.display());
         }
     }
@@ -344,8 +342,8 @@ impl Daemon {
         self.counters.snapshot_jsonl(self.started.elapsed().as_millis() as u64)
     }
 
-    /// Whether fine-grained span recording is active (the `profiling`
-    /// feature is compiled in AND `PPF_PROFILE` enables it).
+    /// Whether fine-grained span recording is active (the `observe`
+    /// feature is compiled in AND `PPF_OBSERVE` turns `spans` on).
     pub fn profiling_active(&self) -> bool {
         self.prof_on
     }
@@ -366,36 +364,28 @@ impl Daemon {
     pub fn stats_report(&self) -> String {
         let mut out = self.snapshot();
         out.push('\n');
-        if !self.decode_prof.is_empty() {
-            out.push_str(&self.decode_prof.to_jsonl(None));
-        }
+        out.push_str(&self.decode_prof.to_jsonl(None));
         for slot in self.slots.iter() {
-            let inner = {
-                let slot = lock_unpoisoned(slot);
-                Arc::clone(&slot.inner)
-            };
-            if !inner.prof.is_empty() {
-                out.push_str(&inner.prof.to_jsonl(Some(inner.idx as u64)));
-            }
+            let inner = Arc::clone(&lock_unpoisoned(slot).inner);
+            out.push_str(&inner.prof.to_jsonl(Some(inner.idx as u64)));
         }
         out
     }
 
-    /// Appends a counters snapshot under the telemetry export directory
-    /// (`PPF_TELEMETRY_DIR`), iff `PPF_TELEMETRY` is set — the same
-    /// double gate (compile feature + runtime env) the simulator
-    /// telemetry uses. Returns the path written.
-    #[cfg(feature = "telemetry")]
-    pub fn export_telemetry(&self, label: &str) -> Option<PathBuf> {
+    /// Appends a counters snapshot to `serve-<label>.jsonl` under
+    /// [`ppf_sim::observe::export_dir`], iff `PPF_OBSERVE` turns
+    /// `intervals` on — the same switch that arms the simulator's snapshot
+    /// export. Returns the path written.
+    #[cfg(feature = "observe")]
+    pub fn export_snapshot(&self, label: &str) -> Option<PathBuf> {
+        use ppf_sim::observe;
         use std::io::Write;
-        std::env::var_os("PPF_TELEMETRY")?;
-        let sanitized: String = label
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '-' })
-            .collect();
-        let dir = ppf_bench::telemetry::export_dir();
+        if observe::from_env().interval == 0 {
+            return None;
+        }
+        let dir = observe::export_dir();
         std::fs::create_dir_all(&dir).ok()?;
-        let path = dir.join(format!("serve-{sanitized}.jsonl"));
+        let path = dir.join(format!("serve-{}.jsonl", observe::sanitize(label)));
         let mut f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -545,15 +535,13 @@ mod tests {
         }
         let jsonl = std::fs::read_to_string(dir.join("flight-shard0-inc0.jsonl"))
             .expect("flight dump written");
-        assert!(!jsonl.is_empty(), "slow-inject event retained");
-        for line in jsonl.lines() {
-            let rec = ppf_analysis::interval::parse_line(line).expect("parseable dump");
-            assert_eq!(rec.get("v"), Some(1.0));
-        }
+        let records = ppf_analysis::observe::parse_document(&jsonl).expect("valid flight dump");
+        assert!(!records.is_empty(), "slow-inject event retained");
+        assert!(records.iter().all(|r| r.kind() == ppf_analysis::Kind::Flight));
         let trace = std::fs::read_to_string(dir.join("flight-shard0-inc0.trace"))
             .expect("trace dump written");
         assert!(trace.contains("flight recorder:"));
-        assert!(trace.contains("event trace:"));
+        assert!(trace.contains("slow-inject"), "{trace}");
         // The replacement (incarnation 1) is cured: faults apply to
         // incarnation 0 only.
         let reply = daemon.score(req("t000-a", 1));
@@ -570,7 +558,8 @@ mod tests {
             ..ServeConfig::default()
         });
         daemon.score(req("t000-a", 0));
-        let rec = ppf_analysis::interval::parse_line(&daemon.snapshot()).unwrap();
+        let rec = ppf_analysis::observe::parse_line(&daemon.snapshot()).unwrap();
+        assert_eq!(rec.kind(), ppf_analysis::Kind::Serve);
         assert_eq!(rec.get("requests"), Some(1.0));
         daemon.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

@@ -9,13 +9,14 @@
 //! Tenant names are recorded as their FNV route hashes: stable enough to
 //! correlate events, and the dump never leaks tenant identifiers to disk.
 //!
-//! The export is flat numeric JSONL (`ppf_analysis::interval::parse_line`
-//! compatible), one line per retained event, oldest first.
+//! The export is one `flight` record per retained event, oldest first, in
+//! the shared envelope (see `ppf_sim::observe`).
 
 use std::sync::Mutex;
 use std::time::Instant;
 
 use ppf_bench::runner::lock_unpoisoned;
+use ppf_sim::observe::{envelope, Ring};
 
 /// Events retained per shard; older entries are overwritten.
 pub const FLIGHT_CAPACITY: usize = 256;
@@ -23,7 +24,8 @@ pub const FLIGHT_CAPACITY: usize = 256;
 /// What a [`FlightEvent`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
-    /// A score job completed normally (`detail` = candidates scored).
+    /// A score job completed normally (`detail` = candidates scored, of
+    /// which `accepted` were accepted).
     Score = 0,
     /// A degraded reply was produced (`detail` = candidates failed open).
     Degraded = 1,
@@ -59,21 +61,17 @@ pub struct FlightEvent {
     pub tenant: u64,
     /// Kind-specific payload (see [`FlightKind`]).
     pub detail: u64,
+    /// Candidates the filter accepted (score events only; 0 otherwise).
+    pub accepted: u64,
     /// Duration of the operation, microseconds (0 when not timed).
     pub dur_us: u64,
 }
 
-struct Ring {
-    buf: Vec<FlightEvent>,
-    head: usize,
-    total: u64,
-}
-
-/// The bounded event ring. Thread-safe: the worker records, the
-/// supervisor dumps from outside the worker thread.
+/// The recorder's clock plus its bounded event ring. Thread-safe: the
+/// worker records, the supervisor dumps from outside the worker thread.
 pub struct FlightRecorder {
     started: Instant,
-    ring: Mutex<Ring>,
+    ring: Mutex<Ring<FlightEvent>>,
 }
 
 impl std::fmt::Debug for FlightRecorder {
@@ -91,79 +89,76 @@ impl Default for FlightRecorder {
 impl FlightRecorder {
     /// A fresh recorder; the clock starts now.
     pub fn new() -> Self {
-        Self {
-            started: Instant::now(),
-            ring: Mutex::new(Ring { buf: Vec::with_capacity(FLIGHT_CAPACITY), head: 0, total: 0 }),
-        }
+        Self { started: Instant::now(), ring: Mutex::new(Ring::new(FLIGHT_CAPACITY)) }
     }
 
     /// Records one event, overwriting the oldest at capacity.
     pub fn record(&self, kind: FlightKind, tenant: u64, detail: u64, dur_us: u64) {
-        let ev = FlightEvent {
-            at_ms: self.started.elapsed().as_millis() as u64,
-            kind,
-            tenant,
-            detail,
-            dur_us,
-        };
-        let mut ring = lock_unpoisoned(&self.ring);
-        if ring.buf.len() < FLIGHT_CAPACITY {
-            ring.buf.push(ev);
-        } else {
-            let head = ring.head;
-            ring.buf[head] = ev;
-            ring.head = (head + 1) % FLIGHT_CAPACITY;
-        }
-        ring.total += 1;
+        self.push(kind, tenant, detail, 0, dur_us);
     }
 
-    /// Milliseconds since the recorder started — the timestamp base every
-    /// event's `at_ms` is relative to.
-    pub fn age_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
+    /// Records a completed score job: `scored` candidates, `accepted` of
+    /// them accepted.
+    pub fn record_score(&self, tenant: u64, scored: u64, accepted: u64, dur_us: u64) {
+        self.push(FlightKind::Score, tenant, scored, accepted, dur_us);
+    }
+
+    fn push(&self, kind: FlightKind, tenant: u64, detail: u64, accepted: u64, dur_us: u64) {
+        let at_ms = self.started.elapsed().as_millis() as u64;
+        lock_unpoisoned(&self.ring).push(FlightEvent { at_ms, kind, tenant, detail, accepted, dur_us });
     }
 
     /// Events recorded over the recorder's lifetime (retained or not).
     pub fn total(&self) -> u64 {
-        lock_unpoisoned(&self.ring).total
+        lock_unpoisoned(&self.ring).total()
     }
 
     /// Retained events, oldest first.
     pub fn events(&self) -> Vec<FlightEvent> {
-        let ring = lock_unpoisoned(&self.ring);
-        let mut out = Vec::with_capacity(ring.buf.len());
-        for i in 0..ring.buf.len() {
-            out.push(ring.buf[(ring.head + i) % ring.buf.len()]);
-        }
-        out
+        lock_unpoisoned(&self.ring).iter().copied().collect()
     }
 
-    /// One flat numeric JSON line per retained event, oldest first
+    /// One `flight` record per retained event, oldest first
     /// (newline-terminated; empty when nothing was recorded).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for ev in self.events() {
             out.push_str(&format!(
-                "{{\"v\":1,\"at_ms\":{},\"kind\":{},\"tenant\":{},\"detail\":{},\"dur_us\":{}}}\n",
-                ev.at_ms, ev.kind as u8, ev.tenant, ev.detail, ev.dur_us
+                "{},\"at_ms\":{},\"event\":{},\"tenant\":{},\"detail\":{},\"accepted\":{},\"dur_us\":{}}}\n",
+                envelope("flight"),
+                ev.at_ms,
+                ev.kind as u8,
+                ev.tenant,
+                ev.detail,
+                ev.accepted,
+                ev.dur_us
             ));
         }
         out
     }
 
-    /// Human-readable dump, oldest first.
+    /// Human-readable dump, oldest first. Score events show the filter's
+    /// accepted/rejected split.
     pub fn render(&self) -> String {
         let events = self.events();
         let mut out = format!("flight recorder: {} retained of {} recorded\n", events.len(), self.total());
         for ev in events {
             out.push_str(&format!(
-                "  t+{:>8} ms  {:<11} tenant {:#018x} detail {} dur {} us\n",
+                "  t+{:>8} ms  {:<11} tenant {:#018x} detail {} dur {} us",
                 ev.at_ms,
                 ev.kind.name(),
                 ev.tenant,
                 ev.detail,
                 ev.dur_us
             ));
+            if ev.kind == FlightKind::Score {
+                out.push_str(&format!(
+                    " accepted={} rejected={}",
+                    ev.accepted,
+                    ev.detail.saturating_sub(ev.accepted)
+                ));
+            }
+            out.push('\n');
         }
         out
     }
@@ -191,14 +186,15 @@ mod tests {
         let rec = FlightRecorder::new();
         rec.record(FlightKind::Panic, 0xDEAD, 1, 0);
         rec.record(FlightKind::Checkpoint, 0xBEEF, 3, 42);
+        rec.record_score(0xF00D, 5, 3, 17);
         let text = rec.to_jsonl();
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            let r = ppf_analysis::interval::parse_line(line).expect("flat numeric");
-            assert_eq!(r.get("v"), Some(1.0));
-            assert!(r.get("kind").is_some());
-            assert!(r.get("dur_us").is_some());
-        }
-        assert!(rec.render().contains("panic"));
+        let records = ppf_analysis::observe::parse_document(&text).expect("valid flight records");
+        assert_eq!(records.len(), 3);
+        assert!(records.iter().all(|r| r.kind() == ppf_analysis::Kind::Flight));
+        assert_eq!(records[0].get("event"), Some(FlightKind::Panic as u8 as f64));
+        assert_eq!(records[2].get("accepted"), Some(3.0));
+        let dump = rec.render();
+        assert!(dump.contains("panic"), "{dump}");
+        assert!(dump.contains("accepted=3 rejected=2"), "{dump}");
     }
 }

@@ -21,8 +21,9 @@
 //!   the same path minus the framing.
 //! - **Self-profiling** ([`flight`]): every shard keeps an always-on
 //!   flight recorder (bounded event ring) that the supervisor dumps to
-//!   disk on retirement, plus feature-gated span tables served live over
-//!   the `OP_STATS` opcode (`ppf_loadgen --stats`).
+//!   disk on retirement, plus span tables (`observe` feature +
+//!   `PPF_OBSERVE=spans`) served live over the `OP_STATS` opcode
+//!   (`ppf_loadgen --stats`).
 //! - **Chaos drills**: `PPF_FAULT_INJECT` (parsed by `ppf_bench::fault`)
 //!   injects tenant panics, checkpoint bit-flips, slow shards, and load
 //!   spikes; `ppf_loadgen --drill` replays multi-tenant `ppf-trace`

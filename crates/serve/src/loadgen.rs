@@ -18,6 +18,7 @@ use std::time::{Duration, Instant};
 use ppf::FeatureInputs;
 use ppf_bench::fault::FaultSpec;
 use ppf_bench::runner::lock_unpoisoned;
+use ppf_sim::observe::envelope;
 use ppf_trace::{MultiTenantReplay, RatePlan, Suite, TraceRecord};
 
 use crate::daemon::{Daemon, ServeConfig};
@@ -157,16 +158,18 @@ impl DrillReport {
         self.stalled_callers == 0 && self.warm_unexplained_mismatch == 0
     }
 
-    /// Flat numeric JSONL (parseable by `ppf_analysis::serve`).
+    /// One `drill` record in the shared envelope (validated by
+    /// `ppf_analysis::observe`, rendered by `ppf_analysis::serve`).
     pub fn to_jsonl(&self) -> String {
         format!(
-            "{{\"v\":1,\"requests\":{},\"p50_us\":{},\"p99_us\":{},\"max_us\":{},\
+            "{},\"requests\":{},\"p50_us\":{},\"p99_us\":{},\"max_us\":{},\
              \"stalled_callers\":{},\"degraded\":{},\"shed\":{},\
              \"deadline_misses\":{},\"tenant_restarts\":{},\
              \"shard_replacements\":{},\"checkpoint_records\":{},\
              \"checkpoint_bitflips\":{},\"checkpoint_drops\":{},\
              \"warm_restored\":{},\"warm_matched\":{},\
              \"warm_expected_mismatch\":{},\"warm_unexplained_mismatch\":{}}}",
+            envelope("drill"),
             self.requests,
             self.p50_us,
             self.p99_us,

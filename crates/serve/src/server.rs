@@ -183,6 +183,9 @@ mod tests {
             let sock = sock.clone();
             std::thread::spawn(move || {
                 let daemon = Daemon::start(cfg);
+                // One decode span, so OP_STATS carries a span line whatever
+                // PPF_OBSERVE says.
+                daemon.record_decode_ns(1_000);
                 serve_unix(daemon, &sock).expect("serve").shutdown();
             })
         };
@@ -206,10 +209,13 @@ mod tests {
             })
             .expect("score");
         assert_eq!(reply.decisions.len(), 1);
+        // The whole OP_STATS payload, a serve line then span lines,
+        // validates as one mixed document.
         let stats = client.stats().expect("stats");
-        let first = stats.lines().next().expect("counters line");
-        let rec = ppf_analysis::interval::parse_line(first).expect("flat numeric");
-        assert_eq!(rec.get("requests"), Some(1.0));
+        let records = ppf_analysis::observe::parse_document(&stats).expect("valid OP_STATS");
+        assert_eq!(records[0].kind(), ppf_analysis::Kind::Serve);
+        assert_eq!(records[0].get("requests"), Some(1.0));
+        assert!(records[1..].iter().any(|r| r.kind() == ppf_analysis::Kind::Span), "{stats}");
         client.shutdown().expect("shutdown");
         server.join().expect("server thread");
         let _ = std::fs::remove_dir_all(&dir);

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use ppf_bench::fault::FaultSpec;
 use ppf_bench::runner::lock_unpoisoned;
 use ppf_bench::watchdog::Heartbeat;
-use ppf_sim::{EventKind, EventRing, ProfConfig, SharedSpanTable, Span, TraceEvent};
+use ppf_sim::{ProfConfig, SharedSpanTable, Span};
 
 use crate::counters::Counters;
 use crate::checkpoint::{RestoredTenant, ShardCheckpoint};
@@ -36,10 +36,6 @@ use crate::daemon::route_hash;
 use crate::flight::{FlightKind, FlightRecorder};
 use crate::protocol::{ScoreReply, ScoreRequest};
 use crate::tenant::TenantState;
-
-/// Verdict trace events retained per shard (mirrors the simulator's
-/// invariant-checker ring; both dumps travel together on retirement).
-const SHARD_EVENT_RING: usize = 256;
 
 /// How long an idle worker waits before re-beating its heartbeat.
 const IDLE_BEAT: Duration = Duration::from_millis(100);
@@ -84,15 +80,12 @@ pub(crate) struct ShardInner {
     /// Always-on post-mortem event ring, dumped to disk by the supervisor
     /// when it retires this shard.
     pub flight: FlightRecorder,
-    /// Recent filter-verdict trace events — the same ring the simulator's
-    /// invariant checker dumps — written alongside the flight dump.
-    pub events: Mutex<EventRing>,
     /// Fine-grained serving spans (queue wait / score / checkpoint
     /// append), served live over `OP_STATS`. Written only when
     /// `prof_on`; snapshotting an all-zero table is free.
     pub prof: SharedSpanTable,
-    /// Sampled once at construction: the `profiling` feature is compiled
-    /// in AND `PPF_PROFILE` enables it at runtime.
+    /// Sampled once at construction: the `observe` feature is compiled in
+    /// AND `PPF_OBSERVE` turns `spans` on.
     pub prof_on: bool,
 }
 
@@ -124,9 +117,8 @@ impl ShardInner {
             quota: quota.max(1),
             retired: AtomicBool::new(false),
             flight: FlightRecorder::new(),
-            events: Mutex::new(EventRing::new(SHARD_EVENT_RING)),
             prof: SharedSpanTable::new(),
-            prof_on: cfg!(feature = "profiling") && ProfConfig::from_env().stride != 0,
+            prof_on: ProfConfig::from_env().stride != 0,
         }
     }
 
@@ -344,19 +336,12 @@ impl ShardWorker {
                 self.counters.candidates.fetch_add(decisions.len() as u64, Ordering::Relaxed);
                 self.counters.accepted.fetch_add(accepted, Ordering::Relaxed);
                 self.counters.rejected.fetch_add(rejected, Ordering::Relaxed);
-                self.inner.flight.record(
-                    FlightKind::Score,
+                self.inner.flight.record_score(
                     tenant_hash,
                     decisions.len() as u64,
+                    accepted,
                     score_ns / 1_000,
                 );
-                lock_unpoisoned(&self.inner.events).record(TraceEvent {
-                    cycle: self.inner.flight.age_ms(),
-                    core: self.inner.idx as u32,
-                    kind: EventKind::PpfVerdict,
-                    block: tenant_hash,
-                    payload: (accepted << 32) | rejected,
-                });
                 let _ = reply.try_send(ScoreReply { degraded: false, decisions });
                 // A zombie worker (replaced mid-job by the supervisor) must
                 // not keep appending stale generations to a file its

@@ -107,6 +107,10 @@ fn full_chaos_drill_passes_acceptance() {
         "every mismatch must be explained by injected corruption: {report:?}"
     );
     assert!(report.passed());
+    // The machine-readable report line validates as a `drill` record.
+    let records = ppf_analysis::observe::parse_document(&report.to_jsonl()).expect("valid drill line");
+    assert_eq!(records[0].kind(), ppf_analysis::Kind::Drill);
+    assert_eq!(records[0].get("stalled_callers"), Some(0.0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

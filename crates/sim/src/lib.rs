@@ -41,6 +41,7 @@ pub mod fxhash;
 pub mod horizon;
 pub mod invariants;
 pub mod mshr;
+pub mod observe;
 pub mod prefetcher;
 pub mod prof;
 pub mod rob;
@@ -60,7 +61,7 @@ pub use prof::{ProfConfig, Profiler, SharedSpanTable, Span, SpanStat, SPAN_COUNT
 pub use simd::SimdLevel;
 pub use stats::{CoreReport, PrefetchStats, SimReport, IPC_SAMPLE_WINDOW};
 pub use system::{run_single_core, Simulation};
+pub use observe::Ring;
 pub use telemetry::{
-    EventKind, EventRing, FilterCounters, IntervalRing, IntervalSnapshot, TelemetryConfig,
-    TraceEvent,
+    render_events, EventKind, FilterCounters, IntervalSnapshot, TelemetryConfig, TraceEvent,
 };

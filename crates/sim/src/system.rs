@@ -36,9 +36,10 @@ use crate::prefetcher::{AccessContext, EvictionInfo, FillLevel, Prefetcher, Pref
 use crate::prof::{ProfConfig, Profiler, Span};
 use crate::rob::{Rob, PENDING};
 use crate::stats::{CoreReport, PrefetchStats, SimReport, IPC_SAMPLE_WINDOW};
+use crate::observe::Ring;
 use crate::telemetry::{
-    EventKind, EventRing, FilterCounters, IntervalRing, IntervalSnapshot, TelemetryConfig,
-    TraceEvent, DEFAULT_RING_CAPACITY, EVENT_RING_CAPACITY,
+    render_events, EventKind, FilterCounters, IntervalSnapshot, TelemetryConfig, TraceEvent,
+    DEFAULT_RING_CAPACITY, EVENT_RING_CAPACITY,
 };
 use ppf_trace::{AccessKind, AccessPattern, TraceRecord};
 use std::collections::VecDeque;
@@ -107,7 +108,7 @@ struct CoreUnit {
     /// unblock any core). Always `> cycle` after the core runs a tick.
     next_wake: u64,
     // Telemetry (inert single-slot ring unless telemetry is enabled).
-    intervals: IntervalRing,
+    intervals: Ring<IntervalSnapshot>,
     interval_seq: u64,
 }
 
@@ -141,14 +142,14 @@ pub struct Simulation {
     /// Scratch buffer for MSHR drains (LLC and per-core, reused serially).
     drain_scratch: Vec<(u64, MshrEntry)>,
     /// Telemetry settings (see [`crate::telemetry`]). Sampled once at
-    /// construction from `PPF_TELEMETRY`; override with
+    /// construction from `PPF_OBSERVE`; override with
     /// [`Simulation::set_telemetry`] before attaching cores.
     telemetry: TelemetryConfig,
     /// Bounded trace of recent events (inert single-slot ring unless
     /// telemetry is enabled).
-    events: EventRing,
+    events: Ring<TraceEvent>,
     /// Span profiler (see [`crate::prof`]). Sampled once at construction
-    /// from `PPF_PROFILE`; override with [`Simulation::set_profiling`].
+    /// from `PPF_OBSERVE`; override with [`Simulation::set_profiling`].
     prof: Profiler,
 }
 
@@ -182,53 +183,44 @@ impl Simulation {
             skipped_cycles: 0,
             drain_scratch: Vec::new(),
             telemetry: TelemetryConfig::from_env(),
-            events: EventRing::new(1),
+            events: Ring::new(1),
             prof: Profiler::new(ProfConfig::from_env()),
         };
-        sim.events = EventRing::new(sim.event_ring_capacity());
+        sim.events = Ring::new(sim.ring_capacity(EVENT_RING_CAPACITY));
         sim
     }
 
-    /// Ring capacity for the current telemetry setting: full-size when
+    /// Ring capacity for the current telemetry setting: `full` when
     /// telemetry is live, a single inert slot otherwise (so disabled runs
     /// pay no memory either).
-    fn event_ring_capacity(&self) -> usize {
+    fn ring_capacity(&self, full: usize) -> usize {
         if self.telemetry_active() {
-            EVENT_RING_CAPACITY
+            full
         } else {
             1
         }
     }
 
-    /// True when telemetry hooks should record. With the `telemetry` feature
+    /// True when telemetry hooks should record. With the `observe` feature
     /// off, `cfg!` folds this to `false` and every hook body is eliminated.
     #[inline(always)]
     fn telemetry_active(&self) -> bool {
-        cfg!(feature = "telemetry") && self.telemetry.interval != 0
+        cfg!(feature = "observe") && self.telemetry.interval != 0
     }
 
-    /// Overrides the `PPF_TELEMETRY`-derived settings (tests and harnesses
-    /// that must not race on process-global environment). Resizes the
-    /// snapshot/event rings, discarding anything already recorded, so call
+    /// Overrides the `PPF_OBSERVE`-derived telemetry settings (tests and
+    /// harnesses that must not race on process-global environment). Resizes
+    /// the snapshot/event rings, discarding anything already recorded, so call
     /// it before [`Simulation::run`]. Ignored (forced off) when the
-    /// `telemetry` feature is not compiled in.
+    /// `observe` feature is not compiled in.
     pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
         self.telemetry =
-            if cfg!(feature = "telemetry") { cfg } else { TelemetryConfig::disabled() };
-        self.events = EventRing::new(self.event_ring_capacity());
-        let cap = self.interval_ring_capacity();
+            if cfg!(feature = "observe") { cfg } else { TelemetryConfig::disabled() };
+        self.events = Ring::new(self.ring_capacity(EVENT_RING_CAPACITY));
+        let cap = self.ring_capacity(DEFAULT_RING_CAPACITY);
         for core in &mut self.cores {
-            core.intervals = IntervalRing::new(cap);
+            core.intervals = Ring::new(cap);
             core.interval_seq = 0;
-        }
-    }
-
-    /// Snapshot-ring capacity matching the current telemetry setting.
-    fn interval_ring_capacity(&self) -> usize {
-        if self.telemetry_active() {
-            DEFAULT_RING_CAPACITY
-        } else {
-            1
         }
     }
 
@@ -237,19 +229,19 @@ impl Simulation {
         self.telemetry
     }
 
-    /// True when profiling hooks should record. With the `profiling` feature
+    /// True when profiling hooks should record. With the `observe` feature
     /// off, `cfg!` folds this to `false` and every hook body is eliminated.
     #[inline(always)]
     fn prof_active(&self) -> bool {
-        cfg!(feature = "profiling") && self.prof.enabled()
+        cfg!(feature = "observe") && self.prof.enabled()
     }
 
-    /// Overrides the `PPF_PROFILE`-derived profiling settings (tests and
+    /// Overrides the `PPF_OBSERVE`-derived profiling settings (tests and
     /// harnesses that must not race on process-global environment). Resets
     /// anything already recorded, so call it before [`Simulation::run`].
-    /// Ignored (forced off) when the `profiling` feature is not compiled in.
+    /// Ignored (forced off) when the `observe` feature is not compiled in.
     pub fn set_profiling(&mut self, cfg: ProfConfig) {
-        self.prof = Profiler::new(if cfg!(feature = "profiling") {
+        self.prof = Profiler::new(if cfg!(feature = "observe") {
             cfg
         } else {
             ProfConfig::disabled()
@@ -262,7 +254,7 @@ impl Simulation {
         &self.prof
     }
 
-    /// The accumulated profile as flat numeric JSONL (empty string when
+    /// The accumulated profile as `span` JSONL records (empty string when
     /// profiling was off or nothing ran).
     pub fn profile_jsonl(&self) -> String {
         self.prof.to_jsonl()
@@ -293,7 +285,7 @@ impl Simulation {
 
     /// The interval-snapshot ring of core `i` (empty unless telemetry was
     /// enabled during [`Simulation::run`]).
-    pub fn interval_snapshots(&self, i: usize) -> &IntervalRing {
+    pub fn interval_snapshots(&self, i: usize) -> &Ring<IntervalSnapshot> {
         &self.cores[i].intervals
     }
 
@@ -304,7 +296,7 @@ impl Simulation {
     }
 
     /// The event-trace ring (empty unless telemetry was enabled).
-    pub fn event_trace(&self) -> &EventRing {
+    pub fn event_trace(&self) -> &Ring<TraceEvent> {
         &self.events
     }
 
@@ -355,7 +347,7 @@ impl Simulation {
             snapshot: None,
             scratch: Vec::new(),
             next_wake: 0,
-            intervals: IntervalRing::new(self.interval_ring_capacity()),
+            intervals: Ring::new(self.ring_capacity(DEFAULT_RING_CAPACITY)),
             interval_seq: 0,
         });
     }
@@ -493,7 +485,7 @@ impl Simulation {
                 FillKind::Demand
             };
             if telem && kind == FillKind::Prefetch {
-                self.events.record(TraceEvent {
+                self.events.push(TraceEvent {
                     cycle,
                     core: entry.owner as u32,
                     kind: EventKind::Fill,
@@ -540,7 +532,7 @@ impl Simulation {
             if telem {
                 // The LLC does not track which core prefetched the victim,
                 // so the event is unattributed (core = u32::MAX).
-                self.events.record(TraceEvent {
+                self.events.push(TraceEvent {
                     cycle,
                     core: u32::MAX,
                     kind: EventKind::EvictionTraining,
@@ -682,7 +674,7 @@ impl Simulation {
             );
         }
         if self.telemetry_active() {
-            eprint!("{}", self.events.render());
+            eprint!("{}", render_events(&self.events));
             for (i, c) in self.cores.iter().enumerate() {
                 let dump = c.prefetcher.telemetry_dump();
                 if !dump.is_empty() {
@@ -709,7 +701,7 @@ impl Simulation {
                 FillKind::Demand
             };
             if telem && kind == FillKind::Prefetch {
-                self.events.record(TraceEvent {
+                self.events.push(TraceEvent {
                     cycle,
                     core: i as u32,
                     kind: EventKind::Fill,
@@ -719,7 +711,7 @@ impl Simulation {
             }
             if let Some(ev) = core.l2.fill(block, kind, entry.write) {
                 if telem && ev.was_prefetch && !ev.was_used {
-                    self.events.record(TraceEvent {
+                    self.events.push(TraceEvent {
                         cycle,
                         core: i as u32,
                         kind: EventKind::EvictionTraining,
@@ -797,7 +789,7 @@ impl Simulation {
     fn retire_and_dispatch(&mut self, i: usize, cycle: u64, warmup: u64, measure: u64) -> u64 {
         let retire_width = self.cfg.core.retire_width;
         let fetch_width = self.cfg.core.fetch_width;
-        // With the `telemetry` feature off this folds to 0 and the snapshot
+        // With the `observe` feature off this folds to 0 and the snapshot
         // blocks below are dead code.
         let telemetry_interval =
             if self.telemetry_active() { self.telemetry.interval } else { 0 };
@@ -1013,7 +1005,7 @@ impl Simulation {
         core.l1d.demand_access(block, is_store);
         let out = l2_out.unwrap_or_else(|| core.l2.demand_access(block, is_store));
         if telem && !out.hit {
-            self.events.record(TraceEvent {
+            self.events.push(TraceEvent {
                 cycle,
                 core: i as u32,
                 kind: EventKind::DemandMiss,
@@ -1045,7 +1037,7 @@ impl Simulation {
         if telem {
             let d = core.prefetcher.filter_counters().delta(&counters_before);
             if d.inferences > 0 {
-                self.events.record(TraceEvent {
+                self.events.push(TraceEvent {
                     cycle,
                     core: i as u32,
                     kind: EventKind::PpfVerdict,
@@ -1267,7 +1259,7 @@ impl Simulation {
                     core.l2_mshr.allocate(block, ready, MissOrigin::Prefetch, false, i);
                     core.pf_stats.issued += 1;
                     if telem {
-                        self.events.record(TraceEvent {
+                        self.events.push(TraceEvent {
                             cycle,
                             core: i as u32,
                             kind: EventKind::PrefetchIssue,
@@ -1297,7 +1289,7 @@ impl Simulation {
                     self.llc_mshr.allocate(block, done, MissOrigin::Prefetch, false, i);
                     self.cores[i].pf_stats.issued += 1;
                     if telem {
-                        self.events.record(TraceEvent {
+                        self.events.push(TraceEvent {
                             cycle,
                             core: i as u32,
                             kind: EventKind::PrefetchIssue,
@@ -1695,7 +1687,7 @@ mod tests {
     /// The run always snapshots at the measurement boundary, so the last
     /// snapshot is cumulative over the whole measured region and must agree
     /// with the end-of-run report field for field.
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "observe")]
     #[test]
     fn final_interval_snapshot_matches_core_report() {
         let trace = Box::new(SequentialStream::new(0x100_0000, 1 << 14, 0x400000, 2));
@@ -1726,7 +1718,7 @@ mod tests {
         let mut sim = Simulation::new(small_cfg());
         sim.add_core("seq", trace, Box::new(StreamAhead));
         // Explicitly disabled (not from_env) so the test cannot race with a
-        // PPF_TELEMETRY set in the environment.
+        // PPF_OBSERVE set in the environment.
         sim.set_telemetry(TelemetryConfig::disabled());
         sim.run(5_000, 40_000);
         assert!(sim.all_interval_snapshots().is_empty());
@@ -1740,7 +1732,7 @@ mod tests {
         let mut sim = Simulation::new(small_cfg());
         sim.add_core("seq", trace, Box::new(StreamAhead));
         // Explicitly disabled (not from_env) so the test cannot race with a
-        // PPF_PROFILE set in the environment.
+        // PPF_OBSERVE set in the environment.
         sim.set_profiling(ProfConfig::disabled());
         sim.run(5_000, 40_000);
         assert!(sim.profile_jsonl().is_empty());
@@ -1749,7 +1741,7 @@ mod tests {
     /// With the feature compiled in and the runtime switch on, a run records
     /// the root span (stride 1, covering the whole run) plus sampled tick
     /// anatomy spans, and the root span accounts for the run's cycles.
-    #[cfg(feature = "profiling")]
+    #[cfg(feature = "observe")]
     #[test]
     fn profiled_run_records_root_and_tick_spans() {
         use crate::prof::{ProfConfig, Span};
@@ -1776,9 +1768,10 @@ mod tests {
         assert!(prof.stat(Span::RetireDispatch).calls > 0);
         assert!(prof.stat(Span::HorizonCompute).calls > 0);
 
-        // The export names every recorded span and carries the version tag.
+        // The export names every recorded span and carries the envelope.
         let jsonl = sim.profile_jsonl();
         assert!(jsonl.contains("\"span\":0"), "root span exported: {jsonl}");
-        assert!(jsonl.lines().all(|l| l.starts_with("{\"v\":1,")));
+        let head = crate::observe::envelope("span");
+        assert!(jsonl.lines().all(|l| l.starts_with(&head)));
     }
 }

@@ -68,7 +68,7 @@ fn mixed_workload(seed: u64, streams: u64, work: u8) -> Box<dyn AccessPattern> {
 
 /// Builds an n-core simulation over per-core variants of the mixed
 /// workload, with telemetry snapshotting enabled (a no-op compile-out when
-/// the `telemetry` feature is absent — both modes then compare empty rings).
+/// the `observe` feature is absent — both modes then compare empty rings).
 fn build(cores: usize, seed: u64, streams: u64, work: u8, skip: bool) -> Simulation {
     let cfg =
         if cores == 1 { SystemConfig::single_core() } else { SystemConfig::multi_core(cores) };

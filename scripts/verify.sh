@@ -3,13 +3,12 @@
 # test suite + fault-tolerance drill.
 #
 #   scripts/verify.sh             # build + clippy + tests + fault drill
-#                                 #   + horizon gate + telemetry gate
-#                                 #   + profile gate
+#                                 #   + horizon, serve and hybrid gates
+#                                 #   + observe gate
 #   scripts/verify.sh --quick     # ... + fig09 smoke run with throughput
 #   scripts/verify.sh --bench     # ... + hot-path micro-benchmarks and the
 #                                 #       throughput comparison table
 #   scripts/verify.sh --faults    # fault drill only (assumes a release build)
-#   scripts/verify.sh --telemetry # telemetry gate only
 #   scripts/verify.sh --horizon   # horizon gate only: fig09 --quick stdout
 #                                 #   must be byte-identical with cycle
 #                                 #   skipping on (default) and off
@@ -17,11 +16,12 @@
 #   scripts/verify.sh --serve     # serve gate only: chaos drill (fault
 #                                 #   injection + 10x spike + warm restart)
 #                                 #   and the socket round trip
-#   scripts/verify.sh --profile   # profile gate only: default build must
-#                                 #   ignore PPF_PROFILE byte-for-byte;
-#                                 #   profiled build must hold the <5%
+#   scripts/verify.sh --observe   # observe gate only: default build must
+#                                 #   ignore PPF_OBSERVE byte-for-byte;
+#                                 #   observe build must export valid
+#                                 #   JSONL, hold the <5% profiling
 #                                 #   overhead budget, cover >=90% of wall
-#                                 #   time, and export schema-valid JSONL
+#                                 #   time, and pass its feature-on tests
 #   scripts/verify.sh --hybrid    # hybrid gate only: fig09 --quick stdout
 #                                 #   must be byte-identical with the PPF
 #                                 #   scheme routed through a single-member
@@ -35,9 +35,9 @@ cd "$(dirname "$0")/.."
 mode="${1:-}"
 
 case "$mode" in
-    ""|--quick|--bench|--faults|--telemetry|--horizon|--serve|--profile|--hybrid) ;;
+    ""|--quick|--bench|--faults|--horizon|--serve|--observe|--hybrid) ;;
     *)
-        echo "usage: $0 [--quick|--bench|--faults|--telemetry|--horizon|--serve|--profile|--hybrid]" >&2
+        echo "usage: $0 [--quick|--bench|--faults|--horizon|--serve|--observe|--hybrid]" >&2
         exit 2
         ;;
 esac
@@ -62,28 +62,6 @@ run_fault_drill() {
              cat "$drill_err"; rm -rf "$drill_dir"; exit 1; }
     rm -rf "$drill_dir"
     echo "fault drill: OK (sweep completed, failure reported by label)"
-}
-
-# Telemetry gate: rebuild the bench crate with the telemetry feature, run
-# fig09 with PPF_TELEMETRY on, and schema-validate every JSONL export. Runs
-# last so the feature-enabled binaries don't feed the throughput smoke run.
-run_telemetry_gate() {
-    echo "== telemetry gate (fig09 --quick, PPF_TELEMETRY=1) =="
-    cargo build --release -q -p ppf-bench --features telemetry
-    telem_dir="$(mktemp -d)"
-    PPF_TELEMETRY=1 PPF_TELEMETRY_DIR="$telem_dir/exports" \
-        PPF_CHECKPOINT_DIR="$telem_dir/checkpoints" \
-        ./target/release/fig09_single_core --quick > /dev/null \
-        || { echo "telemetry gate: fig09 failed"; rm -rf "$telem_dir"; exit 1; }
-    set -- "$telem_dir"/exports/*.jsonl
-    [ -e "$1" ] \
-        || { echo "telemetry gate: fig09 emitted no JSONL"; \
-             rm -rf "$telem_dir"; exit 1; }
-    ./target/release/fig_telemetry --validate "$@" \
-        || { echo "telemetry gate: schema validation failed"; \
-             rm -rf "$telem_dir"; exit 1; }
-    rm -rf "$telem_dir"
-    echo "telemetry gate: OK (every export schema-valid)"
 }
 
 # Horizon gate: the event-horizon run loop must be observationally exact.
@@ -161,49 +139,63 @@ run_serve_gate() {
     echo "serve gate: OK (drill passed, socket round trip clean)"
 }
 
-# Profile gate: the self-profiler must be invisible when compiled out and
-# honest when live. Three checks: (1) the default build's fig09 stdout is
-# byte-identical with and without PPF_PROFILE=1 — the runtime knob without
-# the feature must change nothing; (2) fig_profile (profiling build)
-# internally enforces the <5% overhead budget and >=90% span coverage and
-# exports profile JSONL; (3) that export re-validates through
-# `fig_profile --validate`, and the feature-on ppf-sim unit tests pass.
-# Runs last: step 2 rebuilds ppf-bench with the profiling feature, so every
+# Observe gate: the observability layer must be invisible when compiled
+# out and valid when live. (1) The default build's fig09 stdout is
+# byte-identical with and without PPF_OBSERVE=intervals,spans: the runtime
+# switch without the feature must change nothing. (2) The observe build's
+# fig09 run with PPF_OBSERVE=intervals exports interval JSONL for every
+# cell, and every file validates through `fig_telemetry --validate`. (3)
+# fig_profile (observe build) enforces the <5% overhead budget and >=90%
+# span coverage, and its span export validates too. (4) The feature-on
+# test suites of ppf-sim, ppf, ppf-serve and the ppf-bench library pass.
+# Runs last: step 2 rebuilds ppf-bench with the observe feature, so every
 # default-build gate must already have run its binaries.
-run_profile_gate() {
-    echo "== profile gate: default build ignores PPF_PROFILE =="
-    prof_dir="$(mktemp -d)"
-    prof_bin="$(pwd)/target/release/fig09_single_core"
-    ( cd "$prof_dir" && PPF_CHECKPOINT_DIR="$prof_dir/off" \
-        "$prof_bin" --quick > "$prof_dir/off.out" 2>/dev/null ) \
-        || { echo "profile gate: fig09 (profile off) failed"; rm -rf "$prof_dir"; exit 1; }
-    ( cd "$prof_dir" && PPF_PROFILE=1 PPF_CHECKPOINT_DIR="$prof_dir/on" \
-        "$prof_bin" --quick > "$prof_dir/on.out" 2>/dev/null ) \
-        || { echo "profile gate: fig09 (PPF_PROFILE=1) failed"; rm -rf "$prof_dir"; exit 1; }
-    cmp -s "$prof_dir/off.out" "$prof_dir/on.out" \
-        || { echo "profile gate: PPF_PROFILE changed a default build's stdout"; \
-             diff "$prof_dir/off.out" "$prof_dir/on.out" | head -20; \
-             rm -rf "$prof_dir"; exit 1; }
+run_observe_gate() {
+    echo "== observe gate: default build ignores PPF_OBSERVE =="
+    obs_dir="$(mktemp -d)"
+    obs_bin="$(pwd)/target/release/fig09_single_core"
+    ( cd "$obs_dir" && PPF_CHECKPOINT_DIR="$obs_dir/off" \
+        "$obs_bin" --quick > "$obs_dir/off.out" 2>/dev/null ) \
+        || { echo "observe gate: fig09 (observe off) failed"; rm -rf "$obs_dir"; exit 1; }
+    ( cd "$obs_dir" && PPF_OBSERVE=intervals,spans PPF_CHECKPOINT_DIR="$obs_dir/on" \
+        "$obs_bin" --quick > "$obs_dir/on.out" 2>/dev/null ) \
+        || { echo "observe gate: fig09 (PPF_OBSERVE set) failed"; rm -rf "$obs_dir"; exit 1; }
+    cmp -s "$obs_dir/off.out" "$obs_dir/on.out" \
+        || { echo "observe gate: PPF_OBSERVE changed a default build's stdout"; \
+             diff "$obs_dir/off.out" "$obs_dir/on.out" | head -20; \
+             rm -rf "$obs_dir"; exit 1; }
 
-    echo "== profile gate: fig_profile --quick (overhead + coverage budgets) =="
-    cargo build --release -q -p ppf-bench --features profiling
-    PPF_PROFILE_DIR="$prof_dir/exports" PPF_CHECKPOINT_DIR="$prof_dir/fp" \
-        ./target/release/fig_profile --quick > "$prof_dir/profile.out" \
-        || { echo "profile gate: fig_profile failed its budgets"; \
-             cat "$prof_dir/profile.out"; rm -rf "$prof_dir"; exit 1; }
-    grep -E "^(wall:|span coverage:)" "$prof_dir/profile.out"
-    set -- "$prof_dir"/exports/*.jsonl
+    echo "== observe gate: fig09 --quick exports (PPF_OBSERVE=intervals) =="
+    cargo build --release -q -p ppf-bench --features observe
+    ( cd "$obs_dir" && PPF_OBSERVE=intervals PPF_OBSERVE_DIR="$obs_dir/exports" \
+        PPF_CHECKPOINT_DIR="$obs_dir/observed" "$obs_bin" --quick > /dev/null ) \
+        || { echo "observe gate: observe-build fig09 failed"; rm -rf "$obs_dir"; exit 1; }
+    set -- "$obs_dir"/exports/*.jsonl
     [ -e "$1" ] \
-        || { echo "profile gate: fig_profile exported no JSONL"; \
-             rm -rf "$prof_dir"; exit 1; }
-    ./target/release/fig_profile --validate "$@" \
-        || { echo "profile gate: export schema validation failed"; \
-             rm -rf "$prof_dir"; exit 1; }
-    rm -rf "$prof_dir"
+        || { echo "observe gate: fig09 emitted no JSONL"; rm -rf "$obs_dir"; exit 1; }
+    ./target/release/fig_telemetry --validate "$@" > /dev/null \
+        || { echo "observe gate: fig09 export validation failed"; rm -rf "$obs_dir"; exit 1; }
+    echo "observe gate: $# fig09 exports valid"
 
-    echo "== profile gate: feature-on unit tests =="
-    cargo test -q -p ppf-sim --features profiling
-    echo "profile gate: OK (off byte-identical, on within budget, exports valid)"
+    echo "== observe gate: fig_profile --quick (overhead + coverage budgets) =="
+    PPF_OBSERVE_DIR="$obs_dir/profile" PPF_CHECKPOINT_DIR="$obs_dir/fp" \
+        ./target/release/fig_profile --quick > "$obs_dir/profile.out" \
+        || { echo "observe gate: fig_profile failed its budgets"; \
+             cat "$obs_dir/profile.out"; rm -rf "$obs_dir"; exit 1; }
+    grep -E "^(wall:|span coverage:)" "$obs_dir/profile.out"
+    set -- "$obs_dir"/profile/*.jsonl
+    [ -e "$1" ] \
+        || { echo "observe gate: fig_profile exported no JSONL"; rm -rf "$obs_dir"; exit 1; }
+    ./target/release/fig_telemetry --validate "$@" \
+        || { echo "observe gate: span export validation failed"; rm -rf "$obs_dir"; exit 1; }
+    rm -rf "$obs_dir"
+
+    echo "== observe gate: feature-on test suites =="
+    cargo test -q -p ppf-sim --features observe
+    cargo test -q -p ppf --features observe
+    cargo test -q -p ppf-serve --features observe
+    cargo test -q -p ppf-bench --features observe --lib
+    echo "observe gate: OK (off byte-identical, exports valid, on within budget)"
 }
 
 # Hybrid gate: the hybrid combinator must be an identity for one member and
@@ -250,9 +242,9 @@ if [ "$mode" = "--hybrid" ]; then
     exit 0
 fi
 
-if [ "$mode" = "--profile" ]; then
+if [ "$mode" = "--observe" ]; then
     cargo build --release -q -p ppf-bench
-    run_profile_gate
+    run_observe_gate
     echo "verify: OK"
     exit 0
 fi
@@ -273,12 +265,6 @@ fi
 
 if [ "$mode" = "--faults" ]; then
     run_fault_drill
-    echo "verify: OK"
-    exit 0
-fi
-
-if [ "$mode" = "--telemetry" ]; then
-    run_telemetry_gate
     echo "verify: OK"
     exit 0
 fi
@@ -316,8 +302,6 @@ if [ "$mode" = "--bench" ]; then
     ./scripts/bench_compare || true
 fi
 
-run_telemetry_gate
-
-run_profile_gate
+run_observe_gate
 
 echo "verify: OK"

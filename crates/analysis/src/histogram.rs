@@ -20,11 +20,11 @@ impl WeightHistogram {
     ///
     /// Panics if any weight is outside the 5-bit range (the perceptron's
     /// saturating updates guarantee it never is).
-    pub fn of(weights: &[i32]) -> Self {
+    pub fn of(weights: &[i8]) -> Self {
         let span = (i32::from(WEIGHT_MAX) - i32::from(WEIGHT_MIN) + 1) as usize;
         let mut counts = vec![0u64; span];
         for &w in weights {
-            counts[usize::try_from(w - i32::from(WEIGHT_MIN)).expect("5-bit weight")] += 1;
+            counts[usize::try_from(i32::from(w) - i32::from(WEIGHT_MIN)).expect("5-bit weight")] += 1;
         }
         Self { counts }
     }
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn saturation_detected() {
-        let h = WeightHistogram::of(&[i32::from(WEIGHT_MAX), i32::from(WEIGHT_MIN), 0, 0]);
+        let h = WeightHistogram::of(&[WEIGHT_MAX, WEIGHT_MIN, 0, 0]);
         assert_eq!(h.saturated_fraction(), 0.5);
     }
 

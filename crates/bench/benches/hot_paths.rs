@@ -1,6 +1,6 @@
-//! Criterion micro-benchmarks for the two hot paths rebuilt in the
-//! zero-allocation PR: the flattened-arena filter inference fast path
-//! (`infer_indexed` + `record_indexed`, no heap traffic) and the
+//! Criterion micro-benchmarks for the filter's per-candidate path
+//! (`infer_indexed` + `record_indexed`, `score_and_record` over a depth
+//! window, and the one-pass feature index into the byte arena) and the
 //! struct-of-arrays cache tag scan (`probe` / `demand_access` / `fill`).
 //!
 //! These isolate the data-layout work from whole-simulator noise: the
@@ -8,7 +8,7 @@
 //! the indexed path the simulator wrapper actually drives.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use ppf::{FeatureInputs, IndexList, Perceptron, PpfConfig, PpfFilter};
+use ppf::{Decision, FeatureInputs, FeatureKind, Perceptron, PpfConfig, PpfFilter};
 use ppf_sim::{Cache, CacheConfig, FillKind, ReplacementPolicy};
 
 fn inputs(i: u64) -> FeatureInputs {
@@ -52,37 +52,39 @@ fn bench_filter_fast_path(c: &mut Criterion) {
     g.finish();
 }
 
-/// Batched scoring over the paper-sized weight arena at the depth
-/// windows that matter: 1 (degenerate/scalar-equivalent), 8 (the wrapper's
-/// depth window), and 40 (SPP's max_candidates — a full lookahead
-/// burst in one call).
-fn bench_sum_batch(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sum_batch");
-    // The paper's Table 3 perceptron block.
-    let mut p = Perceptron::new(&[4096, 4096, 4096, 4096, 2048, 2048, 1024, 1024, 128]);
-    for i in 0..5000usize {
-        let locals: Vec<usize> = (0..9).map(|f| i.wrapping_mul(f + 3)).collect();
-        p.train(&locals, i % 3 != 0);
-    }
-    let lists: Vec<IndexList> = (0..64u32)
-        .map(|c| {
-            p.globalize(
-                &(0..9)
-                    .map(|f| c.wrapping_mul(2654435761).wrapping_add(f * 40503))
-                    .collect::<IndexList>(),
-            )
-        })
-        .collect();
-    for n in [1usize, 8, 40] {
-        g.throughput(Throughput::Elements(n as u64));
-        g.bench_function(format!("batch_{n}"), |b| {
-            let mut out = [0i32; 64];
-            b.iter(|| {
-                p.sum_batch(black_box(&lists[..n]), &mut out[..n]);
-                black_box(out[n - 1])
+/// The per-candidate steps the wrapper's depth window drives:
+/// `score_and_record` over an 8-candidate window (the wrapper's depth
+/// window; one element = one candidate scored, recorded and committed),
+/// and the one-pass hash of the paper's nine features to arena positions.
+fn bench_score_and_record(c: &mut Criterion) {
+    let mut g = c.benchmark_group("score_and_record");
+    g.throughput(Throughput::Elements(8));
+    g.bench_function("8", |b| {
+        let mut f = PpfFilter::new(PpfConfig::default());
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 8;
+            let mut accepted = 0u32;
+            f.score_and_record((i..i + 8).map(|n| (0x2000_0000 + n * 64, inputs(n))), |_, d| {
+                accepted += u32::from(d != Decision::Reject)
             });
+            black_box(accepted)
         });
-    }
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("index");
+    g.throughput(Throughput::Elements(1));
+    let set = FeatureKind::default_set();
+    let sizes: Vec<usize> = set.iter().map(|k| k.table_entries()).collect();
+    let p = Perceptron::new(&sizes);
+    g.bench_function("9_features", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            black_box(p.index(&set, &inputs(i)))
+        });
+    });
     g.finish();
 }
 
@@ -136,5 +138,5 @@ fn bench_cache_tag_scan(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_filter_fast_path, bench_sum_batch, bench_cache_tag_scan);
+criterion_group!(benches, bench_filter_fast_path, bench_score_and_record, bench_cache_tag_scan);
 criterion_main!(benches);

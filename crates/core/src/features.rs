@@ -52,6 +52,9 @@ fn encode_delta(delta: i16) -> u64 {
     }
 }
 
+/// Number of [`FeatureKind`] variants.
+pub const FEATURE_KINDS: usize = 13;
+
 /// One perceptron feature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureKind {
@@ -88,6 +91,24 @@ pub enum FeatureKind {
 }
 
 impl FeatureKind {
+    /// Every kind in declaration order, the paper's rejected candidates
+    /// included (entry `i` is the kind with `kind as usize == i`).
+    pub const ALL: [FeatureKind; FEATURE_KINDS] = [
+        FeatureKind::PhysAddr,
+        FeatureKind::CacheLine,
+        FeatureKind::PageAddr,
+        FeatureKind::ConfidenceXorPage,
+        FeatureKind::PcPathHash,
+        FeatureKind::SignatureXorDelta,
+        FeatureKind::PcXorDepth,
+        FeatureKind::PcXorDelta,
+        FeatureKind::Confidence,
+        FeatureKind::LastSignature,
+        FeatureKind::RawPc,
+        FeatureKind::DepthAlone,
+        FeatureKind::SourceId,
+    ];
+
     /// The nine features of the final PPF design, in Table 3 size order.
     pub fn default_set() -> Vec<FeatureKind> {
         vec![
@@ -158,8 +179,40 @@ impl FeatureKind {
 
     /// Hashes the inputs into this feature's table index.
     pub fn index(self, f: &FeatureInputs) -> usize {
-        let mask = (1usize << self.table_bits()) - 1;
-        let raw: u64 = match self {
+        (self.hash(f) as usize) & ((1usize << self.table_bits()) - 1)
+    }
+
+    /// Every kind's unmasked hash at once, in declaration order (entry
+    /// `kind as usize` is `kind.hash(f)`): shared sub-expressions are
+    /// computed once and there is no per-feature dispatch. This is what
+    /// `Perceptron::index` masks straight into arena positions.
+    #[inline]
+    pub fn hashes(f: &FeatureInputs) -> [u64; FEATURE_KINDS] {
+        let page = f.trigger_addr >> 12;
+        let pc = f.trigger_pc >> 2;
+        let delta = encode_delta(f.delta);
+        [
+            f.trigger_addr >> 2,                           // PhysAddr
+            f.trigger_addr >> 6,                           // CacheLine
+            page,                                          // PageAddr
+            page ^ u64::from(f.confidence),                // ConfidenceXorPage
+            (f.pc_1 >> 2) ^ (f.pc_2 >> 3) ^ (f.pc_3 >> 4), // PcPathHash
+            u64::from(f.signature) ^ delta,                // SignatureXorDelta
+            pc ^ u64::from(f.depth),                       // PcXorDepth
+            pc ^ delta,                                    // PcXorDelta
+            u64::from(f.confidence.min(127)),              // Confidence
+            u64::from(f.last_signature),                   // LastSignature
+            pc,                                            // RawPc
+            u64::from(f.depth),                            // DepthAlone
+            u64::from(f.source),                           // SourceId
+        ]
+    }
+
+    /// The feature's unmasked hash: [`FeatureKind::index`] keeps its low
+    /// [`FeatureKind::table_bits`]. This one-feature form is the reference
+    /// the tests hold [`FeatureKind::hashes`] to.
+    pub fn hash(self, f: &FeatureInputs) -> u64 {
+        match self {
             // Three shifted views of the trigger address (Sec 4.2: shifting
             // instead of folding avoids destructive interference).
             FeatureKind::PhysAddr => f.trigger_addr >> 2,
@@ -175,27 +228,28 @@ impl FeatureKind {
             FeatureKind::RawPc => f.trigger_pc >> 2,
             FeatureKind::DepthAlone => u64::from(f.depth),
             FeatureKind::SourceId => u64::from(f.source),
-        };
-        (raw as usize) & mask
+        }
     }
 }
 
 /// Upper bound on features per perceptron — every [`FeatureKind`] variant
 /// fits, with headroom. The inference/record/train hot paths carry indices
-/// in a fixed `[u32; MAX_FEATURES]` ([`IndexList`]) instead of a heap
+/// in a fixed `[u16; MAX_FEATURES]` ([`IndexList`]) instead of a heap
 /// `Vec`, so evaluating a candidate allocates nothing.
 pub const MAX_FEATURES: usize = 16;
 
 /// A fixed-capacity list of per-feature table indices.
 ///
 /// This is the zero-allocation replacement for the `Vec<usize>` that
-/// inference used to build per candidate: a `Copy` value small enough to
-/// live inline in the Prefetch/Reject table entries, so training can
+/// inference used to build per candidate: a 34-byte `Copy` value that
+/// lives inline in the Prefetch/Reject table entries, so training can
 /// reuse the indices computed at inference time instead of rehashing the
-/// features.
+/// features. Indices are `u16`: a weight arena holds at most
+/// `MAX_FEATURES × 4,096 = 65,536` positions (`Perceptron::new` asserts
+/// it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IndexList {
-    raw: [u32; MAX_FEATURES],
+    raw: [u16; MAX_FEATURES],
     len: u8,
 }
 
@@ -205,12 +259,23 @@ impl IndexList {
         Self { raw: [0; MAX_FEATURES], len: 0 }
     }
 
+    /// The first `len` entries of `raw`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds [`MAX_FEATURES`].
+    #[inline]
+    pub(crate) fn from_prefix(raw: [u16; MAX_FEATURES], len: usize) -> Self {
+        assert!(len <= MAX_FEATURES, "more than {MAX_FEATURES} features");
+        Self { raw, len: len as u8 }
+    }
+
     /// Appends an index.
     ///
     /// # Panics
     ///
     /// Panics if the list already holds [`MAX_FEATURES`] indices.
-    pub fn push(&mut self, index: u32) {
+    pub fn push(&mut self, index: u16) {
         assert!((self.len as usize) < MAX_FEATURES, "more than {MAX_FEATURES} features");
         self.raw[self.len as usize] = index;
         self.len += 1;
@@ -227,13 +292,13 @@ impl IndexList {
     }
 
     /// The indices as a slice.
-    pub fn as_slice(&self) -> &[u32] {
+    pub fn as_slice(&self) -> &[u16] {
         &self.raw[..usize::from(self.len)]
     }
 }
 
-impl FromIterator<u32> for IndexList {
-    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
+impl FromIterator<u16> for IndexList {
+    fn from_iter<I: IntoIterator<Item = u16>>(iter: I) -> Self {
         let mut list = Self::new();
         for i in iter {
             list.push(i);
@@ -243,8 +308,11 @@ impl FromIterator<u32> for IndexList {
 }
 
 /// Computes the table index of every feature in `set` without allocating.
+/// The filter's hot path skips this list and hashes straight to arena
+/// positions (`Perceptron::index`); mapping this list through
+/// `Perceptron::globalize` gives the same positions in two passes.
 pub fn index_list(set: &[FeatureKind], inputs: &FeatureInputs) -> IndexList {
-    set.iter().map(|k| k.index(inputs) as u32).collect()
+    set.iter().map(|k| k.index(inputs) as u16).collect()
 }
 
 /// Computes the table index of every feature in `set`.
@@ -375,10 +443,10 @@ mod tests {
         let mut l = IndexList::new();
         assert!(l.is_empty());
         for i in 0..MAX_FEATURES {
-            l.push(i as u32);
+            l.push(i as u16);
         }
         assert_eq!(l.len(), MAX_FEATURES);
-        assert_eq!(l.as_slice()[MAX_FEATURES - 1], (MAX_FEATURES - 1) as u32);
+        assert_eq!(l.as_slice()[MAX_FEATURES - 1], (MAX_FEATURES - 1) as u16);
     }
 
     #[test]
@@ -386,7 +454,7 @@ mod tests {
     fn index_list_overflow_panics() {
         let mut l = IndexList::new();
         for i in 0..=MAX_FEATURES {
-            l.push(i as u32);
+            l.push(i as u16);
         }
     }
 
@@ -409,6 +477,20 @@ mod tests {
         let a = sample();
         for k in FeatureKind::default_set() {
             assert_eq!(k.index(&a), k.index(&f), "{} must ignore source", k.label());
+        }
+    }
+
+    #[test]
+    fn hashes_match_hash_per_kind() {
+        let mut f = sample();
+        for (n, delta) in [-3i16, 0, 5, -64, 63].into_iter().enumerate() {
+            f.delta = delta;
+            f.confidence = (n * 25) as u8;
+            let all = FeatureKind::hashes(&f);
+            for (i, k) in FeatureKind::ALL.into_iter().enumerate() {
+                assert_eq!(k as usize, i, "ALL is in declaration order");
+                assert_eq!(all[i], k.hash(&f), "{}", k.label());
+            }
         }
     }
 

@@ -1,16 +1,17 @@
 //! The perceptron filter proper: inference, recording, and training
 //! (paper Sec 3.1, Figure 5).
 
-use crate::features::{index_list, FeatureInputs, FeatureKind, IndexList};
+use crate::features::{FeatureInputs, FeatureKind, IndexList};
 use crate::introspect::DecisionTelemetry;
 use crate::perceptron::{Perceptron, WeightList};
-use crate::tables::MetaTable;
+use crate::tables::{MetaTable, TableEntry};
 use ppf_prefetchers::MAX_SOURCES;
 use ppf_sim::addr::block_number;
 
-/// Most candidates one [`PpfFilter::score_and_record`] scoring pass holds;
-/// longer streams are scored in chunks of this size. Sized above SPP's
-/// `max_candidates` (40) so a full lookahead burst fits in one pass.
+/// Most candidates the [`Ppf`](crate::Ppf) wrapper hands to one
+/// [`PpfFilter::score_and_record`] call (its depth window's cap). Sized
+/// above SPP's `max_candidates` (40) so a full lookahead burst fits in one
+/// call; `score_and_record` itself takes streams of any length.
 pub const MAX_BATCH: usize = 64;
 
 /// Inference outcome for one candidate.
@@ -124,27 +125,6 @@ pub struct TrainingEvent {
     pub useful: bool,
 }
 
-/// Scratch for [`PpfFilter::score_and_record`]: one chunk of candidates
-/// with their arena indices and the sums they were scored to.
-#[derive(Debug, Clone)]
-struct ScoredBatch {
-    targets: [u64; MAX_BATCH],
-    inputs: [FeatureInputs; MAX_BATCH],
-    indices: [IndexList; MAX_BATCH],
-    sums: [i32; MAX_BATCH],
-}
-
-impl Default for ScoredBatch {
-    fn default() -> Self {
-        Self {
-            targets: [0; MAX_BATCH],
-            inputs: [FeatureInputs::default(); MAX_BATCH],
-            indices: [IndexList::default(); MAX_BATCH],
-            sums: [0; MAX_BATCH],
-        }
-    }
-}
-
 /// The Perceptron Prefetch Filter.
 ///
 /// ```
@@ -173,9 +153,6 @@ pub struct PpfFilter {
     telemetry: DecisionTelemetry,
     event_log: Vec<TrainingEvent>,
     event_cursor: usize,
-    /// Boxed so the filter stays cheap to move; allocated once here, so
-    /// scoring stays allocation-free.
-    batch: Box<ScoredBatch>,
 }
 
 impl PpfFilter {
@@ -199,7 +176,6 @@ impl PpfFilter {
             // the event-logging path allocation-free after construction.
             event_log: Vec::with_capacity(cfg.event_log_capacity),
             event_cursor: 0,
-            batch: Box::default(),
             cfg,
         }
     }
@@ -219,8 +195,12 @@ impl PpfFilter {
         &self.cfg.features
     }
 
-    /// Logged training events, oldest first (empty unless
-    /// [`PpfConfig::event_log_capacity`] was set).
+    /// Logged training events (empty unless
+    /// [`PpfConfig::event_log_capacity`] was set), in buffer order: oldest
+    /// first until the log fills, then the slots overwrite in a cycle, so
+    /// after it wraps the slice starts at some arbitrary point of the
+    /// history. Callers that aggregate (Figs. 7 and 8) do not depend on
+    /// the order.
     pub fn training_events(&self) -> &[TrainingEvent] {
         &self.event_log
     }
@@ -256,7 +236,7 @@ impl PpfFilter {
     /// The lookahead depth recorded for a tracked (accepted) prefetch of
     /// this address, if any.
     pub fn tracked_depth(&self, addr: u64) -> Option<u8> {
-        self.prefetch_table.lookup(block_number(addr)).map(|e| e.inputs.depth)
+        self.prefetch_table.lookup(block_number(addr)).map(|e| e.depth)
     }
 
     /// The provenance (`FeatureInputs::source`) recorded for a tracked
@@ -266,7 +246,7 @@ impl PpfFilter {
     /// [`MetaTable::record`] keeps a pending same-tag entry over a later
     /// re-record of the same block.
     pub fn tracked_source(&self, addr: u64) -> Option<u8> {
-        self.prefetch_table.lookup(block_number(addr)).map(|e| e.inputs.source)
+        self.prefetch_table.lookup(block_number(addr)).map(|e| e.source)
     }
 
     /// FNV-1a digest of the weight arena (see
@@ -309,11 +289,12 @@ impl PpfFilter {
         Ok(())
     }
 
-    /// Hashes every feature and maps the hashes to weight-arena positions —
-    /// the indices the whole inference/record/train cycle reuses. Inline
+    /// Hashes every feature straight to its weight-arena position — the
+    /// indices the whole inference/record/train cycle reuses. Inline
     /// ([`IndexList`]), so no heap allocation.
+    #[inline]
     fn index(&self, inputs: &FeatureInputs) -> IndexList {
-        self.perceptron.globalize(&index_list(&self.cfg.features, inputs))
+        self.perceptron.index(&self.cfg.features, inputs)
     }
 
     /// Step 1, inference: sums the feature-selected weights and thresholds
@@ -330,8 +311,8 @@ impl PpfFilter {
     }
 
     /// Thresholds an inference sum and commits the decision: counters
-    /// (aggregate and per-source) and the telemetry hook. Shared tail of
-    /// [`PpfFilter::infer_indexed`] and [`PpfFilter::score_and_record`].
+    /// (aggregate and per-source) and the telemetry hook.
+    #[inline]
     fn judge(&mut self, sum: i32, idxs: &IndexList, source: u8) -> Decision {
         self.stats.inferences += 1;
         let src = usize::from(source).min(MAX_SOURCES - 1);
@@ -363,52 +344,23 @@ impl PpfFilter {
         decision
     }
 
-    /// Steps 1-2 for a stream of `(target, inputs)` candidates: scores
-    /// them, then commits and records each decision in candidate order,
-    /// calling `on_decision(position, decision)` after each record.
+    /// Steps 1-2 for a stream of `(target, inputs)` candidates: scores,
+    /// commits and records each one in candidate order, calling
+    /// `on_decision(position, decision)` after each record.
     ///
-    /// Scoring runs in chunks of up to [`MAX_BATCH`] candidates: every
-    /// chunk is feature-hashed and summed in one transposed pass
-    /// ([`Perceptron::sum_batch`]). Recording a candidate can
-    /// displacement-train the weights (see [`PpfFilter::record_indexed`]);
-    /// when the [epoch](Perceptron::epoch) has moved since the chunk was
-    /// summed, the candidate being judged is rescored against the current
-    /// weights. So the decisions, counters, and trained weights equal those
-    /// of one [`PpfFilter::infer_indexed`] + [`PpfFilter::record_indexed`]
-    /// call per candidate, and the work never exceeds that loop's.
+    /// A candidate is scored only after the previous one is recorded, so
+    /// it sees any weights that recording displacement-trained (see
+    /// [`PpfFilter::record_indexed`]): the decisions, counters, and trained
+    /// weights are those of one [`PpfFilter::infer_indexed`] +
+    /// [`PpfFilter::record_indexed`] call per candidate.
     pub fn score_and_record<I>(&mut self, candidates: I, mut on_decision: impl FnMut(usize, Decision))
     where
         I: IntoIterator<Item = (u64, FeatureInputs)>,
     {
-        let mut candidates = candidates.into_iter();
-        let mut base = 0usize;
-        loop {
-            let mut n = 0usize;
-            for (target, inputs) in candidates.by_ref().take(MAX_BATCH) {
-                self.batch.targets[n] = target;
-                self.batch.inputs[n] = inputs;
-                self.batch.indices[n] = self.index(&inputs);
-                n += 1;
-            }
-            let batch = &mut *self.batch;
-            self.perceptron.sum_batch(&batch.indices[..n], &mut batch.sums[..n]);
-            let epoch = self.perceptron.epoch();
-            for i in 0..n {
-                let idxs = self.batch.indices[i];
-                let sum = if epoch != self.perceptron.epoch() {
-                    self.perceptron.sum_at(&idxs)
-                } else {
-                    self.batch.sums[i]
-                };
-                let inputs = self.batch.inputs[i];
-                let decision = self.judge(sum, &idxs, inputs.source);
-                self.record_indexed(self.batch.targets[i], inputs, idxs, sum, decision);
-                on_decision(base + i, decision);
-            }
-            if n < MAX_BATCH {
-                return;
-            }
-            base += n;
+        for (position, (target, inputs)) in candidates.into_iter().enumerate() {
+            let (decision, sum, idxs) = self.infer_indexed(&inputs);
+            self.record_indexed(target, inputs, idxs, sum, decision);
+            on_decision(position, decision);
         }
     }
 
@@ -433,7 +385,8 @@ impl PpfFilter {
         let block = block_number(target_addr);
         match d {
             Decision::PrefetchL2 | Decision::PrefetchLlc => {
-                let displaced = self.prefetch_table.record(block, inputs, indices, sum, true);
+                let displaced =
+                    self.prefetch_table.record(block, inputs.depth, inputs.source, indices, sum, true);
                 if self.cfg.train_on_replacement {
                     if let Some(old) = displaced {
                         if !old.useful {
@@ -447,7 +400,14 @@ impl PpfFilter {
                 }
             }
             Decision::Reject => {
-                let displaced = self.reject_table.record(block, inputs, indices, sum, false);
+                let displaced = self.reject_table.record(
+                    block,
+                    inputs.depth,
+                    inputs.source,
+                    indices,
+                    sum,
+                    false,
+                );
                 if self.cfg.train_on_replacement {
                     if let Some(old) = displaced {
                         self.negative_train_displaced(&old);
@@ -519,10 +479,11 @@ impl PpfFilter {
 
     /// Moves a displaced, unused Prefetch-Table entry into the Reject Table
     /// (probation). Whatever *that* displaces unused trains negative.
-    fn park_displaced(&mut self, old: crate::tables::TableEntry) {
+    fn park_displaced(&mut self, old: TableEntry) {
         let displaced = self.reject_table.record(
             old.target_block,
-            old.inputs,
+            old.depth,
+            old.source,
             old.indices,
             old.sum,
             old.perc_decision,
@@ -533,7 +494,7 @@ impl PpfFilter {
     }
 
     /// Negative training for an entry that aged out of both tables unused.
-    fn negative_train_displaced(&mut self, old: &crate::tables::TableEntry) {
+    fn negative_train_displaced(&mut self, old: &TableEntry) {
         // Only candidates the filter *accepted* are evidence of a wrong
         // positive; aged-out rejected candidates already got their verdict.
         if !old.perc_decision {
@@ -705,6 +666,44 @@ mod tests {
     }
 
     #[test]
+    fn training_events_are_in_buffer_order_after_wrap() {
+        let cfg = PpfConfig { event_log_capacity: 3, ..PpfConfig::default() };
+        let mut f = PpfFilter::new(cfg);
+        // Five events into three slots: three useful demands, then two
+        // unused evictions.
+        for (n, useful) in [true, true, true, false, false].into_iter().enumerate() {
+            let a = 0x10_0000 + n as u64 * 64;
+            let i = inputs(a, 80);
+            let (d, sum) = f.infer(&i);
+            assert_ne!(d, Decision::Reject);
+            f.record(a, i, sum, d);
+            if useful {
+                f.train_on_demand(a);
+            } else {
+                f.train_on_eviction(a, false);
+            }
+        }
+        let order: Vec<bool> = f.training_events().iter().map(|e| e.useful).collect();
+        // Events 4 and 5 overwrote slots 0 and 1; slot 2 still holds event
+        // 3. Oldest first would read [true, false, false].
+        assert_eq!(order, [false, false, true]);
+    }
+
+    #[test]
+    fn tracked_depth_and_source_come_from_the_first_record() {
+        let mut f = PpfFilter::new(PpfConfig::hybrid());
+        let mut i = inputs(0xB000, 80);
+        (i.depth, i.source) = (5, 2);
+        f.score_and_record([(0xB040, i)], |_, d| assert_ne!(d, Decision::Reject));
+        assert_eq!((f.tracked_depth(0xB040), f.tracked_source(0xB040)), (Some(5), Some(2)));
+        // A re-suggestion of the pending block keeps the first record.
+        (i.depth, i.source) = (1, 0);
+        f.score_and_record([(0xB040, i)], |_, _| {});
+        assert_eq!((f.tracked_depth(0xB040), f.tracked_source(0xB040)), (Some(5), Some(2)));
+        assert_eq!(f.tracked_depth(0xB080), None);
+    }
+
+    #[test]
     fn stats_track_decisions() {
         let mut f = PpfFilter::default();
         f.infer(&inputs(0x9000, 10));
@@ -746,8 +745,7 @@ mod tests {
     /// Batched scoring must reproduce the sequential infer/record loop
     /// exactly — including when recording one candidate displacement-trains
     /// the weights before the next is judged. Tiny metadata tables make
-    /// displacement constant, exercising the epoch rescore in
-    /// `score_and_record`.
+    /// displacement constant.
     #[test]
     fn batched_path_matches_sequential_with_mid_batch_training() {
         let tiny = PpfConfig {

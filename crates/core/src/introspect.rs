@@ -203,8 +203,8 @@ pub fn weight_saturation(filter: &PpfFilter) -> Vec<SaturationRow> {
             SaturationRow {
                 feature,
                 entries: weights.len(),
-                at_min: weights.iter().filter(|&&w| w == i32::from(WEIGHT_MIN)).count(),
-                at_max: weights.iter().filter(|&&w| w == i32::from(WEIGHT_MAX)).count(),
+                at_min: weights.iter().filter(|&&w| w == WEIGHT_MIN).count(),
+                at_max: weights.iter().filter(|&&w| w == WEIGHT_MAX).count(),
                 nonzero: weights.iter().filter(|&&w| w != 0).count(),
             }
         })

@@ -8,26 +8,28 @@
 //!
 //! # Data layout
 //!
-//! The per-feature tables are stored as **one contiguous `i32` arena** with
+//! The per-feature tables are stored as **one contiguous `i8` arena** with
 //! a precomputed base offset and index mask per feature (see DESIGN.md §5b).
-//! A feature's local hash index maps to an arena position with one add and
-//! one and (`base[f] + (local & mask[f])`); [`Perceptron::globalize`] does
-//! that mapping once per candidate and the resulting [`IndexList`] of arena
-//! positions drives inference ([`Perceptron::sum_at`]) and training
-//! ([`Perceptron::train_at`]) as a single gather over a flat slice — no
-//! per-table pointer chasing and no heap allocation.
+//! One byte holds one 5-bit weight, so the paper's nine tables take
+//! 22,656 bytes and stay cache-resident; weights widen to `i32` only when
+//! summed. [`Perceptron::index`] hashes each feature once, straight to its
+//! arena position `base[f] + (hash & mask[f])`, and the resulting
+//! [`IndexList`] of `u16` positions (an arena holds at most
+//! [`MAX_POSITIONS`]) drives inference ([`Perceptron::sum_at`]) and
+//! training ([`Perceptron::train_at`]) as a single gather over a flat
+//! slice — no per-table pointer chasing and no heap allocation.
 
-use crate::features::{IndexList, MAX_FEATURES};
+use crate::features::{FeatureInputs, FeatureKind, IndexList, MAX_FEATURES};
 
 /// Minimum weight value (5-bit signed).
 pub const WEIGHT_MIN: i8 = -16;
 /// Maximum weight value (5-bit signed).
 pub const WEIGHT_MAX: i8 = 15;
 
-/// Candidates per transposed block in [`Perceptron::sum_batch`]. Arbitrary
-/// batch sizes are chunked to this, so the stack-resident transpose buffer
-/// stays at `MAX_FEATURES * BATCH_CHUNK * 4` bytes (4 KiB).
-const BATCH_CHUNK: usize = 64;
+/// Most weights one arena holds: [`MAX_FEATURES`] tables of the largest
+/// (4,096-entry) size, so every position fits the `u16` of an
+/// [`IndexList`].
+pub const MAX_POSITIONS: usize = 1 << 16;
 
 /// An inline, fixed-capacity snapshot of the weights at an [`IndexList`]'s
 /// arena positions — the training-event log's carrier. `Copy` and
@@ -84,17 +86,11 @@ impl FromIterator<i8> for WeightList {
 #[derive(Debug, Clone)]
 pub struct Perceptron {
     /// All tables' weights, concatenated in feature order.
-    arena: Vec<i32>,
+    arena: Vec<i8>,
     /// Arena offset of each feature's table.
     bases: Vec<u32>,
     /// `entries - 1` per feature (all sizes are powers of two).
     masks: Vec<u32>,
-    /// Bumped on every weight mutation ([`Perceptron::train_at`],
-    /// [`Perceptron::load_weights`]). Batched scoring records the epoch it
-    /// scored under; a later epoch means the cached sums may be stale, so
-    /// each candidate judged after the move is rescored on its own (see
-    /// `PpfFilter::score_and_record`).
-    epoch: u64,
 }
 
 impl Perceptron {
@@ -102,7 +98,8 @@ impl Perceptron {
     ///
     /// # Panics
     ///
-    /// Panics if `sizes` is empty or any size is not a power of two.
+    /// Panics if `sizes` is empty, any size is not a power of two, or the
+    /// tables together exceed [`MAX_POSITIONS`] weights.
     pub fn new(sizes: &[usize]) -> Self {
         assert!(!sizes.is_empty(), "need at least one feature table");
         let mut bases = Vec::with_capacity(sizes.len());
@@ -114,19 +111,13 @@ impl Perceptron {
             masks.push((s - 1) as u32);
             total += s;
         }
-        Self { arena: vec![0; total], bases, masks, epoch: 0 }
+        assert!(total <= MAX_POSITIONS, "weight arena of {total} exceeds {MAX_POSITIONS} positions");
+        Self { arena: vec![0; total], bases, masks }
     }
 
     /// Number of feature tables.
     pub fn num_tables(&self) -> usize {
         self.bases.len()
-    }
-
-    /// Weight-mutation counter: unchanged epoch between two reads means no
-    /// weight changed in between, so cached inference sums are still exact.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Entries in one feature's table.
@@ -136,105 +127,85 @@ impl Perceptron {
 
     /// One feature's weights as a slice of the arena (for the paper's
     /// Figure 6 histograms).
-    pub fn feature_weights(&self, feature: usize) -> &[i32] {
+    pub fn feature_weights(&self, feature: usize) -> &[i8] {
         let base = self.bases[feature] as usize;
         &self.arena[base..base + self.table_len(feature)]
     }
 
     /// Reads one weight by feature and local (pre-mask) index.
     pub fn get(&self, feature: usize, index: usize) -> i32 {
-        self.arena[self.bases[feature] as usize + (index & self.masks[feature] as usize)]
+        i32::from(self.arena[self.bases[feature] as usize + (index & self.masks[feature] as usize)])
     }
 
-    /// Reads one weight by arena position (from [`Perceptron::globalize`]) —
+    /// Reads one weight by arena position (from [`Perceptron::index`]) —
     /// the single-index form of [`Perceptron::sum_at`]'s gather, used by
     /// decision-time telemetry to attribute each feature's contribution.
     #[inline]
-    pub fn weight_at(&self, global: u32) -> i32 {
-        self.arena[global as usize]
+    pub fn weight_at(&self, position: u16) -> i32 {
+        i32::from(self.arena[usize::from(position)])
+    }
+
+    /// Hashes every feature of `set` (table `f` for `set[f]`) straight to
+    /// its arena position, `base[f] + (hash & mask[f])`: one pass, done
+    /// once per candidate at inference time. The result is stored in the
+    /// Prefetch/Reject tables so training reuses it without rehashing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` does not have one feature per table.
+    #[inline]
+    pub fn index(&self, set: &[FeatureKind], inputs: &FeatureInputs) -> IndexList {
+        assert_eq!(set.len(), self.bases.len(), "one feature per table");
+        let hashes = FeatureKind::hashes(inputs);
+        let mut raw = [0u16; MAX_FEATURES];
+        for (slot, (&k, (&base, &mask))) in
+            raw.iter_mut().zip(set.iter().zip(self.bases.iter().zip(&self.masks)))
+        {
+            *slot = (base + (hashes[k as usize] as u32 & mask)) as u16;
+        }
+        IndexList::from_prefix(raw, set.len())
     }
 
     /// Maps per-feature local indices to arena positions: one add and one
-    /// mask per feature, done once per candidate at inference time. The
-    /// result is stored in the Prefetch/Reject tables so training reuses
-    /// it without rehashing.
+    /// mask per feature. [`Perceptron::index`] does the same in one pass
+    /// from the feature inputs; this two-step form serves callers that
+    /// already hold local indices (tests, offline analysis).
     pub fn globalize(&self, locals: &IndexList) -> IndexList {
         assert_eq!(locals.len(), self.bases.len(), "one index per feature table");
         locals
             .as_slice()
             .iter()
             .zip(self.bases.iter().zip(&self.masks))
-            .map(|(&local, (&base, &mask))| base + (local & mask))
+            .map(|(&local, (&base, &mask))| (base + (u32::from(local) & mask)) as u16)
             .collect()
     }
 
-    /// Inference over arena positions from [`Perceptron::globalize`]: a
-    /// single gather-and-sum over the flat weight slice, unrolled by
-    /// [`ppf_sim::simd::sum_gather_i32`] (`i32` addition over 5-bit weights
-    /// cannot overflow, so lane order doesn't matter).
-    pub fn sum_at(&self, globals: &IndexList) -> i32 {
-        ppf_sim::simd::sum_gather_i32(&self.arena, globals.as_slice())
-    }
-
-    /// Batched inference: scores `lists[c]` into `out[c]` for every
-    /// candidate in one call. Index lists are transposed into feature-major
-    /// order on the stack so each feature's weight-table cache lines are
-    /// touched once per chunk of [`BATCH_CHUNK`] candidates, then summed by
-    /// the same unrolled gather loops as [`Perceptron::sum_at`]. Results
-    /// are bit-identical to calling `sum_at` per candidate at this epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than `lists` or any list's arity differs
-    /// from the number of feature tables.
-    pub fn sum_batch(&self, lists: &[IndexList], out: &mut [i32]) {
-        assert!(out.len() >= lists.len(), "output slice shorter than batch");
-        let features = self.bases.len();
-        let mut trans = [0u32; MAX_FEATURES * BATCH_CHUNK];
-        for (chunk, out_chunk) in
-            lists.chunks(BATCH_CHUNK).zip(out.chunks_mut(BATCH_CHUNK))
-        {
-            for (c, list) in chunk.iter().enumerate() {
-                let idx = list.as_slice();
-                assert_eq!(idx.len(), features, "one index per feature table");
-                for (f, &i) in idx.iter().enumerate() {
-                    trans[f * BATCH_CHUNK + c] = i;
-                }
-            }
-            ppf_sim::simd::sum_batch_transposed(
-                &self.arena,
-                &trans,
-                features,
-                BATCH_CHUNK,
-                chunk.len(),
-                out_chunk,
-            );
-        }
+    /// Inference over arena positions from [`Perceptron::index`]: a single
+    /// gather over the flat byte arena, each weight widened to `i32` as it
+    /// is added (at most 16 weights of 5 bits cannot overflow).
+    #[inline]
+    pub fn sum_at(&self, positions: &IndexList) -> i32 {
+        positions.as_slice().iter().map(|&i| i32::from(self.arena[usize::from(i)])).sum()
     }
 
     /// Training over arena positions: bump every selected weight up
     /// (`true`) or down (`false`), saturating at the 5-bit range.
-    pub fn train_at(&mut self, globals: &IndexList, up: bool) {
-        self.epoch += 1;
-        for &i in globals.as_slice() {
-            let w = &mut self.arena[i as usize];
-            *w = if up {
-                (*w + 1).min(i32::from(WEIGHT_MAX))
-            } else {
-                (*w - 1).max(i32::from(WEIGHT_MIN))
-            };
+    pub fn train_at(&mut self, positions: &IndexList, up: bool) {
+        for &i in positions.as_slice() {
+            let w = &mut self.arena[usize::from(i)];
+            *w = if up { (*w + 1).min(WEIGHT_MAX) } else { (*w - 1).max(WEIGHT_MIN) };
         }
     }
 
     /// Reads the weights at arena positions (for the training-event log).
     /// Returns an inline fixed-capacity [`WeightList`] — no heap traffic on
     /// the event-logging path.
-    pub fn weights_at(&self, globals: &IndexList) -> WeightList {
-        globals.as_slice().iter().map(|&i| self.arena[i as usize] as i8).collect()
+    pub fn weights_at(&self, positions: &IndexList) -> WeightList {
+        positions.as_slice().iter().map(|&i| self.arena[usize::from(i)]).collect()
     }
 
     /// Inference from per-feature local indices (convenience for tests and
-    /// offline analysis; the hot path globalizes once and uses
+    /// offline analysis; the hot path indexes once and uses
     /// [`Perceptron::sum_at`]).
     ///
     /// # Panics
@@ -252,27 +223,27 @@ impl Perceptron {
     /// Panics if `indices.len()` differs from the number of tables.
     pub fn train(&mut self, indices: &[usize], up: bool) {
         assert_eq!(indices.len(), self.bases.len(), "one index per feature table");
-        let globals: IndexList = indices
+        let positions: IndexList = indices
             .iter()
             .enumerate()
-            .map(|(f, &i)| self.bases[f] + (i as u32 & self.masks[f]))
+            .map(|(f, &i)| (self.bases[f] + (i as u32 & self.masks[f])) as u16)
             .collect();
-        self.train_at(&globals, up);
+        self.train_at(&positions, up);
     }
 
-    /// Total storage in bits (5 bits per weight, as in hardware — the
-    /// simulator's `i32` arena is a speed/layout choice, not a budget one).
+    /// Total storage in bits: 5 bits per weight, as in hardware. The
+    /// simulator keeps each weight in a whole byte; the budget counts the
+    /// modeled 5.
     pub fn storage_bits(&self) -> u64 {
         self.arena.len() as u64 * 5
     }
 
     /// Serializes all weights into a flat byte vector (one `i8` per weight,
-    /// tables concatenated in order). Pair with [`Perceptron::load_weights`]
-    /// to warm-start a filter from a previous run. The byte format is
-    /// unchanged from the per-table layout: the arena *is* the
-    /// concatenation.
+    /// tables concatenated in order): the arena's own bytes. Pair with
+    /// [`Perceptron::load_weights`] to warm-start a filter from a previous
+    /// run.
     pub fn save_weights(&self) -> Vec<u8> {
-        self.arena.iter().map(|&w| (w as i8) as u8).collect()
+        self.arena.iter().map(|&w| w as u8).collect()
     }
 
     /// Restores weights produced by [`Perceptron::save_weights`].
@@ -291,14 +262,13 @@ impl Perceptron {
                 return Err(format!("weight {w} outside the 5-bit range"));
             }
         }
-        self.epoch += 1;
         for (slot, &b) in self.arena.iter_mut().zip(bytes) {
-            *slot = i32::from(b as i8);
+            *slot = b as i8;
         }
         Ok(())
     }
 
-    /// FNV-1a digest of the full weight arena (as the `i8` values
+    /// FNV-1a digest of the full weight arena (as the bytes
     /// [`Perceptron::save_weights`] serializes). Two perceptrons with equal
     /// digests hold bit-identical weights — the cheap equality check the
     /// serving daemon's warm-start verification and the checkpoint tests
@@ -306,7 +276,7 @@ impl Perceptron {
     pub fn weights_digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for &w in &self.arena {
-            h ^= u64::from((w as i8) as u8);
+            h ^= u64::from(w as u8);
             h = h.wrapping_mul(0x100_0000_01b3);
         }
         h
@@ -324,7 +294,7 @@ mod tests {
     use super::*;
 
     fn globals(p: &Perceptron, locals: &[usize]) -> IndexList {
-        p.globalize(&locals.iter().map(|&i| i as u32).collect())
+        p.globalize(&locals.iter().map(|&i| i as u16).collect())
     }
 
     #[test]
@@ -444,39 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_batch_matches_per_candidate() {
-        let mut p = Perceptron::new(&[64, 128, 4096]);
-        // Scatter some trained weight so sums are non-trivial.
-        for i in 0..200usize {
-            p.train(&[i % 64, (i * 7) % 128, (i * 13) % 4096], i % 3 != 0);
-        }
-        // Sizes straddling the 8-lane blocks and the 64-candidate chunk.
-        for n in [0usize, 1, 7, 8, 9, 40, 63, 64, 65, 130] {
-            let lists: Vec<IndexList> = (0..n)
-                .map(|c| globals(&p, &[c % 64, (c * 3) % 128, (c * 11) % 4096]))
-                .collect();
-            let mut out = vec![0i32; n];
-            p.sum_batch(&lists, &mut out);
-            for (c, list) in lists.iter().enumerate() {
-                assert_eq!(out[c], p.sum_at(list), "batch {n}, candidate {c}");
-            }
-        }
-    }
-
-    #[test]
-    fn epoch_tracks_weight_mutations() {
-        let mut p = Perceptron::new(&[64, 128]);
-        assert_eq!(p.epoch(), 0);
-        let g = globals(&p, &[3, 70]);
-        p.train_at(&g, true);
-        assert_eq!(p.epoch(), 1);
-        let saved = p.save_weights();
-        assert_eq!(p.epoch(), 1, "read-only ops leave the epoch alone");
-        p.load_weights(&saved).expect("roundtrip");
-        assert_eq!(p.epoch(), 2, "bulk weight load moves the epoch");
-    }
-
-    #[test]
     fn weight_list_carrier() {
         let mut p = Perceptron::new(&[64, 128]);
         let g = globals(&p, &[3, 70]);
@@ -497,5 +434,44 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_pow2_rejected() {
         Perceptron::new(&[100]);
+    }
+
+    #[test]
+    fn arena_fills_every_u16_position() {
+        // Sixteen 4,096-entry tables: exactly MAX_POSITIONS weights, the
+        // last one reachable through a u16 position.
+        let mut p = Perceptron::new(&[4096; MAX_FEATURES]);
+        p.train(&[4095; MAX_FEATURES], true);
+        assert_eq!(p.weight_at(u16::MAX), 1);
+        assert_eq!(p.sum(&[4095; MAX_FEATURES]), MAX_FEATURES as i32);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 65536 positions")]
+    fn arena_above_u16_positions_rejected() {
+        Perceptron::new(&[32768, 32768, 1]);
+    }
+
+    #[test]
+    fn index_hashes_straight_to_arena_positions() {
+        use crate::features::index_list;
+        let set = FeatureKind::default_set();
+        let sizes: Vec<usize> = set.iter().map(|k| k.table_entries()).collect();
+        let p = Perceptron::new(&sizes);
+        let inputs = FeatureInputs {
+            trigger_addr: 0x00de_adbe_efc0,
+            trigger_pc: 0x40_1234,
+            pc_1: 0x40_1230,
+            signature: 0x5a5,
+            confidence: 87,
+            delta: -3,
+            depth: 4,
+            ..FeatureInputs::default()
+        };
+        let positions = p.index(&set, &inputs);
+        assert_eq!(positions, p.globalize(&index_list(&set, &inputs)));
+        // Feature 1 (cache line) lands in its own table's slice.
+        let cache_line = usize::from(positions.as_slice()[1]);
+        assert_eq!(cache_line - 4096, FeatureKind::CacheLine.index(&inputs));
     }
 }

@@ -7,14 +7,26 @@
 //! Table additionally lets PPF recover from false negatives: a demand hit
 //! on a rejected candidate trains the filter upward.
 
-use crate::features::{FeatureInputs, IndexList};
+use crate::features::IndexList;
 
 /// One entry's stored metadata (cf. paper Table 2; 85 bits in hardware).
+///
+/// Hardware re-derives the weight indices from the stored trigger
+/// metadata (PC, address, signature, delta, confidence, depth). The
+/// simulator stores the derived indices instead, plus the two metadata
+/// fields it reads back, so an entry is 56 bytes rather than a copy of
+/// every feature input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableEntry {
     /// The prefetch target's block number (hardware reconstructs this from
     /// index+tag; the simulator stores it directly).
     pub target_block: u64,
+    /// Weight-arena positions computed at inference time. Training reuses
+    /// these directly instead of rehashing the features — an inline `Copy`
+    /// array, so recording an entry never touches the heap.
+    pub indices: IndexList,
+    /// Perceptron sum at inference time.
+    pub sum: i32,
     /// Tag (6 bits of the block address above the index).
     pub tag: u16,
     /// The entry already produced a useful-demand training event.
@@ -22,17 +34,12 @@ pub struct TableEntry {
     /// The perceptron's decision when the entry was recorded (`true` =
     /// prefetched; always `true` in the Prefetch Table, `false` in Reject).
     pub perc_decision: bool,
-    /// Feature inputs recorded for introspection (depth statistics) and to
-    /// mirror the hardware's stored metadata.
-    pub inputs: FeatureInputs,
-    /// Weight-arena positions computed at inference time. Training reuses
-    /// these directly instead of rehashing the features — an inline `Copy`
-    /// array, so recording an entry never touches the heap. (Hardware
-    /// equivalently re-derives them from the stored metadata; storing both
-    /// is a simulator-speed choice, not extra modeled state.)
-    pub indices: IndexList,
-    /// Perceptron sum at inference time (for threshold-gated training).
-    pub sum: i32,
+    /// Lookahead depth of the candidate (`FeatureInputs::depth`), for the
+    /// per-depth usefulness statistics.
+    pub depth: u8,
+    /// Originating scheme (`FeatureInputs::source`), for routing useful
+    /// and fill credit in a hybrid source.
+    pub source: u8,
 }
 
 /// A direct-mapped metadata table keyed by prefetch-target block number.
@@ -87,12 +94,13 @@ impl MetaTable {
     /// A re-record of a block whose entry is still pending (not yet useful)
     /// keeps the existing entry untouched: lookahead re-suggests in-flight
     /// targets every trigger, but the hardware tracks the prefetch that was
-    /// actually issued — its metadata (depth, signature, confidence) is what
-    /// training must re-index.
+    /// actually sent — its indices, depth and source are what training
+    /// and credit attribution must see.
     pub fn record(
         &mut self,
         block: u64,
-        inputs: FeatureInputs,
+        depth: u8,
+        source: u8,
         indices: IndexList,
         sum: i32,
         perc_decision: bool,
@@ -105,12 +113,13 @@ impl MetaTable {
         let displaced = self.entries[idx].take().filter(|e| e.tag != tag);
         self.entries[idx] = Some(TableEntry {
             target_block: block,
+            indices,
+            sum,
             tag,
             useful: false,
             perc_decision,
-            inputs,
-            indices,
-            sum,
+            depth,
+            source,
         });
         displaced
     }
@@ -161,16 +170,16 @@ pub fn reject_table_entry_bits() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::IndexList;
 
-    fn inputs(addr: u64) -> FeatureInputs {
-        FeatureInputs { trigger_addr: addr, ..FeatureInputs::default() }
+    /// Records `block` at depth `depth` with empty indices.
+    fn record(t: &mut MetaTable, block: u64, depth: u8, sum: i32, perc: bool) -> Option<TableEntry> {
+        t.record(block, depth, 0, IndexList::new(), sum, perc)
     }
 
     #[test]
     fn record_then_lookup() {
         let mut t = MetaTable::new(1024);
-        t.record(0xABCD, inputs(1), IndexList::new(), 7, true);
+        record(&mut t, 0xABCD, 1, 7, true);
         let e = t.lookup(0xABCD).expect("present");
         assert_eq!(e.sum, 7);
         assert!(e.perc_decision);
@@ -180,7 +189,7 @@ mod tests {
     #[test]
     fn tag_mismatch_misses() {
         let mut t = MetaTable::new(1024);
-        t.record(0xABCD, inputs(1), IndexList::new(), 0, true);
+        record(&mut t, 0xABCD, 1, 0, true);
         // Same index (low 10 bits), different tag bits above.
         let alias = 0xABCD ^ (1 << 12);
         assert!(t.lookup(alias).is_none());
@@ -189,9 +198,9 @@ mod tests {
     #[test]
     fn aliasing_replaces() {
         let mut t = MetaTable::new(1024);
-        t.record(0xABCD, inputs(1), IndexList::new(), 1, true);
+        record(&mut t, 0xABCD, 1, 1, true);
         let alias = 0xABCD ^ (1 << 10);
-        t.record(alias, inputs(2), IndexList::new(), 2, false);
+        record(&mut t, alias, 2, 2, false);
         assert!(t.lookup(0xABCD).is_none(), "older entry evicted by alias");
         assert_eq!(t.lookup(alias).unwrap().sum, 2);
     }
@@ -199,15 +208,16 @@ mod tests {
     #[test]
     fn pending_entry_survives_re_record() {
         let mut t = MetaTable::new(1024);
-        t.record(0xABCD, inputs(1), IndexList::new(), 1, true);
+        record(&mut t, 0xABCD, 1, 1, true);
         // Re-suggestion of the same in-flight block: the original issued
         // prefetch's metadata must be preserved.
-        assert!(t.record(0xABCD, inputs(2), IndexList::new(), 9, true).is_none());
+        assert!(record(&mut t, 0xABCD, 2, 9, true).is_none());
         assert_eq!(t.lookup(0xABCD).unwrap().sum, 1);
+        assert_eq!(t.lookup(0xABCD).unwrap().depth, 1);
         // After the entry proves useful, a fresh prefetch generation may
         // replace it.
         t.lookup_mut(0xABCD).unwrap().useful = true;
-        t.record(0xABCD, inputs(3), IndexList::new(), 7, true);
+        record(&mut t, 0xABCD, 3, 7, true);
         let e = t.lookup(0xABCD).unwrap();
         assert_eq!(e.sum, 7);
         assert!(!e.useful);
@@ -216,7 +226,7 @@ mod tests {
     #[test]
     fn take_removes() {
         let mut t = MetaTable::new(64);
-        t.record(5, inputs(1), IndexList::new(), 3, true);
+        record(&mut t, 5, 1, 3, true);
         assert!(t.take(5).is_some());
         assert!(t.lookup(5).is_none());
         assert!(t.take(5).is_none());
@@ -225,7 +235,7 @@ mod tests {
     #[test]
     fn lookup_mut_allows_marking_useful() {
         let mut t = MetaTable::new(64);
-        t.record(9, inputs(1), IndexList::new(), 0, true);
+        record(&mut t, 9, 1, 0, true);
         t.lookup_mut(9).unwrap().useful = true;
         assert!(t.lookup(9).unwrap().useful);
     }
@@ -234,9 +244,16 @@ mod tests {
     fn occupancy_counts() {
         let mut t = MetaTable::new(64);
         assert_eq!(t.occupancy(), 0);
-        t.record(1, inputs(1), IndexList::new(), 0, true);
-        t.record(2, inputs(2), IndexList::new(), 0, true);
+        record(&mut t, 1, 1, 0, true);
+        record(&mut t, 2, 2, 0, true);
         assert_eq!(t.occupancy(), 2);
+    }
+
+    #[test]
+    fn slot_is_56_bytes() {
+        // The empty-slot `None` fits in a bool niche, so a 1,024-entry
+        // table is 56 KiB.
+        assert_eq!(std::mem::size_of::<Option<TableEntry>>(), 56);
     }
 
     #[test]

@@ -22,8 +22,8 @@ use ppf_sim::{
 pub const DEPTH_BUCKETS: usize = 16;
 
 /// Distinct lookahead depths scored per [`PpfFilter::score_and_record`]
-/// call (see `depth_window_len`). Only the host-side batching depends on
-/// it; decisions are the same at any window.
+/// call (see `depth_window_len`). Decisions are the same at any window;
+/// the value survives because `FilterCounters::batch_window` reports it.
 const BATCH_WINDOW: usize = 8;
 
 /// PPF-specific run statistics (Sec 6.1 depth analysis).
@@ -201,10 +201,10 @@ impl<S: LookaheadSource> Prefetcher for Ppf<S> {
         cands.clear();
         self.source.candidates(ctx, &mut cands);
 
-        // Judge the stream one depth-window at a time: the filter scores a
-        // whole window in one batched pass, then commits decisions strictly
-        // in candidate order, so emission order and τ-threshold semantics
-        // match the per-candidate loop exactly. `last_signature` chains
+        // Judge the stream one depth-window at a time: the filter scores,
+        // commits and records each candidate strictly in order, so
+        // emission order and τ-threshold semantics match the per-candidate
+        // loop exactly. `last_signature` chains
         // through the lookahead path (the previous step's signature) and
         // depends only on candidate metadata.
         let mut last_signature = cands.first().map_or(0, |c| c.meta.signature);
@@ -583,7 +583,7 @@ mod tests {
         }
     }
 
-    /// `on_demand_access` scores through the batched filter path; it must
+    /// `on_demand_access` scores through `score_and_record`; it must
     /// issue the same requests and leave the same counters and weights as
     /// scoring the same candidate stream one `infer_indexed` +
     /// `record_indexed` at a time. Tiny metadata tables make recording

@@ -1,5 +1,7 @@
-//! Property test: the flattened weight arena is bit-identical to the
-//! nine-separate-tables design it replaced.
+//! Property tests: the flattened byte arena is bit-identical to the
+//! nine-separate-tables design it replaced, and its one-pass feature
+//! indexing lands on the same positions as hashing to local indices and
+//! then globalizing them.
 //!
 //! The reference model below is a straight transcription of the
 //! pre-arena `WeightTable` code — one independent `Vec<i32>` per feature,
@@ -7,7 +9,8 @@
 //! interleavings of inference and training must produce exactly the same
 //! sums and exactly the same final weights in both layouts.
 
-use ppf::{IndexList, Perceptron, WEIGHT_MAX, WEIGHT_MIN};
+use ppf::features::index_list;
+use ppf::{FeatureInputs, FeatureKind, IndexList, Perceptron, WEIGHT_MAX, WEIGHT_MIN};
 use proptest::prelude::*;
 
 /// The old layout: one heap table per feature.
@@ -49,6 +52,25 @@ impl RefTables {
 /// indices and uses the first `sizes.len()` of them.
 const MAX_TABLES: usize = 9;
 
+/// The feature sets the one-pass index is checked on: the default and
+/// hybrid sets, the default set plus each rejected feature, and `extra`
+/// (an arbitrary sequence of kinds, repeats allowed).
+fn feature_sets(extra: &[usize]) -> Vec<Vec<FeatureKind>> {
+    let with = |k: FeatureKind| {
+        let mut set = FeatureKind::default_set();
+        set.push(k);
+        set
+    };
+    vec![
+        FeatureKind::default_set(),
+        FeatureKind::hybrid_set(),
+        with(FeatureKind::LastSignature),
+        with(FeatureKind::RawPc),
+        with(FeatureKind::DepthAlone),
+        extra.iter().map(|&i| FeatureKind::ALL[i]).collect(),
+    ]
+}
+
 proptest! {
     #[test]
     fn arena_matches_nine_tables(
@@ -66,9 +88,9 @@ proptest! {
         let mut reference = RefTables::new(&sizes);
         for (raw, action) in &script {
             let locals = &raw[..sizes.len()];
-            // The production path: globalize once (which applies the
-            // per-feature masks), then gather/update through the flat arena.
-            let local_list: IndexList = locals.iter().map(|&ix| ix as u32).collect();
+            // Globalize once (which applies the per-feature masks), then
+            // gather/update through the flat arena as the filter does.
+            let local_list: IndexList = locals.iter().map(|&ix| ix as u16).collect();
             let globals = arena.globalize(&local_list);
             match action {
                 0 => prop_assert_eq!(arena.sum_at(&globals), reference.sum(locals)),
@@ -84,7 +106,8 @@ proptest! {
         }
         // Final weights must be bit-identical, table by table, entry by entry.
         for (f, table) in reference.tables.iter().enumerate() {
-            prop_assert_eq!(arena.feature_weights(f), table.as_slice(), "feature {}", f);
+            let widened: Vec<i32> = arena.feature_weights(f).iter().map(|&w| i32::from(w)).collect();
+            prop_assert_eq!(widened, table.clone(), "feature {}", f);
         }
         // And the serialized form (what checkpoints store) must agree with
         // the reference weights byte for byte.
@@ -112,7 +135,7 @@ proptest! {
         let mut b = Perceptron::new(&sizes);
         for (raw, action) in &script {
             let locals = &raw[..sizes.len()];
-            let local_list: IndexList = locals.iter().map(|&ix| ix as u32).collect();
+            let local_list: IndexList = locals.iter().map(|&ix| ix as u16).collect();
             let globals = b.globalize(&local_list);
             match action {
                 0 => prop_assert_eq!(a.sum(locals), b.sum_at(&globals)),
@@ -128,6 +151,42 @@ proptest! {
         }
         for f in 0..sizes.len() {
             prop_assert_eq!(a.feature_weights(f), b.feature_weights(f), "feature {}", f);
+        }
+    }
+
+    /// `Perceptron::index` (hash straight to `base + (hash & mask)`) gives
+    /// the positions of the two-pass `globalize(index_list(..))` on every
+    /// input, for every feature set.
+    #[test]
+    fn one_pass_index_matches_two_pass(
+        fields in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        meta in (any::<u16>(), any::<u16>(), 0u8..=100, any::<i16>(), any::<u8>(), any::<u8>()),
+        extra in collection::vec(0usize..FeatureKind::ALL.len(), 1..17),
+    ) {
+        let (trigger_addr, trigger_pc, pc_1, pc_2, pc_3) = fields;
+        let (signature, last_signature, confidence, delta, depth, source) = meta;
+        let inputs = FeatureInputs {
+            trigger_addr,
+            trigger_pc,
+            pc_1,
+            pc_2,
+            pc_3,
+            signature,
+            last_signature,
+            confidence,
+            delta,
+            depth,
+            source,
+        };
+        for set in feature_sets(&extra) {
+            let sizes: Vec<usize> = set.iter().map(|k| k.table_entries()).collect();
+            let p = Perceptron::new(&sizes);
+            prop_assert_eq!(
+                p.index(&set, &inputs),
+                p.globalize(&index_list(&set, &inputs)),
+                "set {:?}",
+                set
+            );
         }
     }
 }

@@ -34,21 +34,7 @@ proptest! {
     /// Feature indices stay within their tables for every possible input.
     #[test]
     fn feature_indices_in_range(inputs in arb_inputs()) {
-        for k in [
-            FeatureKind::PhysAddr,
-            FeatureKind::CacheLine,
-            FeatureKind::PageAddr,
-            FeatureKind::ConfidenceXorPage,
-            FeatureKind::PcPathHash,
-            FeatureKind::SignatureXorDelta,
-            FeatureKind::PcXorDepth,
-            FeatureKind::PcXorDelta,
-            FeatureKind::Confidence,
-            FeatureKind::LastSignature,
-            FeatureKind::RawPc,
-            FeatureKind::DepthAlone,
-            FeatureKind::SourceId,
-        ] {
+        for k in FeatureKind::ALL {
             prop_assert!(k.index(&inputs) < k.table_entries(), "{}", k.label());
         }
     }

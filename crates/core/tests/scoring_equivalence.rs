@@ -1,7 +1,6 @@
-//! Differential property tests for batched scoring: the scalar reference
-//! vs `sum_at` vs `sum_batch`, and `PpfFilter::score_and_record` vs the
-//! sequential `infer_indexed` + `record_indexed` loop — all must be
-//! bit-identical.
+//! Differential property tests for scoring: the scalar reference vs
+//! `sum_at`, and `PpfFilter::score_and_record` vs the sequential
+//! `infer_indexed` + `record_indexed` loop — all must be bit-identical.
 
 use ppf::{Decision, FeatureInputs, IndexList, Perceptron, PpfConfig, PpfFilter, MAX_BATCH};
 use proptest::prelude::*;
@@ -33,7 +32,7 @@ fn score_sequential(f: &mut PpfFilter, window: &[(u64, FeatureInputs)], out: &mu
     }
 }
 
-/// The batched path under test, checking that decisions arrive in order.
+/// The streamed path under test, checking that decisions arrive in order.
 fn score_batched(f: &mut PpfFilter, window: &[(u64, FeatureInputs)], out: &mut Vec<Decision>) {
     let start = out.len();
     f.score_and_record(window.iter().copied(), |j, d| {
@@ -62,36 +61,9 @@ proptest! {
     ) {
         let p = trained_perceptron(&size_bits, &train_steps);
         let g = p.globalize(
-            &locals[..size_bits.len()].iter().map(|&i| i as u32).collect::<IndexList>(),
+            &locals[..size_bits.len()].iter().map(|&i| i as u16).collect::<IndexList>(),
         );
         prop_assert_eq!(p.sum_at(&g), scalar_sum(&p, &g));
-    }
-
-    /// Batched scoring at every awkward size — 0, 1, sub-lane, lane-exact,
-    /// and past the 64-candidate chunk boundary — matches per-candidate
-    /// `sum_at` element-wise.
-    #[test]
-    fn sum_batch_matches_sum_at(
-        size_bits in proptest::collection::vec(6u32..13, 2..10),
-        train_steps in proptest::collection::vec((0usize..1 << 16, any::<bool>()), 0..100),
-        seeds in proptest::collection::vec(0usize..1 << 16, 0..150),
-    ) {
-        let p = trained_perceptron(&size_bits, &train_steps);
-        let lists: Vec<IndexList> = seeds
-            .iter()
-            .map(|&s| {
-                p.globalize(
-                    &(0..size_bits.len())
-                        .map(|f| s.wrapping_mul(f + 7) as u32)
-                        .collect::<IndexList>(),
-                )
-            })
-            .collect();
-        let mut out = vec![0i32; lists.len()];
-        p.sum_batch(&lists, &mut out);
-        for (c, list) in lists.iter().enumerate() {
-            prop_assert_eq!(out[c], p.sum_at(list), "candidate {} of {}", c, lists.len());
-        }
     }
 
     /// `score_and_record` over windows of 0..=MAX_BATCH+17 candidates —
@@ -132,7 +104,7 @@ proptest! {
         let mut decisions_seq = Vec::new();
         let mut decisions_bat = Vec::new();
         let mut cursor = 0usize;
-        // Window sizes cycle through the generated list, so chunk
+        // Window sizes cycle through the generated list, so window
         // boundaries land at arbitrary (and repeating) offsets. The bound
         // on rounds keeps an all-zero list finite; the tail goes last.
         for round in 0..stream.len() + windows.len() {

@@ -143,10 +143,9 @@ fn steady_state_filter_path_never_allocates() {
     );
     assert_eq!(f.training_events().len(), 64, "the ring must have filled and wrapped");
 
-    // Batched scoring path: score_and_record over windows of 9 and of
-    // MAX_BATCH + 6 (two internal chunks), including epoch-triggered
-    // per-candidate rescores when recording displacement-trains
-    // mid-window, is allocation-free too: its scratch lives in the filter.
+    // Streamed scoring path: score_and_record over windows of 9 and of
+    // MAX_BATCH + 6 candidates, with recording displacement-training
+    // mid-window, is allocation-free too.
     let mut f = PpfFilter::new(PpfConfig {
         prefetch_table_entries: 8, // tiny tables force mid-window training
         reject_table_entries: 8,
@@ -176,7 +175,7 @@ fn steady_state_filter_path_never_allocates() {
     assert_eq!(
         after - before,
         0,
-        "batched inference path allocated {} time(s)",
+        "streamed scoring path allocated {} time(s)",
         after - before
     );
     assert!(f.stats.replacement_trains > 0, "tiny tables must have displacement-trained");

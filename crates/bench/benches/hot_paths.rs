@@ -1,15 +1,19 @@
 //! Criterion micro-benchmarks for the filter's per-candidate path
 //! (`infer_indexed` + `record_indexed`, `score_and_record` over a depth
-//! window, and the one-pass feature index into the byte arena) and the
-//! struct-of-arrays cache tag scan (`probe` / `demand_access` / `fill`).
+//! window, and the one-pass feature index into the byte arena), the
+//! struct-of-arrays cache tag scan (`probe` / `demand_access` / `fill`),
+//! and the simulator's base tick.
 //!
 //! These isolate the data-layout work from whole-simulator noise: the
 //! `perceptron` bench measures the legacy `infer` API, this one measures
 //! the indexed path the simulator wrapper actually drives.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ppf::{Decision, FeatureInputs, FeatureKind, Perceptron, PpfConfig, PpfFilter};
-use ppf_sim::{Cache, CacheConfig, FillKind, ReplacementPolicy};
+use ppf_sim::{
+    Cache, CacheConfig, FillKind, NoPrefetcher, ReplacementPolicy, Simulation, SystemConfig,
+};
+use ppf_trace::SequentialStream;
 
 fn inputs(i: u64) -> FeatureInputs {
     FeatureInputs {
@@ -138,5 +142,49 @@ fn bench_cache_tag_scan(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_filter_fast_path, bench_score_and_record, bench_cache_tag_scan);
+/// A single core under `NoPrefetcher` streaming over 4 blocks, which stay
+/// L1-resident after the first touch, with `work` compute ops per memory
+/// record: every executed tick is retire, dispatch and horizon work with no
+/// miss, fill or prefetcher behind it.
+fn floor_sim(work: u8) -> Simulation {
+    let mut sim = Simulation::new(SystemConfig::single_core());
+    sim.set_cycle_skip(true);
+    let trace = SequentialStream::new(0x100_0000, 4, 0x40_0000, work);
+    sim.add_core("floor", Box::new(trace), Box::new(NoPrefetcher));
+    sim
+}
+
+/// The base tick's cost floor, per executed tick: `compute_floor` (60
+/// compute ops per record, so nearly every dispatch slot is compute) and
+/// `l1_hit_mix` (1 compute op per record, so half the slots are L1 hits).
+/// The simulator is deterministic, so a probe run gives the ticks every
+/// measured run executes, and `elem/s` reads as ticks per second.
+fn bench_tick(c: &mut Criterion) {
+    const WARMUP: u64 = 1_000;
+    const MEASURE: u64 = 200_000;
+    let mut g = c.benchmark_group("tick");
+    for (name, work) in [("compute_floor", 60), ("l1_hit_mix", 1)] {
+        let mut probe = floor_sim(work);
+        probe.run(WARMUP, MEASURE);
+        let ticks = probe.cycle_stats().ticks;
+        eprintln!("[tick/{name}] {ticks} executed ticks per run");
+        g.throughput(Throughput::Elements(ticks));
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                || floor_sim(work),
+                |mut sim| sim.run(WARMUP, MEASURE),
+                BatchSize::PerIteration,
+            );
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_filter_fast_path,
+    bench_score_and_record,
+    bench_cache_tag_scan,
+    bench_tick
+);
 criterion_main!(benches);

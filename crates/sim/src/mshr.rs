@@ -40,20 +40,17 @@ pub struct MshrEntry {
 
 /// A bounded file of outstanding misses, keyed by block number.
 ///
-/// Readiness is tracked with a lazily-invalidated min-heap of
-/// `(ready_at, block)` plus a cached lower bound on the earliest completion,
-/// so the common per-cycle `drain_ready` call with nothing ready is a single
-/// integer comparison instead of a scan over every entry. A heap node is
-/// stale (ignored when popped) once its block is gone or has been promoted
-/// to an earlier `ready_at`; every live entry always has a node carrying its
-/// exact completion time.
+/// Readiness is tracked with a min-heap of `(ready_at, block)` plus the
+/// cached earliest completion, so the common per-cycle `drain_ready` call
+/// with nothing ready is a single integer comparison instead of a scan over
+/// every entry. A completion time never changes after allocation, so the
+/// heap holds exactly one node per live entry, carrying its `ready_at`.
 #[derive(Debug)]
 pub struct MshrFile {
     capacity: usize,
     entries: FxHashMap<u64, MshrEntry>,
     ready_heap: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Lower bound on the earliest `ready_at` (`u64::MAX` when the heap is
-    /// empty); may be early after a promote-then-drain, never late.
+    /// The earliest live `ready_at` (`u64::MAX` when the file is empty).
     next_ready: u64,
 }
 
@@ -107,9 +104,8 @@ impl MshrFile {
 
     /// Mutable lookup of an in-flight entry.
     ///
-    /// Callers may edit any field except `ready_at` — completion times must
-    /// change through [`MshrFile::promote`] so the readiness index stays
-    /// consistent.
+    /// Callers may edit any field except `ready_at`: the readiness index
+    /// keeps the completion time the entry was allocated with.
     pub fn get_mut(&mut self, block: u64) -> Option<&mut MshrEntry> {
         self.entries.get_mut(&block)
     }
@@ -152,21 +148,6 @@ impl MshrFile {
         MshrAlloc::Allocated
     }
 
-    /// Pulls an in-flight entry's completion earlier (demand merged into a
-    /// prefetch: the controller promotes the request to demand priority).
-    /// The new time never moves later and never before `floor`.
-    pub fn promote(&mut self, block: u64, credit: u64, floor: u64) {
-        if let Some(e) = self.entries.get_mut(&block) {
-            let new_ready = e.ready_at.saturating_sub(credit).max(floor).min(e.ready_at);
-            if new_ready != e.ready_at {
-                e.ready_at = new_ready;
-                // The old heap node goes stale; this one carries the live time.
-                self.ready_heap.push(Reverse((new_ready, block)));
-                self.next_ready = self.next_ready.min(new_ready);
-            }
-        }
-    }
-
     /// Registers a ROB waiter on an in-flight block, noting when the wait
     /// began (for latency accounting).
     ///
@@ -177,11 +158,11 @@ impl MshrFile {
         self.entries.get_mut(&block).expect("waiter on missing MSHR").waiters.push((seq, since));
     }
 
-    /// Lower bound on the earliest cycle any in-flight fill completes
-    /// (`u64::MAX` when the file is empty). May run early after a
-    /// promote-then-drain, never late — so it is a safe contribution to the
-    /// simulator's event horizon: no fill from this file can be missed by
-    /// skipping straight to this cycle.
+    /// The earliest cycle any in-flight fill completes (`u64::MAX` when the
+    /// file is empty). It is exact: [`MshrFile::drain_ready_into`] at
+    /// `cycle` returns something if and only if `next_ready() <= cycle`. So
+    /// it is both the file's term of the simulator's event horizon and the
+    /// check the simulator gates each drain on.
     pub fn next_ready(&self) -> u64 {
         self.next_ready
     }
@@ -190,11 +171,9 @@ impl MshrFile {
     /// `out` (cleared first), in deterministic (block-number) order.
     ///
     /// The common nothing-ready call is a single comparison against the
-    /// cached lower bound. A ready batch is collected by peeking the heap
-    /// before each pop and removing the live entry directly — one hash
-    /// removal per drained block; stale nodes (the block was promoted to an
-    /// earlier time, or a duplicate node survived a reallocation) find the
-    /// entry gone or timestamped differently and are discarded.
+    /// cached earliest completion. A ready batch is collected by peeking the
+    /// heap before each pop and removing its entry directly — one hash
+    /// removal per drained block.
     pub fn drain_ready_into(&mut self, cycle: u64, out: &mut Vec<(u64, MshrEntry)>) {
         out.clear();
         if self.next_ready > cycle {
@@ -205,12 +184,9 @@ impl MshrFile {
                 break;
             }
             self.ready_heap.pop();
-            // Stale node unless the live entry still completes exactly at `t`
-            // (a second node for the same block finds the entry already gone).
-            if self.entries.get(&b).is_some_and(|e| e.ready_at == t) {
-                let e = self.entries.remove(&b).expect("just found");
-                out.push((b, e));
-            }
+            let e = self.entries.remove(&b).expect("every heap node has a live entry");
+            debug_assert_eq!(e.ready_at, t, "stale heap node for block {b:#x}");
+            out.push((b, e));
         }
         self.next_ready =
             self.ready_heap.peek().map_or(u64::MAX, |&Reverse((t, _))| t);
@@ -229,11 +205,12 @@ impl MshrFile {
     /// of the first violation found:
     ///
     /// - the number of live entries never exceeds the configured capacity,
-    /// - `next_ready` is a lower bound on every live completion time (it may
-    ///   run early after a promote-then-drain, never late — late would make
-    ///   [`MshrFile::drain_ready`] skip due fills),
+    /// - `next_ready` is the earliest live completion time (late would make
+    ///   [`MshrFile::drain_ready`] skip due fills, early would wake the
+    ///   simulator for nothing),
     /// - every live entry has a heap node carrying its exact `ready_at`
-    ///   (otherwise its fill would never be delivered).
+    ///   (otherwise its fill would never be delivered), and the heap holds
+    ///   nothing else.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.entries.len() > self.capacity {
             return Err(format!(
@@ -256,6 +233,20 @@ impl MshrFile {
                     e.ready_at
                 ));
             }
+        }
+        if self.ready_heap.len() != self.entries.len() {
+            return Err(format!(
+                "{} heap nodes for {} entries",
+                self.ready_heap.len(),
+                self.entries.len()
+            ));
+        }
+        let earliest = self.entries.values().map(|e| e.ready_at).min().unwrap_or(u64::MAX);
+        if self.next_ready != earliest {
+            return Err(format!(
+                "next_ready {} is not the earliest completion {earliest}",
+                self.next_ready
+            ));
         }
         Ok(())
     }
@@ -305,18 +296,19 @@ mod tests {
     }
 
     #[test]
-    fn next_ready_tracks_allocate_promote_drain() {
+    fn next_ready_tracks_allocate_drain() {
         let mut m = MshrFile::new(4);
         assert_eq!(m.next_ready(), u64::MAX);
         m.allocate(1, 50, MissOrigin::Demand, false, 0);
         m.allocate(2, 30, MissOrigin::Demand, false, 0);
         assert_eq!(m.next_ready(), 30);
-        m.promote(1, 40, 0); // 50 -> 10
-        assert_eq!(m.next_ready(), 10);
-        m.drain_ready(10);
-        // A lower *bound*: the stale (50, 1) node may hold it below the live
-        // minimum, but it must never exceed any live completion time.
-        assert!(m.next_ready() <= m.get(2).unwrap().ready_at);
+        // A merge keeps the earlier request's time.
+        m.allocate(2, 10, MissOrigin::Demand, false, 0);
+        assert_eq!(m.next_ready(), 30);
+        assert!(m.drain_ready(29).is_empty());
+        m.drain_ready(30);
+        // Exact, not a lower bound: the next live completion.
+        assert_eq!(m.next_ready(), 50);
         m.drain_ready(u64::MAX);
         assert_eq!(m.next_ready(), u64::MAX);
     }
@@ -359,30 +351,14 @@ mod tests {
     }
 
     #[test]
-    fn promote_moves_completion_earlier_bounded() {
-        let mut m = MshrFile::new(2);
-        m.allocate(5, 500, MissOrigin::Prefetch, false, 0);
-        m.promote(5, 80, 100);
-        assert_eq!(m.get(5).unwrap().ready_at, 420);
-        // Floor binds.
-        m.promote(5, 1000, 100);
-        assert_eq!(m.get(5).unwrap().ready_at, 100);
-        // Never moves later.
-        m.promote(5, 0, 999);
-        assert_eq!(m.get(5).unwrap().ready_at, 100);
-        // Missing block is a no-op.
-        m.promote(42, 80, 0);
-    }
-
-    #[test]
-    fn invariants_hold_through_allocate_promote_drain() {
+    fn invariants_hold_through_allocate_drain() {
         let mut m = MshrFile::new(4);
         m.allocate(1, 50, MissOrigin::Demand, false, 0);
         m.allocate(2, 500, MissOrigin::Prefetch, false, 0);
         m.allocate(3, 80, MissOrigin::Demand, true, 1);
         m.check_invariants().expect("after allocation");
-        m.promote(2, 300, 60);
-        m.check_invariants().expect("after promote (stale node in heap)");
+        m.allocate(2, 60, MissOrigin::Demand, false, 0);
+        m.check_invariants().expect("after a merge");
         m.drain_ready(100);
         m.check_invariants().expect("after drain");
         m.drain_ready(10_000);
@@ -404,10 +380,30 @@ mod tests {
     fn invariants_catch_late_next_ready() {
         let mut m = MshrFile::new(2);
         m.allocate(1, 10, MissOrigin::Demand, false, 0);
-        // Corrupt: a late lower bound would make drain_ready skip the fill.
+        // Corrupt: a late next_ready would make drain_ready skip the fill.
         m.next_ready = 20;
         let err = m.check_invariants().unwrap_err();
         assert!(err.contains("next_ready"), "{err}");
+    }
+
+    #[test]
+    fn invariants_catch_early_next_ready() {
+        let mut m = MshrFile::new(2);
+        m.allocate(1, 10, MissOrigin::Demand, false, 0);
+        // Corrupt: an early bound would gate a drain that finds nothing.
+        m.next_ready = 5;
+        let err = m.check_invariants().unwrap_err();
+        assert!(err.contains("not the earliest completion"), "{err}");
+    }
+
+    #[test]
+    fn invariants_catch_stale_heap_node() {
+        let mut m = MshrFile::new(2);
+        m.allocate(1, 10, MissOrigin::Demand, false, 0);
+        // Corrupt: a second node for the same block.
+        m.ready_heap.push(Reverse((5, 1)));
+        let err = m.check_invariants().unwrap_err();
+        assert!(err.contains("heap nodes for"), "{err}");
     }
 
     #[test]
@@ -415,7 +411,7 @@ mod tests {
         let mut m = MshrFile::new(2);
         m.allocate(1, 10, MissOrigin::Demand, false, 0);
         // Corrupt: drop the readiness index; the entry can never drain.
-        // (next_ready keeps its valid lower bound so only this check trips.)
+        // (next_ready keeps its valid value so only this check trips.)
         m.ready_heap.clear();
         let err = m.check_invariants().unwrap_err();
         assert!(err.contains("no matching heap node"), "{err}");

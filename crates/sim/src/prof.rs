@@ -66,7 +66,8 @@ pub enum Span {
     IssuePrefetch = 10,
     /// Periodic invariant checking.
     InvariantCheck = 11,
-    /// Event-horizon computation at the end of a tick.
+    /// Event-horizon computation: each ticked core's wake cycle, and the
+    /// tick's horizon at its end.
     HorizonCompute = 12,
     /// Serve: wire-frame decode on the connection thread.
     Decode = 13,

@@ -2,9 +2,9 @@
 //! in-order retirement.
 //!
 //! Entries are identified by a monotonically increasing sequence number so
-//! MSHR waiter lists can wake them when fills arrive.
-
-use std::collections::VecDeque;
+//! MSHR waiter lists can wake them when fills arrive. The buffer is a fixed
+//! power-of-two ring of completion cycles, so dispatch, retirement and the
+//! waiter lookups are a mask and an index, never a reallocation.
 
 /// Completion marker for an entry still waiting on memory.
 pub const PENDING: u64 = u64::MAX;
@@ -12,7 +12,13 @@ pub const PENDING: u64 = u64::MAX;
 /// The reorder buffer of one core.
 #[derive(Debug, Clone)]
 pub struct Rob {
-    entries: VecDeque<u64>,
+    /// Completion cycle per slot; `capacity.next_power_of_two()` slots.
+    slots: Box<[u64]>,
+    /// Slot of the oldest entry.
+    head: usize,
+    /// In-flight entries.
+    len: usize,
+    /// Sequence number of the oldest entry.
     head_seq: u64,
     capacity: usize,
 }
@@ -25,22 +31,39 @@ impl Rob {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ROB needs capacity");
-        Self { entries: VecDeque::with_capacity(capacity), head_seq: 0, capacity }
+        let slots = vec![0; capacity.next_power_of_two()].into_boxed_slice();
+        Self { slots, head: 0, len: 0, head_seq: 0, capacity }
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    /// Slot of the entry `offset` places behind the head.
+    #[inline]
+    fn slot(&self, offset: usize) -> usize {
+        (self.head + offset) & self.mask()
     }
 
     /// Whether another instruction can be dispatched.
     pub fn has_space(&self) -> bool {
-        self.entries.len() < self.capacity
+        self.len < self.capacity
+    }
+
+    /// Number of entries that can still be dispatched.
+    pub fn free(&self) -> usize {
+        self.capacity - self.len
     }
 
     /// Number of in-flight entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the ROB is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Dispatches an instruction completing at `complete_cycle` (use
@@ -52,31 +75,48 @@ impl Rob {
     /// Panics if the ROB is full.
     pub fn push(&mut self, complete_cycle: u64) -> u64 {
         assert!(self.has_space(), "ROB overflow");
-        let seq = self.head_seq + self.entries.len() as u64;
-        self.entries.push_back(complete_cycle);
+        let seq = self.head_seq + self.len as u64;
+        let slot = self.slot(self.len);
+        self.slots[slot] = complete_cycle;
+        self.len += 1;
         seq
+    }
+
+    /// Dispatches `n` instructions that all complete at `complete_cycle`:
+    /// the same entries as `n` calls of [`Rob::push`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` entries are free.
+    pub fn push_run(&mut self, complete_cycle: u64, n: usize) {
+        assert!(n <= self.free(), "ROB overflow");
+        let first = self.slot(self.len);
+        let contiguous = n.min(self.slots.len() - first);
+        self.slots[first..first + contiguous].fill(complete_cycle);
+        self.slots[..n - contiguous].fill(complete_cycle);
+        self.len += n;
+    }
+
+    /// Slot of `seq` while it is in flight; `None` once retired or before
+    /// it is dispatched.
+    fn slot_of(&self, seq: u64) -> Option<usize> {
+        let offset = seq.checked_sub(self.head_seq)?;
+        (offset < self.len as u64).then(|| self.slot(offset as usize))
     }
 
     /// Marks a pending entry complete at `cycle`. Ignores already-retired
     /// sequence numbers (a fill can arrive after a flushed/retired entry in
     /// degenerate cases).
     pub fn complete(&mut self, seq: u64, cycle: u64) {
-        if seq < self.head_seq {
-            return;
-        }
-        let idx = (seq - self.head_seq) as usize;
-        if let Some(e) = self.entries.get_mut(idx) {
-            *e = cycle;
+        if let Some(slot) = self.slot_of(seq) {
+            self.slots[slot] = cycle;
         }
     }
 
     /// Returns the completion cycle recorded for `seq`, if it is still in
     /// flight (`None` once retired).
     pub fn completion_of(&self, seq: u64) -> Option<u64> {
-        if seq < self.head_seq {
-            return None;
-        }
-        self.entries.get((seq - self.head_seq) as usize).copied()
+        self.slot_of(seq).map(|slot| self.slots[slot])
     }
 
     /// The completion cycle recorded at the head entry ([`PENDING`] while it
@@ -84,23 +124,19 @@ impl Rob {
     /// in-order retirement, so this is the retire term of the simulator's
     /// event horizon: nothing can retire before the head's completion cycle.
     pub fn head_completion(&self) -> Option<u64> {
-        self.entries.front().copied()
+        (self.len > 0).then(|| self.slots[self.head])
     }
 
     /// Retires up to `width` completed instructions from the head at `cycle`;
     /// returns how many retired.
     pub fn retire(&mut self, cycle: u64, width: u32) -> u32 {
         let mut n = 0;
-        while n < width {
-            match self.entries.front() {
-                Some(&c) if c <= cycle => {
-                    self.entries.pop_front();
-                    self.head_seq += 1;
-                    n += 1;
-                }
-                _ => break,
-            }
+        while n < width && self.len > 0 && self.slots[self.head] <= cycle {
+            self.head = (self.head + 1) & self.mask();
+            self.len -= 1;
+            n += 1;
         }
+        self.head_seq += u64::from(n);
         n
     }
 }
@@ -179,6 +215,33 @@ mod tests {
         let mut rob = Rob::new(1);
         rob.push(0);
         rob.push(0);
+    }
+
+    #[test]
+    fn push_run_matches_pushes_across_the_wrap() {
+        // Capacity 6 rounds up to 8 slots; start the run near the end.
+        let mut rob = Rob::new(6);
+        for _ in 0..5 {
+            rob.push(0);
+        }
+        rob.retire(0, 5);
+        rob.push_run(9, 4);
+        assert_eq!(rob.len(), 4);
+        assert_eq!(rob.free(), 2);
+        for seq in 5..9 {
+            assert_eq!(rob.completion_of(seq), Some(9));
+        }
+        assert_eq!(rob.completion_of(9), None);
+        assert_eq!(rob.retire(8, 4), 0);
+        assert_eq!(rob.retire(9, 4), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "ROB overflow")]
+    fn push_run_overflow_panics() {
+        let mut rob = Rob::new(4);
+        rob.push(0);
+        rob.push_run(0, 4);
     }
 
     #[test]

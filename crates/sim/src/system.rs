@@ -135,6 +135,9 @@ pub struct Simulation {
     /// Sampled once at construction from `PPF_NO_SKIP`; override with
     /// [`Simulation::set_cycle_skip`].
     skip_cycles: bool,
+    /// Cores that have not finished their measured region; the run loop
+    /// stops at zero.
+    unfinished: usize,
     /// Ticks actually executed (lifetime of this simulation).
     ticks_executed: u64,
     /// Cycles jumped over without executing a tick.
@@ -179,6 +182,7 @@ impl Simulation {
             llc_evictions: Vec::new(),
             invariant_period: crate::invariants::period(),
             skip_cycles: crate::horizon::skip_cycles_from_env(),
+            unfinished: 0,
             ticks_executed: 0,
             skipped_cycles: 0,
             drain_scratch: Vec::new(),
@@ -382,7 +386,8 @@ impl Simulation {
         let prof_run =
             if self.prof_active() { Some((std::time::Instant::now(), self.cycle)) } else { None };
 
-        while self.cores.iter().any(|c| c.measure_end_cycle.is_none()) {
+        self.unfinished = self.cores.iter().filter(|c| c.measure_end_cycle.is_none()).count();
+        while self.unfinished > 0 {
             self.cycle += 1;
             let horizon = self.tick(warmup, measure);
             if !stats_reset && self.cores.iter().all(|c| c.retired >= warmup) {
@@ -399,7 +404,7 @@ impl Simulation {
             }
             iterations += 1;
             assert!(iterations < iteration_limit, "simulation failed to make forward progress");
-            if self.skip_cycles && self.cores.iter().any(|c| c.measure_end_cycle.is_none()) {
+            if self.skip_cycles && self.unfinished > 0 {
                 // No fill in flight, no deferred queue pending, and every
                 // unfinished core blocked with nothing to wait on: a genuine
                 // deadlock the horizon makes immediately diagnosable (the
@@ -474,74 +479,45 @@ impl Simulation {
         // Shared LLC fills. A drain frees LLC MSHR capacity and installs
         // lines that any core's dispatch or issue may be blocked on, so it
         // wakes every core this tick regardless of their private wake
-        // estimates.
-        let mut ready = std::mem::take(&mut self.drain_scratch);
-        self.llc_mshr.drain_ready_into(cycle, &mut ready);
-        let llc_event = !ready.is_empty();
-        for (block, entry) in ready.drain(..) {
-            let kind = if entry.origin == MissOrigin::Prefetch && !entry.demand_merged {
-                FillKind::Prefetch
-            } else {
-                FillKind::Demand
-            };
-            if telem && kind == FillKind::Prefetch {
-                self.events.push(TraceEvent {
-                    cycle,
-                    core: entry.owner as u32,
-                    kind: EventKind::Fill,
-                    block,
-                    payload: 1,
-                });
-            }
-            if let Some(ev) = self.llc.fill(block, kind, entry.write) {
-                if ev.dirty {
-                    self.dram.schedule_write(ev.block, cycle);
-                }
-                self.note_llc_eviction(&ev);
-            }
-            if entry.origin == MissOrigin::Prefetch {
-                // L2-bound prefetches have a twin entry in the owner's L2
-                // MSHR whose drain will deliver the fill notification; only
-                // pure LLC-targeted prefetches notify from here (otherwise
-                // every prefetch would be counted twice).
-                let l2_bound = self.cores[entry.owner].l2_mshr.get(block).is_some();
-                if !l2_bound {
-                    self.cores[entry.owner]
-                        .prefetcher
-                        .on_prefetch_fill(block << addr::BLOCK_BITS, FillLevel::Llc);
-                }
-            }
+        // estimates. `next_ready` is exact, so it gates the drain.
+        let llc_event = self.llc_mshr.next_ready() <= cycle;
+        if llc_event {
+            self.drain_llc_fills(cycle);
         }
-        self.drain_scratch = ready;
         self.prof.lap(Span::LlcMshrDrain, &mut ps);
 
         // Apply deferred useful-prefetch credits. These are late merges, so
         // they count in `late` only (`useful` holds timely prefetches; the
-        // two are disjoint and summed by `useful_total`).
-        let credits = std::mem::take(&mut self.credits);
-        for (owner, byte_addr) in credits {
-            let core = &mut self.cores[owner];
-            core.pf_stats.late += 1;
-            core.prefetcher.on_useful_prefetch(byte_addr);
+        // two are disjoint and summed by `useful_total`). Both deferred
+        // queues drain in place, so their buffers are reused.
+        if !self.credits.is_empty() {
+            let Self { credits, cores, .. } = self;
+            for (owner, byte_addr) in credits.drain(..) {
+                let core = &mut cores[owner];
+                core.pf_stats.late += 1;
+                core.prefetcher.on_useful_prefetch(byte_addr);
+            }
         }
 
         // Deliver LLC evictions of unused prefetched lines to every
         // prefetcher (filters match against their own tables).
-        let evs = std::mem::take(&mut self.llc_evictions);
-        for ev in evs {
-            if telem {
-                // The LLC does not track which core prefetched the victim,
-                // so the event is unattributed (core = u32::MAX).
-                self.events.push(TraceEvent {
-                    cycle,
-                    core: u32::MAX,
-                    kind: EventKind::EvictionTraining,
-                    block: addr::block_number(ev.addr),
-                    payload: 1,
-                });
-            }
-            for core in &mut self.cores {
-                core.prefetcher.on_llc_eviction(&ev);
+        if !self.llc_evictions.is_empty() {
+            let Self { llc_evictions, cores, events, .. } = self;
+            for ev in llc_evictions.drain(..) {
+                if telem {
+                    // The LLC does not track which core prefetched the
+                    // victim, so the event is unattributed (core = u32::MAX).
+                    events.push(TraceEvent {
+                        cycle,
+                        core: u32::MAX,
+                        kind: EventKind::EvictionTraining,
+                        block: addr::block_number(ev.addr),
+                        payload: 1,
+                    });
+                }
+                for core in cores.iter_mut() {
+                    core.prefetcher.on_llc_eviction(&ev);
+                }
             }
         }
         self.prof.lap(Span::DeferredDrain, &mut ps);
@@ -551,13 +527,17 @@ impl Simulation {
         // its ROB head is not complete, and its dispatch/issue are blocked
         // on conditions only its own activity or an LLC drain can change —
         // so skipping it is exact, not an approximation. With skipping
-        // disabled every core runs every tick (the naive loop).
+        // disabled every core runs every tick (the naive loop). A running
+        // core's fill drain is gated on its exact `next_ready` too. Every
+        // gated path still laps, so the phase spans partition the tick.
         let run_all = !self.skip_cycles || llc_event;
         for i in 0..self.cores.len() {
             if !run_all && self.cores[i].next_wake > cycle {
                 continue;
             }
-            self.drain_core_fills(i, cycle);
+            if self.cores[i].l2_mshr.next_ready() <= cycle {
+                self.drain_core_fills(i, cycle);
+            }
             self.prof.lap(Span::CoreFillDrain, &mut ps);
             let dispatch_wake = self.retire_and_dispatch(i, cycle, warmup, measure);
             self.prof.lap(Span::RetireDispatch, &mut ps);
@@ -579,6 +559,7 @@ impl Simulation {
                 .min(dispatch_wake)
                 .min(issue_wake);
             debug_assert!(core.next_wake > cycle, "a ticked core must wake in the future");
+            self.prof.lap(Span::HorizonCompute, &mut ps);
         }
 
         if self.invariant_period != 0 && cycle.is_multiple_of(self.invariant_period) {
@@ -684,6 +665,50 @@ impl Simulation {
             }
         }
         panic!("simulator invariant violated at cycle {}: {violation}", self.cycle);
+    }
+
+    /// Completes ready LLC misses: fills the LLC (queueing the writebacks
+    /// and eviction notices that causes) and notifies the owners of pure
+    /// LLC-targeted prefetches.
+    fn drain_llc_fills(&mut self, cycle: u64) {
+        let telem = self.telemetry_active();
+        let mut ready = std::mem::take(&mut self.drain_scratch);
+        self.llc_mshr.drain_ready_into(cycle, &mut ready);
+        for (block, entry) in ready.drain(..) {
+            let kind = if entry.origin == MissOrigin::Prefetch && !entry.demand_merged {
+                FillKind::Prefetch
+            } else {
+                FillKind::Demand
+            };
+            if telem && kind == FillKind::Prefetch {
+                self.events.push(TraceEvent {
+                    cycle,
+                    core: entry.owner as u32,
+                    kind: EventKind::Fill,
+                    block,
+                    payload: 1,
+                });
+            }
+            if let Some(ev) = self.llc.fill(block, kind, entry.write) {
+                if ev.dirty {
+                    self.dram.schedule_write(ev.block, cycle);
+                }
+                self.note_llc_eviction(&ev);
+            }
+            if entry.origin == MissOrigin::Prefetch {
+                // L2-bound prefetches have a twin entry in the owner's L2
+                // MSHR whose drain will deliver the fill notification; only
+                // pure LLC-targeted prefetches notify from here (otherwise
+                // every prefetch would be counted twice).
+                let l2_bound = self.cores[entry.owner].l2_mshr.get(block).is_some();
+                if !l2_bound {
+                    self.cores[entry.owner]
+                        .prefetcher
+                        .on_prefetch_fill(block << addr::BLOCK_BITS, FillLevel::Llc);
+                }
+            }
+        }
+        self.drain_scratch = ready;
     }
 
     /// Completes ready L2 misses for core `i`: fills L2 (and L1 for
@@ -837,6 +862,7 @@ impl Simulation {
                     && core.retired >= start_retired + measure
                 {
                     core.measure_end_cycle = Some(cycle);
+                    self.unfinished -= 1;
                     core.snapshot = Some(CoreReport {
                         workload: core.workload.clone(),
                         instructions: core.retired - start_retired,
@@ -870,42 +896,42 @@ impl Simulation {
         }
 
         let mut dispatch_wake = cycle + 1;
-        for _ in 0..fetch_width {
-            if !self.cores[i].rob.has_space() {
+        let mut slots = fetch_width as usize;
+        while slots > 0 {
+            let core = &mut self.cores[i];
+            if !core.rob.has_space() {
                 // Blocked on retirement: the retire-wake term (or, for a
                 // pending head, the L2 MSHR drain) covers resumption.
                 dispatch_wake = u64::MAX;
                 break;
             }
-            // Compute instructions between memory records.
-            if self.cores[i].work_left > 0 {
-                self.cores[i].work_left -= 1;
-                self.cores[i].rob.push(cycle + 1);
+            // Compute instructions between memory records: as many as the
+            // fetch slots and free ROB entries allow, in one run.
+            if core.work_left > 0 {
+                let n = usize::from(core.work_left).min(slots).min(core.rob.free());
+                core.rob.push_run(cycle + 1, n);
+                core.work_left -= n as u8;
+                slots -= n;
                 continue;
             }
-            // Get the next memory record.
-            if self.cores[i].pending_rec.is_none() {
-                let rec = self.cores[i].trace.next_record();
-                self.cores[i].work_left = rec.work;
-                self.cores[i].pending_rec = Some(rec);
-                if rec.work > 0 {
-                    // Dispatch compute first; memory record stays pending.
-                    self.cores[i].work_left -= 1;
-                    self.cores[i].rob.push(cycle + 1);
-                    continue;
+            // Get the next memory record; its compute prefix, if any,
+            // dispatches first while the record stays pending.
+            let rec = match core.pending_rec {
+                Some(rec) => rec,
+                None => {
+                    let rec = core.trace.next_record();
+                    core.work_left = rec.work;
+                    core.pending_rec = Some(rec);
+                    if rec.work > 0 {
+                        continue;
+                    }
+                    rec
                 }
-            }
-            let rec = self.cores[i].pending_rec.expect("pending record");
-            if self.cores[i].work_left > 0 {
-                // Still draining this record's compute prefix.
-                self.cores[i].work_left -= 1;
-                self.cores[i].rob.push(cycle + 1);
-                continue;
-            }
+            };
             // Dependent loads wait for their producer.
             if rec.dependent {
-                if let Some(dep) = self.cores[i].last_dep_seq {
-                    match self.cores[i].rob.completion_of(dep) {
+                if let Some(dep) = core.last_dep_seq {
+                    match core.rob.completion_of(dep) {
                         Some(c) if c <= cycle => {}
                         None => {} // already retired
                         Some(c) => {
@@ -944,6 +970,7 @@ impl Simulation {
                     break;
                 }
             }
+            slots -= 1;
         }
         dispatch_wake
     }
@@ -1219,6 +1246,9 @@ impl Simulation {
     /// spaces), so only its own activity or an LLC drain — which wakes
     /// every core — can install or retire them.
     fn issue_prefetches(&mut self, i: usize, cycle: u64) -> u64 {
+        if self.cores[i].pq.is_empty() {
+            return u64::MAX;
+        }
         let telem = self.telemetry_active();
         let mut budget = self.cfg.prefetch.issue_per_cycle;
         while budget > 0 {
@@ -1368,6 +1398,18 @@ mod tests {
             run_single_core(small_cfg(), "comp", trace, Box::new(NoPrefetcher), 5_000, 50_000);
         let ipc = report.ipc();
         assert!(ipc > 3.0, "compute-bound IPC should approach 4, got {ipc}");
+    }
+
+    #[test]
+    fn compute_ops_retire_the_cycle_after_dispatch() {
+        // Each record starts with 60 compute ops, so the region's first 60
+        // instructions are all compute: the first fetch group dispatches at
+        // cycle 1 and retires from cycle 2 on, 4 per cycle, so they take
+        // 15 cycles. A compute op completing any later shifts that count.
+        let trace = Box::new(SequentialStream::new(0x100_0000, 4, 0x400000, 60));
+        let r = run_single_core(small_cfg(), "comp", trace, Box::new(NoPrefetcher), 0, 60);
+        assert_eq!(r.cores[0].instructions, 60);
+        assert_eq!(r.cores[0].cycles, 15);
     }
 
     #[test]

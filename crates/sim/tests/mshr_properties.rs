@@ -1,6 +1,7 @@
-//! Property tests for the heap-indexed MSHR file: the lazily-invalidated
-//! readiness heap must behave exactly like the obvious scan-everything
-//! implementation under arbitrary allocate / promote / drain interleavings.
+//! Property tests for the heap-indexed MSHR file: the readiness heap must
+//! behave exactly like the obvious scan-everything implementation under
+//! arbitrary allocate / drain interleavings, and its cached `next_ready`
+//! must be the exact earliest completion the simulator gates drains on.
 
 use ppf_sim::mshr::{MissOrigin, MshrAlloc, MshrFile};
 use proptest::collection::vec;
@@ -15,16 +16,13 @@ const CAPACITY: usize = 8;
 enum Op {
     /// Allocate `block` completing at `cycle + delay`.
     Alloc { block: u64, delay: u64 },
-    /// Promote `block` by `credit`, floored at `cycle + floor_delay`.
-    Promote { block: u64, credit: u64, floor_delay: u64 },
     /// Advance time by `step` and drain.
     Drain { step: u64 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..3, 0u64..12, 0u64..60, 0u64..20).prop_map(|(kind, block, a, b)| match kind {
+    (0u8..2, 0u64..12, 0u64..60, 0u64..20).prop_map(|(kind, block, a, b)| match kind {
         0 => Op::Alloc { block, delay: a },
-        1 => Op::Promote { block, credit: a, floor_delay: b },
         _ => Op::Drain { step: b % 8 },
     })
 }
@@ -47,12 +45,6 @@ impl Model {
         MshrAlloc::Allocated
     }
 
-    fn promote(&mut self, block: u64, credit: u64, floor: u64) {
-        if let Some(t) = self.entries.get_mut(&block) {
-            *t = t.saturating_sub(credit).max(floor).min(*t);
-        }
-    }
-
     fn drain(&mut self, cycle: u64) -> Vec<(u64, u64)> {
         let ready: Vec<(u64, u64)> =
             self.entries.iter().filter(|(_, &t)| t <= cycle).map(|(&b, &t)| (b, t)).collect();
@@ -66,10 +58,11 @@ impl Model {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Under any interleaving of allocates, promotes, and drains, the heap
+    /// Under any interleaving of allocates and drains, the heap
     /// implementation returns exactly what the scan-based model returns:
     /// same allocation outcomes, same drained blocks in block-number order,
-    /// same completion times, same occupancy.
+    /// same completion times, same occupancy, and a `next_ready` equal to
+    /// the earliest completion the model holds.
     #[test]
     fn matches_scan_model(ops in vec(op_strategy(), 1..120)) {
         let mut file = MshrFile::new(CAPACITY);
@@ -82,10 +75,6 @@ proptest! {
                     let got = file.allocate(block, ready_at, MissOrigin::Demand, false, 0);
                     let want = model.alloc(block, ready_at);
                     prop_assert_eq!(got, want, "allocate({}, {})", block, ready_at);
-                }
-                Op::Promote { block, credit, floor_delay } => {
-                    file.promote(block, credit, cycle + floor_delay);
-                    model.promote(block, credit, cycle + floor_delay);
                 }
                 Op::Drain { step } => {
                     cycle += step;
@@ -100,6 +89,9 @@ proptest! {
             }
             prop_assert_eq!(file.len(), model.entries.len());
             prop_assert_eq!(file.is_full(), model.entries.len() >= CAPACITY);
+            let earliest = model.entries.values().copied().min().unwrap_or(u64::MAX);
+            prop_assert_eq!(file.next_ready(), earliest);
+            prop_assert!(file.check_invariants().is_ok());
         }
         // Everything eventually drains, in block order.
         let rest: Vec<u64> = file.drain_ready(u64::MAX).into_iter().map(|(b, _)| b).collect();
@@ -131,26 +123,22 @@ proptest! {
         prop_assert!(file.drain_ready(probe).is_empty());
     }
 
-    /// `promote` interacts correctly with the cached next-ready bound: after
-    /// pulling an entry earlier, a drain at the new time must return it, and
-    /// a drain just before must not.
+    /// `next_ready` is exact, so the simulator may skip a drain whenever it
+    /// lies in the future: a drain just before it returns nothing, and a
+    /// drain at it returns every entry completing then.
     #[test]
-    fn promote_moves_drain_time(
-        block in 0u64..1000,
-        ready_at in 100u64..1000,
-        credit in 1u64..1500,
-        floor in 1u64..1000,
-    ) {
-        let mut file = MshrFile::new(4);
-        file.allocate(block, ready_at, MissOrigin::Prefetch, false, 0);
-        file.promote(block, credit, floor);
-        let expected = ready_at.saturating_sub(credit).max(floor).min(ready_at);
-        if expected > 0 {
-            prop_assert!(file.drain_ready(expected - 1).is_empty());
+    fn next_ready_gates_the_drain(blocks in vec((0u64..64, 1u64..200), 1..20)) {
+        let mut file = MshrFile::new(64);
+        for &(block, ready_at) in &blocks {
+            file.allocate(block, ready_at, MissOrigin::Demand, false, 0);
         }
-        let drained = file.drain_ready(expected);
-        prop_assert_eq!(drained.len(), 1);
-        prop_assert_eq!(drained[0].0, block);
-        prop_assert_eq!(drained[0].1.ready_at, expected);
+        while !file.is_empty() {
+            let t = file.next_ready();
+            prop_assert!(file.drain_ready(t - 1).is_empty(), "drained before {}", t);
+            let drained = file.drain_ready(t);
+            prop_assert!(!drained.is_empty(), "nothing drained at next_ready {}", t);
+            prop_assert!(drained.iter().all(|(_, e)| e.ready_at == t));
+        }
+        prop_assert_eq!(file.next_ready(), u64::MAX);
     }
 }

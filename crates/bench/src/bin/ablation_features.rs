@@ -5,7 +5,6 @@
 use ppf::{FeatureKind, Ppf, PpfConfig};
 use ppf_analysis::{geometric_mean, TextTable};
 use ppf_bench::sweep::Sweep;
-use ppf_bench::throughput::record_throughput;
 use ppf_bench::{run_single, runner, sweep_scalars, RunScale, Scheme};
 use ppf_prefetchers::Spp;
 use ppf_sim::{Prefetcher, Simulation, SystemConfig};
@@ -24,10 +23,7 @@ fn main() {
     let scale = RunScale::from_args();
     let workloads = Workload::memory_intensive(Suite::Spec2017);
     let full = FeatureKind::default_set();
-    let threads = runner::thread_count();
     let sweep = Sweep::from_args("ablation_features");
-    let t0 = std::time::Instant::now();
-    let mut runs = 0u64;
 
     // Baselines per workload.
     let base_jobs: Vec<(String, runner::BoxedJob<f64>)> = workloads
@@ -44,11 +40,10 @@ fn main() {
             (key, job)
         })
         .collect();
-    runs += base_jobs.len() as u64;
     let base = sweep_scalars(&sweep, base_jobs);
 
     let mut t = TextTable::new(vec!["configuration", "geomean speedup"]);
-    let mut eval = |label: String, features: Vec<FeatureKind>, t: &mut TextTable| {
+    let eval = |label: String, features: Vec<FeatureKind>, t: &mut TextTable| {
         let jobs: Vec<(String, runner::BoxedJob<f64>)> = workloads
             .iter()
             .zip(&base)
@@ -62,7 +57,6 @@ fn main() {
                 Some((key, job))
             })
             .collect();
-        runs += jobs.len() as u64;
         let xs: Vec<f64> = sweep_scalars(&sweep, jobs).into_iter().flatten().collect();
         let g = geometric_mean(&xs);
         eprintln!("  {label}: {g:.3}");
@@ -74,12 +68,6 @@ fn main() {
         let subset: Vec<FeatureKind> = full.iter().copied().filter(|f| f != skip).collect();
         eval(format!("without {}", skip.label()), subset, &mut t);
     }
-    record_throughput(
-        "ablation_features",
-        threads,
-        t0.elapsed(),
-        runs * (scale.warmup + scale.measure),
-    );
     println!("\nFeature ablation — PPF geomean speedup, memory-intensive subset\n");
     print!("{}", t.render());
 }

@@ -5,7 +5,6 @@
 use ppf::{Ppf, PpfConfig};
 use ppf_analysis::{geometric_mean, TextTable};
 use ppf_bench::sweep::Sweep;
-use ppf_bench::throughput::record_throughput;
 use ppf_bench::{run_single, runner, sweep_scalars, RunScale, Scheme};
 use ppf_prefetchers::Spp;
 use ppf_sim::{Prefetcher, Simulation, SystemConfig};
@@ -14,9 +13,7 @@ use ppf_trace::{Suite, TraceBuilder, Workload};
 fn main() {
     let scale = RunScale::from_args();
     let workloads = Workload::memory_intensive(Suite::Spec2017);
-    let threads = runner::thread_count();
     let sweep = Sweep::from_args("ablation_reject_table");
-    let t0 = std::time::Instant::now();
     let mut t = TextTable::new(vec!["configuration", "geomean speedup"]);
     let base_jobs: Vec<(String, runner::BoxedJob<f64>)> = workloads
         .iter()
@@ -60,12 +57,6 @@ fn main() {
         eprintln!("  {label}: {g:.3}");
         t.row(vec![label.to_string(), format!("{g:.3}")]);
     }
-    record_throughput(
-        "ablation_reject_table",
-        threads,
-        t0.elapsed(),
-        3 * workloads.len() as u64 * (scale.warmup + scale.measure),
-    );
     println!("\nReject-table ablation — memory-intensive subset\n");
     print!("{}", t.render());
 }

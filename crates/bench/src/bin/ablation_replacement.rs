@@ -5,7 +5,6 @@
 
 use ppf_analysis::{geometric_mean, TextTable};
 use ppf_bench::sweep::Sweep;
-use ppf_bench::throughput::record_throughput;
 use ppf_bench::{run_single, runner, sweep_scalars, RunScale, Scheme};
 use ppf_sim::{ReplacementPolicy, SystemConfig};
 use ppf_trace::{Suite, Workload};
@@ -20,9 +19,7 @@ fn cfg_with(policy: ReplacementPolicy) -> SystemConfig {
 fn main() {
     let scale = RunScale::from_args();
     let workloads = Workload::memory_intensive(Suite::Spec2017);
-    let threads = runner::thread_count();
     let sweep = Sweep::from_args("ablation_replacement");
-    let t0 = std::time::Instant::now();
     println!("Replacement-policy ablation — memory-intensive subset\n");
     let mut t = TextTable::new(vec!["policy", "SPP", "PPF"]);
     for (label, policy) in
@@ -49,11 +46,5 @@ fn main() {
         }
         t.row(cells);
     }
-    record_throughput(
-        "ablation_replacement",
-        threads,
-        t0.elapsed(),
-        8 * workloads.len() as u64 * (scale.warmup + scale.measure),
-    );
     print!("{}", t.render());
 }

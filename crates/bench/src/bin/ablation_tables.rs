@@ -5,7 +5,6 @@
 use ppf::{FeatureKind, Ppf, PpfConfig, StorageBudget};
 use ppf_analysis::{geometric_mean, TextTable};
 use ppf_bench::sweep::Sweep;
-use ppf_bench::throughput::record_throughput;
 use ppf_bench::{run_single, runner, sweep_scalars, RunScale, Scheme};
 use ppf_prefetchers::{Spp, SppConfig};
 use ppf_sim::{Prefetcher, Simulation, SystemConfig};
@@ -14,10 +13,7 @@ use ppf_trace::{Suite, TraceBuilder, Workload};
 fn main() {
     let scale = RunScale::from_args();
     let workloads = Workload::memory_intensive(Suite::Spec2017);
-    let threads = runner::thread_count();
     let sweep = Sweep::from_args("ablation_tables");
-    let t0 = std::time::Instant::now();
-    let mut runs = workloads.len() as u64;
     let base_jobs: Vec<(String, runner::BoxedJob<f64>)> = workloads
         .iter()
         .map(|w| {
@@ -78,7 +74,6 @@ fn main() {
                     Some((key, job))
                 })
                 .collect();
-            runs += jobs.len() as u64;
             let xs: Vec<f64> = sweep_scalars(&sweep, jobs).into_iter().flatten().collect();
             let g = geometric_mean(&xs);
             eprintln!("  {fs_label}/{table_entries}: {g:.3}");
@@ -90,6 +85,5 @@ fn main() {
             ]);
         }
     }
-    record_throughput("ablation_tables", threads, t0.elapsed(), runs * (scale.warmup + scale.measure));
     print!("{}", t.render());
 }

@@ -4,7 +4,6 @@
 use ppf::{Ppf, PpfConfig};
 use ppf_analysis::{geometric_mean, TextTable};
 use ppf_bench::sweep::Sweep;
-use ppf_bench::throughput::record_throughput;
 use ppf_bench::{run_single, runner, sweep_scalars, RunScale, Scheme};
 use ppf_prefetchers::Spp;
 use ppf_sim::{Prefetcher, Simulation, SystemConfig};
@@ -43,9 +42,7 @@ fn geomean_speedup(
 fn main() {
     let scale = RunScale::from_args();
     let workloads = Workload::memory_intensive(Suite::Spec2017);
-    let threads = runner::thread_count();
     let sweep = Sweep::from_args("ablation_thresholds");
-    let t0 = std::time::Instant::now();
     let base_jobs: Vec<(String, runner::BoxedJob<f64>)> = workloads
         .iter()
         .map(|w| {
@@ -76,12 +73,5 @@ fn main() {
         eprintln!("  theta ({p},{n}): {g:.3}");
         t.row(vec!["-5".into(), "-15".into(), p.to_string(), n.to_string(), format!("{g:.3}")]);
     }
-    // 1 baseline sweep + 8 threshold configurations over the subset.
-    record_throughput(
-        "ablation_thresholds",
-        threads,
-        t0.elapsed(),
-        9 * workloads.len() as u64 * (scale.warmup + scale.measure),
-    );
     print!("{}", t.render());
 }

@@ -6,7 +6,6 @@
 //! lookahead depths (SPP vs PPF) and the xalancbmk prefetch-count ratios.
 
 use ppf_analysis::{geometric_mean, percent_gain, TextTable};
-use ppf_bench::throughput::record_throughput;
 use ppf_bench::{run_ppf_instrumented, run_spp_instrumented, run_suite, runner, RunScale, Scheme};
 use ppf_sim::SystemConfig;
 use ppf_trace::Workload;
@@ -22,14 +21,7 @@ fn main() {
         Scheme::all().len(),
         threads
     );
-    let t0 = std::time::Instant::now();
     let rows = run_suite("fig09_single_core", &workloads, SystemConfig::single_core, scale).rows;
-    record_throughput(
-        "fig09_single_core",
-        threads,
-        t0.elapsed(),
-        (workloads.len() * Scheme::all().len()) as u64 * (scale.warmup + scale.measure),
-    );
 
     let mut table = TextTable::new(vec!["app", "BOP", "DA-AMPM", "SPP", "PPF"]);
     for row in &rows {

@@ -2,7 +2,6 @@
 //! prefetcher on the SPEC CPU 2017 models.
 
 use ppf_analysis::{mean, TextTable};
-use ppf_bench::throughput::record_throughput;
 use ppf_bench::{coverage, run_suite, runner, RunScale, Scheme};
 use ppf_sim::SystemConfig;
 use ppf_trace::Workload;
@@ -16,14 +15,7 @@ fn main() {
         workloads.len(),
         threads
     );
-    let t0 = std::time::Instant::now();
     let rows = run_suite("fig10_coverage", &workloads, SystemConfig::single_core, scale).rows;
-    record_throughput(
-        "fig10_coverage",
-        threads,
-        t0.elapsed(),
-        (workloads.len() * Scheme::all().len()) as u64 * (scale.warmup + scale.measure),
-    );
 
     let mut t = TextTable::new(vec!["scheme", "L2 coverage", "LLC coverage"]);
     for s in Scheme::prefetchers() {

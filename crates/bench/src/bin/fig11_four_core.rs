@@ -3,7 +3,6 @@
 //! the fully-random-mix geomeans the paper quotes in the text.
 
 use ppf_analysis::{geometric_mean, percent_gain, sorted_series};
-use ppf_bench::throughput::record_throughput;
 use ppf_bench::{run_mix_suite, runner, RunScale, Scheme};
 use ppf_trace::{MixGenerator, Suite, Workload, WorkloadMix};
 
@@ -11,15 +10,7 @@ fn run_batch(label: &str, experiment: &str, mixes: &[WorkloadMix], scale: RunSca
     let cores = mixes[0].cores();
     let threads = runner::thread_count();
     eprintln!("{label}: {} mixes x 5 schemes on {threads} thread(s)...", mixes.len());
-    let t0 = std::time::Instant::now();
-    let out = run_mix_suite(experiment, mixes, cores, scale);
-    let (runs, instructions) = (out.runs, out.instructions);
-    record_throughput(
-        &format!("fig11_four_core[{label}]"),
-        threads,
-        t0.elapsed(),
-        instructions,
-    );
+    let runs = run_mix_suite(experiment, mixes, cores, scale).runs;
 
     let per_scheme: Vec<(Scheme, Vec<f64>)> = Scheme::prefetchers()
         .into_iter()

@@ -2,7 +2,6 @@
 //! mixes (the paper runs a shorter region at 8 cores; so do we).
 
 use ppf_analysis::{geometric_mean, percent_gain, sorted_series};
-use ppf_bench::throughput::record_throughput;
 use ppf_bench::{run_mix_suite, runner, RunScale, Scheme};
 use ppf_trace::{MixGenerator, Suite, Workload};
 
@@ -16,10 +15,7 @@ fn main() {
 
     let threads = runner::thread_count();
     eprintln!("Figure 12: {} mixes x 5 schemes on {threads} thread(s)...", mixes.len());
-    let t0 = std::time::Instant::now();
-    let out = run_mix_suite("fig12_eight_core", &mixes, 8, scale);
-    let (runs, instructions) = (out.runs, out.instructions);
-    record_throughput("fig12_eight_core", threads, t0.elapsed(), instructions);
+    let runs = run_mix_suite("fig12_eight_core", &mixes, 8, scale).runs;
     let per_scheme: Vec<(Scheme, Vec<f64>)> = Scheme::prefetchers()
         .into_iter()
         .enumerate()

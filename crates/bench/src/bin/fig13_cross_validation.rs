@@ -3,7 +3,6 @@
 //! single-core models (memory-intensive subset and full set).
 
 use ppf_analysis::{geometric_mean, percent_gain, TextTable};
-use ppf_bench::throughput::record_throughput;
 use ppf_bench::{run_mix_suite, run_suite, runner, RunScale, Scheme};
 use ppf_sim::SystemConfig;
 use ppf_trace::{Suite, Workload, WorkloadMix};
@@ -20,10 +19,7 @@ fn main() {
         .map(|w| WorkloadMix { id: 0, workloads: vec![w.clone(); 4] })
         .collect();
     eprintln!("Figure 13(a): {} apps x 5 schemes on {threads} thread(s)...", cloud.len());
-    let t0 = std::time::Instant::now();
-    let out = run_mix_suite("fig13_cloudsuite", &mixes, 4, scale);
-    let (runs, instructions) = (out.runs, out.instructions);
-    record_throughput("fig13_cloudsuite", threads, t0.elapsed(), instructions);
+    let runs = run_mix_suite("fig13_cloudsuite", &mixes, 4, scale).runs;
 
     let mut t = TextTable::new(vec!["app", "BOP", "DA-AMPM", "SPP", "PPF"]);
     // Match runs back to apps by mix label (a failed app drops out of
@@ -54,14 +50,7 @@ fn main() {
     // (b) SPEC CPU 2006.
     println!("Figure 13(b) — SPEC CPU 2006-like single-core models\n");
     let workloads = Workload::suite_all(Suite::Spec2006);
-    let t0 = std::time::Instant::now();
     let rows = run_suite("fig13_spec2006", &workloads, SystemConfig::single_core, scale).rows;
-    record_throughput(
-        "fig13_spec2006",
-        threads,
-        t0.elapsed(),
-        (workloads.len() * Scheme::all().len()) as u64 * (scale.warmup + scale.measure),
-    );
     let mut t = TextTable::new(vec!["set", "BOP", "DA-AMPM", "SPP", "PPF"]);
     for (label, intensive) in [("mem-intensive", true), ("full set", false)] {
         let mut cells = vec![label.to_string()];

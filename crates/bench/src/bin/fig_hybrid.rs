@@ -14,7 +14,6 @@
 
 use ppf_analysis::{geometric_mean, TextTable};
 use ppf_bench::hybrid::{run_fusion, Fusion, FusionCell};
-use ppf_bench::throughput::record_throughput;
 use ppf_bench::{runner, sweep, RunScale};
 use ppf_trace::{Suite, Workload};
 
@@ -30,7 +29,6 @@ fn main() {
         threads
     );
 
-    let t0 = std::time::Instant::now();
     let sweep = sweep::Sweep::from_args("fig_hybrid");
     let jobs: Vec<(String, runner::BoxedJob<Vec<f64>>)> = workloads
         .iter()
@@ -48,12 +46,6 @@ fn main() {
         .collect();
     let out = sweep.run(jobs);
     out.report();
-    record_throughput(
-        "fig_hybrid",
-        threads,
-        t0.elapsed(),
-        (workloads.len() * fusions.len()) as u64 * (scale.warmup + scale.measure),
-    );
 
     // Reassemble the grid; a workload is dropped whole if any cell failed
     // or decoded to the wrong arity (same policy as the main suites).

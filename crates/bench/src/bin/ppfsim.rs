@@ -12,7 +12,7 @@
 //!   `--list` prints every available model.
 //! * `--trace FILE` — replay a `PPFT` trace file instead of a model
 //!   (single-core only).
-//! * `--prefetcher none|nextline|stride|bop|ampm|sms|sandbox|vldp|spp|ppf|ppf-vldp|rosenblatt`
+//! * `--prefetcher none|nextline|stride|bop|ampm|vldp|spp|ppf|ppf-vldp|rosenblatt`
 //! * `--config default|lowbw|smallllc`
 //! * `--warmup N`, `--measure N`, `--seed N`
 //! * `--record FILE --records N` — dump the workload to a trace file and
@@ -20,7 +20,7 @@
 //!   (`pc,addr,kind,work,dependent`); anything else writes binary `PPFT`.
 
 use ppf::{Ppf, RosenblattFilter};
-use ppf_prefetchers::{Bop, DaAmpm, NextLine, Sandbox, Sms, Spp, StridePrefetcher, Vldp};
+use ppf_prefetchers::{Bop, DaAmpm, NextLine, Spp, StridePrefetcher, Vldp};
 use ppf_sim::{NoPrefetcher, Prefetcher, Simulation, SystemConfig};
 use ppf_trace::{load_trace_csv, record_trace, record_trace_csv, AccessPattern, TraceBuilder, TraceFile, Workload};
 use std::process::ExitCode;
@@ -36,8 +36,8 @@ OPTIONS:
                                 (N comma-separated names build an N-core system)
     --trace FILE                replay a recorded trace instead of a model
                                 (single-core only; .csv = text, else binary PPFT)
-    --prefetcher NAME           none|nextline|stride|bop|ampm|sms|sandbox|vldp|
-                                spp|ppf|ppf-vldp|rosenblatt   [default: ppf]
+    --prefetcher NAME           none|nextline|stride|bop|ampm|vldp|spp|ppf|
+                                ppf-vldp|rosenblatt           [default: ppf]
     --config NAME               default|lowbw|smallllc        [default: default]
     --warmup N                  warmup instructions per core  [default: 200000]
     --measure N                 measured instructions per core [default: 1000000]
@@ -138,8 +138,6 @@ fn build_prefetcher(name: &str) -> Result<Box<dyn Prefetcher>, String> {
         "ampm" => Box::new(DaAmpm::default()),
         "spp" => Box::new(Spp::default()),
         "vldp" => Box::new(Vldp::default()),
-        "sms" => Box::new(Sms::default()),
-        "sandbox" => Box::new(Sandbox::default()),
         "ppf" => Box::new(Ppf::new(Spp::default())),
         "ppf-vldp" => Box::new(Ppf::new(Vldp::default())),
         "rosenblatt" => Box::new(RosenblattFilter::new(Spp::default())),

@@ -15,7 +15,6 @@ pub mod hybrid;
 pub mod runner;
 pub mod sweep;
 pub mod telemetry;
-pub mod throughput;
 pub mod watchdog;
 
 use ppf::{Ppf, PpfConfig};
@@ -385,8 +384,6 @@ pub struct MixRun {
 pub struct MixSuiteOutcome {
     /// Completed mixes, in input order.
     pub runs: Vec<MixRun>,
-    /// Nominal simulated instructions (for throughput accounting).
-    pub instructions: u64,
     /// Mix labels dropped because a contributing job failed.
     pub dropped: Vec<String>,
     /// Every failed job (isolated and grid), in job order.
@@ -524,10 +521,7 @@ pub fn run_mix_suite_with(
         eprintln!("[sweep] dropped {d}: incomplete results");
     }
 
-    let per_mix = (cores as u64) * (scale.warmup + scale.measure / 2);
-    let instructions = (unique.len() as u64) * (scale.warmup + scale.measure)
-        + (mixes.len() as u64) * (schemes.len() as u64) * per_mix;
-    MixSuiteOutcome { runs, instructions, dropped, failures, resumed }
+    MixSuiteOutcome { runs, dropped, failures, resumed }
 }
 
 /// Runs one labelled grid of scalar jobs through `sweep`, reports the

@@ -43,6 +43,5 @@ fn mix_suite_parallel_matches_sequential() {
     let seq = run_mix_suite_with(&Sweep::ephemeral("det_mix_seq", 1), &mixes, 2, tiny());
     let par = run_mix_suite_with(&Sweep::ephemeral("det_mix_par", 4), &mixes, 2, tiny());
     assert!(seq.failures.is_empty() && par.failures.is_empty());
-    assert_eq!(seq.instructions, par.instructions);
     assert_eq!(format!("{:?}", seq.runs), format!("{:?}", par.runs));
 }

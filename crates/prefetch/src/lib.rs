@@ -10,9 +10,6 @@
 //!   engine, also filterable by PPF),
 //! * [`Bop`] — Best-Offset Prefetcher (DPC-2 winner),
 //! * [`DaAmpm`] — DRAM-aware Access Map Pattern Matching,
-//! * [`Sms`] — Spatial Memory Streaming (spatial footprints, Sec 7.1),
-//! * [`Sandbox`] — Sandbox Prefetching (Bloom-filter candidate evaluation,
-//!   Sec 7.1),
 //! * [`NextLine`], [`StridePrefetcher`] — reference baselines,
 //! * [`Hybrid`] — ensemble combinator fusing any set of [`LookaheadSource`]s
 //!   (SPP+BOP, SPP+DA-AMPM, stride+VLDP, …) into one provenance-tagged
@@ -45,8 +42,6 @@ pub mod baselines;
 pub mod bop;
 pub mod hybrid;
 pub mod lookahead;
-pub mod sandbox;
-pub mod sms;
 pub mod spp;
 pub mod vldp;
 
@@ -57,7 +52,5 @@ pub use hybrid::Hybrid;
 pub use lookahead::{
     depth_window_len, Candidate, CandidateMeta, Feedback, LookaheadSource, SourceId, MAX_SOURCES,
 };
-pub use sandbox::{Sandbox, SandboxConfig};
-pub use sms::{Sms, SmsConfig};
 pub use spp::{update_signature, Spp, SppConfig, SppStats};
 pub use vldp::{Vldp, VldpConfig};

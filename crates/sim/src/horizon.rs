@@ -6,9 +6,8 @@
 //! state can change — and the run loop jumps the cycle counter straight to
 //! it (see `DESIGN.md` §5d for the full argument that this is exact, not an
 //! approximation). This module holds the pieces that live outside the hot
-//! loop: the `PPF_NO_SKIP` escape hatch, the per-run [`CycleStats`]
-//! accounting, and a process-wide tally that the bench crate reads to report
-//! skip ratios in throughput records.
+//! loop: the `PPF_NO_SKIP` escape hatch and the per-run [`CycleStats`]
+//! accounting that [`crate::Simulation::cycle_stats`] reports.
 //!
 //! Control via `PPF_NO_SKIP`:
 //!
@@ -21,8 +20,6 @@
 //! The setting is sampled once per [`crate::Simulation`] at construction;
 //! tests that must not race on process-global environment use
 //! [`crate::Simulation::set_cycle_skip`] instead.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cycle-accounting summary of one (or many) simulation runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,36 +63,6 @@ fn skip_cycles_from(raw: Option<&str>) -> bool {
     }
 }
 
-// Process-wide tally across every `Simulation::run` in this process.
-// Sweeps run many simulations on worker threads; relaxed atomics are enough
-// because the bench harness only reads the totals after joining its workers.
-static GLOBAL_TICKS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_SKIPPED: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_CYCLES: AtomicU64 = AtomicU64::new(0);
-
-/// Folds one run's cycle accounting into the process-wide tally.
-pub fn record_global(stats: CycleStats) {
-    GLOBAL_TICKS.fetch_add(stats.ticks, Ordering::Relaxed);
-    GLOBAL_SKIPPED.fetch_add(stats.skipped_cycles, Ordering::Relaxed);
-    GLOBAL_CYCLES.fetch_add(stats.total_cycles, Ordering::Relaxed);
-}
-
-/// The process-wide cycle tally (all runs so far, every thread).
-pub fn global_stats() -> CycleStats {
-    CycleStats {
-        ticks: GLOBAL_TICKS.load(Ordering::Relaxed),
-        skipped_cycles: GLOBAL_SKIPPED.load(Ordering::Relaxed),
-        total_cycles: GLOBAL_CYCLES.load(Ordering::Relaxed),
-    }
-}
-
-/// Clears the process-wide tally (benches that measure one phase at a time).
-pub fn reset_global() {
-    GLOBAL_TICKS.store(0, Ordering::Relaxed);
-    GLOBAL_SKIPPED.store(0, Ordering::Relaxed);
-    GLOBAL_CYCLES.store(0, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,16 +86,5 @@ mod tests {
         let s = CycleStats { ticks: 25, skipped_cycles: 75, total_cycles: 100 };
         assert!((s.skip_ratio() - 0.75).abs() < 1e-12);
         assert_eq!(CycleStats::default().skip_ratio(), 0.0);
-    }
-
-    #[test]
-    fn global_tally_accumulates() {
-        // Other tests in this binary may also record; check deltas only.
-        let before = global_stats();
-        record_global(CycleStats { ticks: 3, skipped_cycles: 7, total_cycles: 10 });
-        let after = global_stats();
-        assert_eq!(after.ticks - before.ticks, 3);
-        assert_eq!(after.skipped_cycles - before.skipped_cycles, 7);
-        assert_eq!(after.total_cycles - before.total_cycles, 10);
     }
 }

@@ -379,7 +379,6 @@ impl Simulation {
         // burns one iteration per cycle, matching the old raw-cycle bound.
         let iteration_limit = (warmup + measure) * 2000 + 1_000_000;
         let mut iterations: u64 = 0;
-        let run_start = self.cycle_stats();
         // Root profiling span: stamped once (stride 1), so the exported
         // profile always covers the run's whole wall time regardless of the
         // sampling stride the fine-grained spans use.
@@ -431,13 +430,6 @@ impl Simulation {
             self.prof.record_ns(Span::RunLoop, t0.elapsed().as_nanos() as u64);
             self.prof.add_cycles(Span::RunLoop, self.cycle - c0);
         }
-
-        let end = self.cycle_stats();
-        crate::horizon::record_global(CycleStats {
-            ticks: end.ticks - run_start.ticks,
-            skipped_cycles: end.skipped_cycles - run_start.skipped_cycles,
-            total_cycles: end.total_cycles - run_start.total_cycles,
-        });
 
         let total_cycles = self
             .cores

@@ -5,9 +5,9 @@
 #   scripts/verify.sh             # build + clippy + tests + fault drill
 #                                 #   + horizon, serve and hybrid gates
 #                                 #   + observe gate
-#   scripts/verify.sh --quick     # ... + fig09 smoke run with throughput
-#   scripts/verify.sh --bench     # ... + hot-path micro-benchmarks and the
-#                                 #       throughput comparison table
+#   scripts/verify.sh --quick     # ... + fig09 smoke run
+#   scripts/verify.sh --bench     # ... + hot-path micro-benchmarks and a
+#                                 #       ledger record/compare round trip
 #   scripts/verify.sh --faults    # fault drill only (assumes a release build)
 #   scripts/verify.sh --horizon   # horizon gate only: fig09 --quick stdout
 #                                 #   must be byte-identical with cycle
@@ -72,15 +72,11 @@ run_fault_drill() {
 run_horizon_gate() {
     echo "== horizon gate: fig09 --quick, skip vs PPF_NO_SKIP=1 =="
     hz_dir="$(mktemp -d)"
-    hz_bin="$(pwd)/target/release/fig09_single_core"
-    # Run from the temp dir so the gate's throughput records land there
-    # (and are deleted) instead of polluting results/bench_throughput.json
-    # with A/B artifacts.
-    ( cd "$hz_dir" && PPF_CHECKPOINT_DIR="$hz_dir/skip" \
-        "$hz_bin" --quick > "$hz_dir/skip.out" 2>/dev/null ) \
+    PPF_CHECKPOINT_DIR="$hz_dir/skip" \
+        ./target/release/fig09_single_core --quick > "$hz_dir/skip.out" 2>/dev/null \
         || { echo "horizon gate: fig09 (skip mode) failed"; rm -rf "$hz_dir"; exit 1; }
-    ( cd "$hz_dir" && PPF_NO_SKIP=1 PPF_CHECKPOINT_DIR="$hz_dir/naive" \
-        "$hz_bin" --quick > "$hz_dir/naive.out" 2>/dev/null ) \
+    PPF_NO_SKIP=1 PPF_CHECKPOINT_DIR="$hz_dir/naive" \
+        ./target/release/fig09_single_core --quick > "$hz_dir/naive.out" 2>/dev/null \
         || { echo "horizon gate: fig09 (naive mode) failed"; rm -rf "$hz_dir"; exit 1; }
     cmp -s "$hz_dir/skip.out" "$hz_dir/naive.out" \
         || { echo "horizon gate: stdout differs between skip and naive modes"; \
@@ -153,12 +149,12 @@ run_serve_gate() {
 run_observe_gate() {
     echo "== observe gate: default build ignores PPF_OBSERVE =="
     obs_dir="$(mktemp -d)"
-    obs_bin="$(pwd)/target/release/fig09_single_core"
-    ( cd "$obs_dir" && PPF_CHECKPOINT_DIR="$obs_dir/off" \
-        "$obs_bin" --quick > "$obs_dir/off.out" 2>/dev/null ) \
+    obs_bin=./target/release/fig09_single_core
+    PPF_CHECKPOINT_DIR="$obs_dir/off" \
+        "$obs_bin" --quick > "$obs_dir/off.out" 2>/dev/null \
         || { echo "observe gate: fig09 (observe off) failed"; rm -rf "$obs_dir"; exit 1; }
-    ( cd "$obs_dir" && PPF_OBSERVE=intervals,spans PPF_CHECKPOINT_DIR="$obs_dir/on" \
-        "$obs_bin" --quick > "$obs_dir/on.out" 2>/dev/null ) \
+    PPF_OBSERVE=intervals,spans PPF_CHECKPOINT_DIR="$obs_dir/on" \
+        "$obs_bin" --quick > "$obs_dir/on.out" 2>/dev/null \
         || { echo "observe gate: fig09 (PPF_OBSERVE set) failed"; rm -rf "$obs_dir"; exit 1; }
     cmp -s "$obs_dir/off.out" "$obs_dir/on.out" \
         || { echo "observe gate: PPF_OBSERVE changed a default build's stdout"; \
@@ -167,8 +163,8 @@ run_observe_gate() {
 
     echo "== observe gate: fig09 --quick exports (PPF_OBSERVE=intervals) =="
     cargo build --release -q -p ppf-bench --features observe
-    ( cd "$obs_dir" && PPF_OBSERVE=intervals PPF_OBSERVE_DIR="$obs_dir/exports" \
-        PPF_CHECKPOINT_DIR="$obs_dir/observed" "$obs_bin" --quick > /dev/null ) \
+    PPF_OBSERVE=intervals PPF_OBSERVE_DIR="$obs_dir/exports" \
+        PPF_CHECKPOINT_DIR="$obs_dir/observed" "$obs_bin" --quick > /dev/null \
         || { echo "observe gate: observe-build fig09 failed"; rm -rf "$obs_dir"; exit 1; }
     set -- "$obs_dir"/exports/*.jsonl
     [ -e "$1" ] \
@@ -207,12 +203,11 @@ run_observe_gate() {
 run_hybrid_gate() {
     echo "== hybrid gate: fig09 --quick, bare SPP vs single-member Hybrid =="
     hy_dir="$(mktemp -d)"
-    hy_bin="$(pwd)/target/release/fig09_single_core"
-    ( cd "$hy_dir" && PPF_CHECKPOINT_DIR="$hy_dir/bare" \
-        "$hy_bin" --quick > "$hy_dir/bare.out" 2>/dev/null ) \
+    PPF_CHECKPOINT_DIR="$hy_dir/bare" \
+        ./target/release/fig09_single_core --quick > "$hy_dir/bare.out" 2>/dev/null \
         || { echo "hybrid gate: fig09 (bare) failed"; rm -rf "$hy_dir"; exit 1; }
-    ( cd "$hy_dir" && PPF_WRAP_HYBRID=1 PPF_CHECKPOINT_DIR="$hy_dir/wrapped" \
-        "$hy_bin" --quick > "$hy_dir/wrapped.out" 2>/dev/null ) \
+    PPF_WRAP_HYBRID=1 PPF_CHECKPOINT_DIR="$hy_dir/wrapped" \
+        ./target/release/fig09_single_core --quick > "$hy_dir/wrapped.out" 2>/dev/null \
         || { echo "hybrid gate: fig09 (PPF_WRAP_HYBRID=1) failed"; rm -rf "$hy_dir"; exit 1; }
     cmp -s "$hy_dir/bare.out" "$hy_dir/wrapped.out" \
         || { echo "hybrid gate: single-member Hybrid is not an identity"; \
@@ -220,9 +215,8 @@ run_hybrid_gate() {
              rm -rf "$hy_dir"; exit 1; }
 
     echo "== hybrid gate: fig_hybrid --quick (fusion ablation) =="
-    fh_bin="$(pwd)/target/release/fig_hybrid"
-    ( cd "$hy_dir" && PPF_CHECKPOINT_DIR="$hy_dir/fusion" \
-        "$fh_bin" --quick > "$hy_dir/fusion.out" 2>/dev/null ) \
+    PPF_CHECKPOINT_DIR="$hy_dir/fusion" \
+        ./target/release/fig_hybrid --quick > "$hy_dir/fusion.out" 2>/dev/null \
         || { echo "hybrid gate: fig_hybrid failed"; cat "$hy_dir/fusion.out"; \
              rm -rf "$hy_dir"; exit 1; }
     grep -q "PPF(SPP+BOP) per-source attribution" "$hy_dir/fusion.out" \
@@ -289,17 +283,23 @@ run_hybrid_gate
 if [ "$mode" = "--quick" ] || [ "$mode" = "--bench" ]; then
     echo "== fig09 smoke run (--quick) =="
     ./target/release/fig09_single_core --quick > /dev/null
-    if [ -f results/bench_throughput.json ]; then
-        echo "latest throughput record:"
-        tail -2 results/bench_throughput.json | head -1
-    fi
 fi
 
 if [ "$mode" = "--bench" ]; then
     echo "== hot-path micro-benchmarks =="
     cargo bench -p ppf-bench --bench hot_paths
-    echo "== throughput comparison (last two records per experiment) =="
-    ./scripts/bench_compare || true
+    echo "== ledger: two short fig09-1c records, then compare =="
+    # A throwaway log, so the round trip leaves results/ untouched.
+    ledger_dir="$(mktemp -d)"
+    for _ in 1 2; do
+        ./scripts/ledger --log "$ledger_dir/ledger.json" \
+            record --workload fig09-1c --seconds 2 > /dev/null \
+            || { echo "ledger: record failed"; rm -rf "$ledger_dir"; exit 1; }
+    done
+    rev="$(git rev-parse HEAD)"
+    ./scripts/ledger --log "$ledger_dir/ledger.json" compare "$rev" "$rev" \
+        || { echo "ledger: compare failed"; rm -rf "$ledger_dir"; exit 1; }
+    rm -rf "$ledger_dir"
 fi
 
 run_observe_gate

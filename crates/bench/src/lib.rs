@@ -9,16 +9,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod ckpt;
-pub mod fault;
 pub mod hybrid;
 pub mod runner;
 pub mod sweep;
 pub mod telemetry;
-pub mod watchdog;
 
 use ppf::{Ppf, PpfConfig};
-use ppf_prefetchers::{Bop, DaAmpm, Hybrid, LookaheadSource, Spp, SppConfig};
+use ppf_prefetchers::{Bop, DaAmpm, Spp, SppConfig};
 use ppf_sim::{
     AccessContext, EvictionInfo, FillLevel, NoPrefetcher, Prefetcher, PrefetchRequest,
     SimReport, Simulation, SystemConfig,
@@ -65,27 +62,13 @@ impl Scheme {
     }
 
     /// Builds the scheme's prefetcher instance.
-    ///
-    /// With `PPF_WRAP_HYBRID=1` the PPF scheme routes its SPP through a
-    /// single-member [`Hybrid`] instead of filtering it bare. The
-    /// combinator is an identity for one member, so every figure must
-    /// produce byte-identical output either way — `scripts/verify.sh
-    /// --hybrid` diffs a fig09 run under each setting to prove it.
     pub fn build(self) -> Box<dyn Prefetcher> {
         match self {
             Scheme::Baseline => Box::new(NoPrefetcher),
             Scheme::Bop => Box::new(Bop::default()),
             Scheme::DaAmpm => Box::new(DaAmpm::default()),
             Scheme::Spp => Box::new(Spp::default()),
-            Scheme::Ppf => {
-                if std::env::var_os("PPF_WRAP_HYBRID").is_some_and(|v| v == "1") {
-                    let members: Vec<Box<dyn LookaheadSource>> =
-                        vec![Box::new(Spp::default())];
-                    Box::new(Ppf::new(Hybrid::new(members)))
-                } else {
-                    Box::new(Ppf::new(Spp::default()))
-                }
-            }
+            Scheme::Ppf => Box::new(Ppf::new(Spp::default())),
         }
     }
 }

@@ -24,24 +24,12 @@
 //! limit is marked [`FailReason::TimedOut`] and the sweep moves on. The hung
 //! job's thread is abandoned (Rust cannot kill a thread) and dies with the
 //! process — acceptable for a CLI sweep, which is why the watchdog is
-//! opt-in. The deadline machinery itself lives in [`crate::watchdog`],
-//! shared with the serving daemon's shard supervision.
+//! opt-in.
 
+use ppf_sim::fault::lock_unpoisoned;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-pub use crate::watchdog::job_timeout;
-
-/// Locks a mutex, recovering the guard from a poisoned lock.
-///
-/// Safe here because jobs are `catch_unwind`-isolated: the protected data
-/// (a job queue iterator, a write-once result slot) is never left in a
-/// half-updated state by a panicking job, so the poison flag carries no
-/// information worth dying for.
-pub fn lock_unpoisoned<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Why a sweep job failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,37 +92,65 @@ fn no_complete<T>() -> impl Fn(usize, &str, Duration, &Outcome<T>) + Sync {
 /// message on stderr and exit code 2 rather than silently falling through to
 /// a default the user did not ask for.
 pub fn thread_count() -> usize {
-    match resolve_threads(std::env::args().skip(1), std::env::var("PPF_THREADS").ok().as_deref())
-    {
-        Ok(Some(n)) => n,
-        Ok(None) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    }
+    let env = std::env::var("PPF_THREADS").ok();
+    or_exit(resolve_threads(std::env::args().skip(1), env.as_deref()))
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Resolves the per-job watchdog timeout: `--job-timeout N` (seconds, also
+/// `--job-timeout=N`), then `PPF_JOB_TIMEOUT=N`, then `None` (watchdog off).
+///
+/// Malformed values are rejected with exit code 2, like [`thread_count`].
+pub fn job_timeout() -> Option<Duration> {
+    let env = std::env::var("PPF_JOB_TIMEOUT").ok();
+    or_exit(resolve_timeout(std::env::args().skip(1), env.as_deref()))
+}
+
+/// A malformed flag is a usage error: print it and exit with code 2.
+fn or_exit<T>(resolved: Result<T, String>) -> T {
+    resolved.unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    })
 }
 
 /// Pure core of [`thread_count`]: `Ok(Some(n))` for an explicit request,
 /// `Ok(None)` when nothing was specified, `Err` for a malformed request.
 fn resolve_threads(
-    mut args: impl Iterator<Item = String>,
+    args: impl Iterator<Item = String>,
     env: Option<&str>,
 ) -> Result<Option<usize>, String> {
+    resolve_flag(args, env, ["--threads", "PPF_THREADS", "(e.g. --threads 8)"], parse_count)
+}
+
+/// Pure core of [`job_timeout`] (tests inject args/env).
+fn resolve_timeout(
+    args: impl Iterator<Item = String>,
+    env: Option<&str>,
+) -> Result<Option<Duration>, String> {
+    let names = ["--job-timeout", "PPF_JOB_TIMEOUT", "in seconds (e.g. --job-timeout 600)"];
+    resolve_flag(args, env, names, parse_timeout)
+}
+
+/// `--<flag> V` or `--<flag>=V` from `args`, else the value `env` of the
+/// variable `env_var`, through `parse(value, source)`; `Ok(None)` when
+/// neither is set.
+fn resolve_flag<T>(
+    mut args: impl Iterator<Item = String>,
+    env: Option<&str>,
+    [flag, env_var, usage]: [&str; 3],
+    parse: fn(&str, &str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    let eq_form = format!("{flag}=");
     while let Some(a) = args.next() {
-        if a == "--threads" {
-            let v = args
-                .next()
-                .ok_or_else(|| "--threads requires a value (e.g. --threads 8)".to_string())?;
-            return parse_count(&v, "--threads").map(Some);
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            return parse_count(v, "--threads").map(Some);
+        if a == flag {
+            let v = args.next().ok_or_else(|| format!("{flag} requires a value {usage}"))?;
+            return parse(&v, flag).map(Some);
+        } else if let Some(v) = a.strip_prefix(&eq_form) {
+            return parse(v, flag).map(Some);
         }
     }
-    match env {
-        Some(v) => parse_count(v, "PPF_THREADS").map(Some),
-        None => Ok(None),
-    }
+    env.map(|v| parse(v, env_var)).transpose()
 }
 
 fn parse_count(v: &str, source: &str) -> Result<usize, String> {
@@ -142,6 +158,14 @@ fn parse_count(v: &str, source: &str) -> Result<usize, String> {
         Ok(0) => Err(format!("{source} must be at least 1, got 0")),
         Ok(n) => Ok(n),
         Err(_) => Err(format!("{source} expects a positive integer, got `{v}`")),
+    }
+}
+
+fn parse_timeout(v: &str, source: &str) -> Result<Duration, String> {
+    match v.parse::<f64>() {
+        Ok(s) if s > 0.0 && s.is_finite() => Ok(Duration::from_secs_f64(s)),
+        Ok(_) => Err(format!("{source} must be a positive number of seconds, got `{v}`")),
+        Err(_) => Err(format!("{source} expects a number of seconds, got `{v}`")),
     }
 }
 
@@ -156,7 +180,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs `f` with panic isolation, converting an unwind into a [`JobError`].
-pub(crate) fn guard<T>(label: &str, f: impl FnOnce() -> T) -> Outcome<T> {
+fn guard<T>(label: &str, f: impl FnOnce() -> T) -> Outcome<T> {
     let t0 = Instant::now();
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| JobError {
         label: label.to_string(),
@@ -250,6 +274,48 @@ where
 /// watchdog hand the job to an abandonable thread).
 pub type BoxedJob<T> = Box<dyn FnOnce() -> T + Send + 'static>;
 
+/// Runs a job on a disposable thread and waits at most `limit` for it.
+///
+/// On overrun the job's thread is abandoned (Rust cannot kill a thread) and
+/// dies with the process; the caller gets [`FailReason::TimedOut`] and moves
+/// on. Panics inside the job are isolated and surface as
+/// [`FailReason::Panicked`].
+fn run_with_deadline<T: Send + 'static>(
+    label: &str,
+    job: BoxedJob<T>,
+    limit: Duration,
+) -> Outcome<T> {
+    let t0 = Instant::now();
+    let (tx, rx) = std::sync::mpsc::channel::<Outcome<T>>();
+    let owned = label.to_string();
+    let spawned = std::thread::Builder::new().name(format!("ppf-job {label}")).spawn(move || {
+        let _ = tx.send(guard(&owned, job));
+    });
+    if spawned.is_err() {
+        return Err(JobError {
+            label: label.to_string(),
+            reason: FailReason::Panicked("could not spawn watchdog job thread".into()),
+            wall: t0.elapsed(),
+        });
+    }
+    match rx.recv_timeout(limit) {
+        Ok(outcome) => outcome,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => Err(JobError {
+            label: label.to_string(),
+            reason: FailReason::TimedOut(limit),
+            wall: t0.elapsed(),
+        }),
+        // The sender dropped without sending: only possible if the job
+        // thread died outside catch_unwind (e.g. a non-unwinding abort would
+        // have taken the process with it, so treat this as a panic).
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => Err(JobError {
+            label: label.to_string(),
+            reason: FailReason::Panicked("job thread exited without a result".into()),
+            wall: t0.elapsed(),
+        }),
+    }
+}
+
 /// Runs boxed jobs with panic isolation, an optional per-job watchdog, and a
 /// per-completion hook — the engine under the sweep driver.
 ///
@@ -272,7 +338,7 @@ pub fn run_watched<T: Send + 'static>(
         Some(limit) => drive(
             jobs.into_iter()
                 .map(|(label, f)| {
-                    (label, move |l: &str| crate::watchdog::run_with_deadline(l, f, limit))
+                    (label, move |l: &str| run_with_deadline(l, f, limit))
                 })
                 .collect(),
             threads,
@@ -425,6 +491,22 @@ mod tests {
     }
 
     #[test]
+    fn run_with_deadline_times_out_and_passes_fast_jobs() {
+        let fast = run_with_deadline("fast", Box::new(|| 42u32), Duration::from_secs(30));
+        assert_eq!(*fast.as_ref().unwrap(), 42);
+        let hung = run_with_deadline(
+            "hung",
+            Box::new(|| {
+                std::thread::sleep(Duration::from_secs(60));
+                0u32
+            }),
+            Duration::from_millis(40),
+        );
+        let e = hung.expect_err("must time out");
+        assert!(matches!(e.reason, FailReason::TimedOut(_)));
+    }
+
+    #[test]
     fn completion_hook_sees_every_job() {
         let count = AtomicUsize::new(0);
         let hook = |_: usize, _: &str, _: Duration, _: &Outcome<u32>| {
@@ -464,7 +546,6 @@ mod tests {
 
     #[test]
     fn timeout_arg_parsing() {
-        use crate::watchdog::resolve_timeout;
         assert_eq!(
             resolve_timeout(strings(&["--job-timeout", "30"]), None),
             Ok(Some(Duration::from_secs(30)))

@@ -21,9 +21,9 @@
 //! sweep summary ([`SweepOutcome::report`]) goes to stderr; experiment
 //! stdout stays byte-identical to the pre-checkpoint harness on clean runs.
 
-use crate::ckpt;
-use crate::fault::FaultSpec;
-use crate::runner::{self, lock_unpoisoned, BoxedJob, JobError, Outcome};
+use crate::runner::{self, BoxedJob, JobError, Outcome};
+use ppf_sim::ckpt;
+use ppf_sim::fault::{self, lock_unpoisoned, FaultSpec};
 use ppf_sim::{CacheStats, CoreReport, DramStats, PrefetchStats, SimReport};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
@@ -230,15 +230,6 @@ impl Checkpoint for SimReport {
     }
 }
 
-/// Extracts a `"name":"value"` string field from a checkpoint line.
-/// Payloads never contain `"`, so scanning to the next quote is exact.
-fn json_str_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let tag = format!("\"{name}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
 fn format_record(experiment: &str, key: &str, wall: Duration, data: &str) -> String {
     debug_assert!(!experiment.contains(['"', '\\']) && !key.contains(['"', '\\']));
     let body = format!(
@@ -296,7 +287,7 @@ impl Sweep {
             std::env::args().any(|a| a == "--resume"),
             dir,
         );
-        sweep.faults = crate::fault::specs_from_env_or_exit();
+        sweep.faults = fault::specs_from_env_or_exit();
         sweep
     }
 
@@ -319,7 +310,7 @@ impl Sweep {
         resume: bool,
         dir: impl Into<PathBuf>,
     ) -> Self {
-        let faults = crate::fault::specs_from_env().unwrap_or_else(|msg| {
+        let faults = fault::specs_from_env().unwrap_or_else(|msg| {
             eprintln!("warning: {msg}; ignoring fault injection");
             Vec::new()
         });
@@ -387,16 +378,15 @@ impl Sweep {
                 self.experiment, load.dropped_crc
             );
         }
-        let version_tag = format!("\"v\":{CHECKPOINT_SCHEMA_VERSION},");
         for line in &load.lines {
-            if !line.contains(&version_tag) {
+            if ckpt::num_field(line, "v") != Some(u64::from(CHECKPOINT_SCHEMA_VERSION)) {
                 continue;
             }
-            if json_str_field(line, "experiment") != Some(&self.experiment) {
+            if ckpt::str_field(line, "experiment") != Some(&self.experiment) {
                 continue;
             }
             let (Some(key), Some(data)) =
-                (json_str_field(line, "key"), json_str_field(line, "data"))
+                (ckpt::str_field(line, "key"), ckpt::str_field(line, "data"))
             else {
                 continue;
             };

@@ -159,7 +159,7 @@ fn checkpoint_file_is_versioned_and_nan_safe() {
     assert!(text.starts_with("{\"crc\":\""), "CRC seal missing: {text}");
     assert!(text.contains("\"v\":2,"), "schema version tag missing: {text}");
     assert!(
-        ppf_bench::ckpt::check(text.lines().next().unwrap()).is_ok(),
+        ppf_sim::ckpt::check(text.lines().next().unwrap()).is_ok(),
         "seal must verify: {text}"
     );
     {

@@ -2,9 +2,9 @@
 //!
 //! * A **single-member** `Hybrid` is an identity — `Ppf<Hybrid([Spp])>`
 //!   must be bit-identical to `Ppf<Spp>` (requests, decision counters and
-//!   weight digests) under arbitrary access/feedback interleavings. This is
-//!   what lets `scripts/verify.sh --hybrid` gate fig09 stdout byte-for-byte
-//!   with `PPF_WRAP_HYBRID=1`.
+//!   weight digests) under arbitrary access/feedback interleavings.
+//!   `crates/bench/tests/hybrid_identity.rs` checks the same identity on
+//!   whole fig09 simulations.
 //! * A **two-member** fusion is deterministic: identical inputs produce
 //!   identical requests and identical final weights in fresh instances, so
 //!   sweep parallelism (`--threads N`) cannot change fig_hybrid's results.

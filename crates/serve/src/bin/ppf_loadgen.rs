@@ -182,7 +182,7 @@ fn main() {
     }
     // Strict at the binary boundary, mirroring --threads: a malformed
     // PPF_FAULT_INJECT must fail loudly, not silently drill nothing.
-    cfg.serve.faults = ppf_bench::fault::specs_from_env_or_exit();
+    cfg.serve.faults = ppf_sim::fault::specs_from_env_or_exit();
 
     match mode.as_deref() {
         Some("drill") => drill(cfg),

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! `PPF_FAULT_INJECT` (strict: malformed specs exit 2) injects chaos —
-//! see `ppf_bench::fault` for the grammar. On exit the counters snapshot
+//! see `ppf_sim::fault` for the grammar. On exit the counters snapshot
 //! is appended to `serve-daemon.jsonl` under `PPF_OBSERVE_DIR` when built
 //! with the `observe` feature and run with `PPF_OBSERVE=intervals`, like
 //! every other tool here.
@@ -69,7 +69,7 @@ fn main() {
     }
     // Strict at the binary boundary: a typo'd fault spec must not silently
     // run a drill with no faults.
-    cfg.faults = ppf_bench::fault::specs_from_env_or_exit();
+    cfg.faults = ppf_sim::fault::specs_from_env_or_exit();
 
     #[cfg(not(unix))]
     {

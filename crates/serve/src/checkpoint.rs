@@ -1,8 +1,8 @@
 //! Per-shard crash-safe weight checkpoints.
 //!
 //! Each shard owns one append-only JSONL file, `shard-<k>.jsonl`, of
-//! CRC-sealed records (the same seal the sweep checkpoints use, see
-//! `ppf_bench::ckpt`):
+//! CRC-sealed records (the same seal and field readers the sweep
+//! checkpoints use, see [`ppf_sim::ckpt`]):
 //!
 //! ```text
 //! {"crc":"xxxxxxxx","v":1,"tenant":"t003-619.lbm_s","gen":4,"weights":"<hex>"}
@@ -25,7 +25,9 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use ppf_bench::ckpt;
+use ppf_sim::ckpt;
+
+use crate::protocol::valid_tenant;
 
 /// Schema version tag for serve checkpoint records.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -66,24 +68,11 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(&s[i * 2..i * 2 + 2], 16).ok())
+    let nibble = |b: u8| char::from(b).to_digit(16);
+    s.as_bytes()
+        .chunks(2)
+        .map(|pair| Some(((nibble(pair[0])? << 4) | nibble(pair[1])?) as u8))
         .collect()
-}
-
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(&line[start..start + end])
-}
-
-fn num_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String =
-        line[start..].chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
 }
 
 impl ShardCheckpoint {
@@ -99,9 +88,9 @@ impl ShardCheckpoint {
 
     /// Formats one record body (unsealed, no newline).
     fn record_body(tenant: &str, gen: u64, weights: &[u8]) -> String {
-        debug_assert!(
-            !tenant.contains(['"', '\\', '\n']),
-            "tenant names are t<idx>-<workload>, no escaping needed"
+        assert!(
+            valid_tenant(tenant),
+            "a tenant name spliced unescaped must pass valid_tenant, got {tenant:?}"
         );
         format!(
             "{{\"v\":{SCHEMA_VERSION},\"tenant\":\"{tenant}\",\"gen\":{gen},\
@@ -157,14 +146,16 @@ impl ShardCheckpoint {
         let mut out = Restored { tenants: HashMap::new(), dropped };
         for line in &loaded.lines {
             let parsed = (|| {
-                let v = num_field(line, "v")?;
+                let v = ckpt::num_field(line, "v")?;
                 if v != u64::from(SCHEMA_VERSION) {
                     return None;
                 }
-                let tenant = str_field(line, "tenant")?.to_string();
-                let gen = num_field(line, "gen")?;
-                let weights = hex_decode(str_field(line, "weights")?)?;
-                Some((tenant, RestoredTenant { gen, weights }))
+                // Names a client may no longer use (or a forged record) drop
+                // here, so compaction never rewrites them.
+                let tenant = ckpt::str_field(line, "tenant").filter(|t| valid_tenant(t))?;
+                let gen = ckpt::num_field(line, "gen")?;
+                let weights = hex_decode(ckpt::str_field(line, "weights")?)?;
+                Some((tenant.to_string(), RestoredTenant { gen, weights }))
             })();
             match parsed {
                 Some((tenant, restored)) => {
@@ -268,6 +259,67 @@ mod tests {
         let r2 = ck.load();
         assert_eq!(r2.dropped, 0);
         assert_eq!(r2.tenants["t000-a"], r.tenants["t000-a"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_files_never_panic_or_restore_unwritten_state() {
+        let dir = tmpdir("mutate");
+        let ck = ShardCheckpoint::new(&dir, 4);
+        let written: [(&str, u64, Vec<u8>); 2] =
+            [("t000-a", 1, vec![1, 2, 3]), ("t001-b", 7, vec![0xfe, 0x00])];
+        for (tenant, gen, weights) in &written {
+            ck.append(tenant, *gen, weights, false).unwrap();
+        }
+        let file = std::fs::read(ck.path()).unwrap();
+        let load_only_written = |bytes: &[u8]| {
+            std::fs::write(ck.path(), bytes).unwrap();
+            for (tenant, r) in ck.load().tenants {
+                assert!(
+                    written.iter().any(|(t, g, w)| *t == tenant && *g == r.gen && *w == r.weights),
+                    "restored {tenant} gen {} weights {:?}, which was never written",
+                    r.gen,
+                    r.weights
+                );
+            }
+        };
+        for cut in 0..file.len() {
+            load_only_written(&file[..cut]);
+        }
+        for bit in 0..file.len() * 8 {
+            let mut bytes = file.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            load_only_written(&bytes);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sealed_record_with_non_hex_weights_is_dropped() {
+        let dir = tmpdir("nonhex");
+        let ck = ShardCheckpoint::new(&dir, 5);
+        // Correctly sealed, so only the body parser stands between these
+        // weights and a restore; multi-byte chars must not split mid-char.
+        let body = "{\"v\":1,\"tenant\":\"t000-a\",\"gen\":1,\"weights\":\"\u{20ac}\u{20ac}\"}";
+        std::fs::write(ck.path(), format!("{}\n", ckpt::seal(body))).unwrap();
+        let r = ck.load();
+        assert!(r.tenants.is_empty());
+        assert_eq!(r.dropped, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_with_unusable_tenant_names_are_dropped() {
+        let dir = tmpdir("badname");
+        let ck = ShardCheckpoint::new(&dir, 6);
+        ck.append("t000-a", 1, &[1], false).unwrap();
+        let forged = ckpt::seal(r#"{"v":1,"tenant":"t 001","gen":1,"weights":"02"}"#);
+        let text = std::fs::read_to_string(ck.path()).unwrap() + &forged + "\n";
+        std::fs::write(ck.path(), text).unwrap();
+        let r = ck.load();
+        assert_eq!(r.dropped, 1);
+        assert_eq!(r.tenants.keys().collect::<Vec<_>>(), ["t000-a"]);
+        ck.compact(&r.tenants).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -26,15 +26,14 @@ use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ppf_bench::fault::FaultSpec;
-use ppf_bench::runner::lock_unpoisoned;
-use ppf_bench::watchdog::Watchdog;
+use ppf_sim::fault::{lock_unpoisoned, FaultSpec};
 use ppf_sim::{ProfConfig, SharedSpanTable, Span};
 
 use crate::checkpoint::ShardCheckpoint;
 use crate::counters::Counters;
 use crate::protocol::{ScoreReply, ScoreRequest};
 use crate::shard::{Job, ShardInner, ShardWorker};
+use crate::watchdog::Watchdog;
 
 /// Daemon configuration. Defaults are sized for tests and the chaos
 /// drill; production callers tune per deployment.

@@ -15,7 +15,7 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use ppf_bench::runner::lock_unpoisoned;
+use ppf_sim::fault::lock_unpoisoned;
 use ppf_sim::observe::{envelope, Ring};
 
 /// Events retained per shard; older entries are overwritten.

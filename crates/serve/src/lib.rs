@@ -14,7 +14,7 @@
 //!   shard heartbeat gets the whole shard replaced by the supervisor.
 //! - **Crash-safe warm start** ([`checkpoint`]): CRC-sealed JSONL weight
 //!   checkpoints with torn-tail tolerance, reusing the sweep-resume
-//!   discipline from `ppf_bench::ckpt`; recovery is bit-exact thanks to
+//!   discipline from [`ppf_sim::ckpt`]; recovery is bit-exact thanks to
 //!   the filter's epoch-barrier semantics (`PpfFilter::checkpoint_barrier`).
 //! - **Wire protocol** ([`protocol`], [`server`]): length-prefixed binary
 //!   frames over a unix socket; the in-process [`daemon::Daemon`] API is
@@ -24,7 +24,7 @@
 //!   disk on retirement, plus span tables (`observe` feature +
 //!   `PPF_OBSERVE=spans`) served live over the `OP_STATS` opcode
 //!   (`ppf_loadgen --stats`).
-//! - **Chaos drills**: `PPF_FAULT_INJECT` (parsed by `ppf_bench::fault`)
+//! - **Chaos drills**: `PPF_FAULT_INJECT` (parsed by [`ppf_sim::fault`])
 //!   injects tenant panics, checkpoint bit-flips, slow shards, and load
 //!   spikes; `ppf_loadgen --drill` replays multi-tenant `ppf-trace`
 //!   streams against the fleet and reports p50/p99 with shed, degraded,
@@ -43,6 +43,7 @@ pub mod protocol;
 pub mod server;
 mod shard;
 pub mod tenant;
+mod watchdog;
 
 pub use checkpoint::{Restored, RestoredTenant, ShardCheckpoint};
 pub use counters::Counters;

@@ -16,8 +16,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use ppf::FeatureInputs;
-use ppf_bench::fault::FaultSpec;
-use ppf_bench::runner::lock_unpoisoned;
+use ppf_sim::fault::{lock_unpoisoned, FaultSpec};
 use ppf_sim::observe::envelope;
 use ppf_trace::{MultiTenantReplay, RatePlan, Suite, TraceRecord};
 

@@ -58,7 +58,7 @@ pub struct Candidate {
 /// A decoded score request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScoreRequest {
-    /// Tenant the batch belongs to.
+    /// Tenant the batch belongs to; must pass [`valid_tenant`].
     pub tenant: String,
     /// Candidates to score, in order.
     pub candidates: Vec<Candidate>,
@@ -221,31 +221,83 @@ fn frame(payload: Vec<u8>) -> Vec<u8> {
     out
 }
 
+/// Why a score frame failed to decode; the server then closes the connection.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The frame ends before a field it declares.
+    Truncated {
+        /// Bytes the field needs.
+        need: usize,
+        /// Offset the field starts at.
+        at: usize,
+        /// Payload length.
+        have: usize,
+    },
+    /// The first byte is not [`OP_SCORE`].
+    Opcode(u8),
+    /// A declared element count exceeds the frame budget.
+    Oversized {
+        /// `"candidate"` or `"address"`.
+        what: &'static str,
+        /// The declared count.
+        count: usize,
+    },
+    /// The tenant name fails [`valid_tenant`].
+    TenantName,
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::Truncated { need, at, have } => {
+                write!(f, "truncated frame: need {need} bytes at {at}, have {have}")
+            }
+            DecodeError::Opcode(op) => write!(f, "expected OP_SCORE, got opcode {op}"),
+            DecodeError::Oversized { what, count } => {
+                write!(f, "{what} count {count} exceeds frame budget")
+            }
+            DecodeError::TenantName => {
+                write!(f, "tenant name must be non-empty printable ASCII with no '\"' or '\\'")
+            }
+        }
+    }
+}
+
+/// Whether the daemon accepts `name` as a tenant: non-empty printable ASCII
+/// with no `"` or `\`, since checkpoint records carry it unescaped.
+pub fn valid_tenant(name: &str) -> bool {
+    !name.is_empty() && name.bytes().all(|b| b.is_ascii_graphic() && b != b'"' && b != b'\\')
+}
+
 /// Decodes a score-request payload (opcode byte included). Every length is
-/// bounds-checked; a malformed frame is an error, never a panic.
-pub fn decode_score(payload: &[u8]) -> Result<ScoreRequest, String> {
-    let need = |at: usize, n: usize| {
-        if at + n > payload.len() {
-            Err(format!("truncated frame: need {n} bytes at {at}, have {}", payload.len()))
+/// bounds-checked and the tenant name must pass [`valid_tenant`]; a
+/// malformed frame is an error, never a panic.
+pub fn decode_score(payload: &[u8]) -> Result<ScoreRequest, DecodeError> {
+    let need = |at: usize, need: usize| {
+        if at + need > payload.len() {
+            Err(DecodeError::Truncated { need, at, have: payload.len() })
         } else {
             Ok(())
         }
     };
     need(0, 3)?;
     if payload[0] != OP_SCORE {
-        return Err(format!("expected OP_SCORE, got opcode {}", payload[0]));
+        return Err(DecodeError::Opcode(payload[0]));
     }
     let name_len = read_u16(payload, 1) as usize;
     need(3, name_len)?;
-    let tenant = String::from_utf8(payload[3..3 + name_len].to_vec())
-        .map_err(|_| "tenant name is not UTF-8".to_string())?;
+    let tenant = std::str::from_utf8(&payload[3..3 + name_len])
+        .ok()
+        .filter(|t| valid_tenant(t))
+        .ok_or(DecodeError::TenantName)?
+        .to_string();
     let mut at = 3 + name_len;
 
     need(at, 4)?;
     let ncand = read_u32(payload, at) as usize;
     at += 4;
     if ncand > MAX_FRAME / CANDIDATE_BYTES {
-        return Err(format!("candidate count {ncand} exceeds frame budget"));
+        return Err(DecodeError::Oversized { what: "candidate", count: ncand });
     }
     need(at, ncand * CANDIDATE_BYTES)?;
     let mut candidates = Vec::with_capacity(ncand);
@@ -254,12 +306,12 @@ pub fn decode_score(payload: &[u8]) -> Result<ScoreRequest, String> {
         at += CANDIDATE_BYTES;
     }
 
-    let addrs = |at: &mut usize| -> Result<Vec<u64>, String> {
+    let addrs = |at: &mut usize| -> Result<Vec<u64>, DecodeError> {
         need(*at, 4)?;
         let n = read_u32(payload, *at) as usize;
         *at += 4;
         if n > MAX_FRAME / 8 {
-            return Err(format!("address count {n} exceeds frame budget"));
+            return Err(DecodeError::Oversized { what: "address", count: n });
         }
         need(*at, n * 8)?;
         let mut out = Vec::with_capacity(n);
@@ -365,6 +417,52 @@ mod tests {
         assert_eq!(len, framed.len() - 4);
         let decoded = decode_score(&framed[4..]).expect("decodes");
         assert_eq!(decoded, req);
+    }
+
+    /// A score payload with raw tenant-name bytes and no candidates.
+    fn payload_named(name: &[u8]) -> Vec<u8> {
+        let mut p = vec![OP_SCORE];
+        p.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        p.extend_from_slice(name);
+        p.extend_from_slice(&[0; 12]);
+        p
+    }
+
+    #[test]
+    fn tenant_names_that_could_forge_checkpoint_fields_are_refused() {
+        let crafted = br#"t000-x","gen":9,"weights":"ff"#;
+        assert_eq!(decode_score(&payload_named(crafted)), Err(DecodeError::TenantName));
+        // One name per forbidden byte class: empty, space, control, DEL,
+        // non-ASCII UTF-8, invalid UTF-8, quote, backslash.
+        for name in [
+            &b""[..],
+            b"t000 a",
+            b"t000\na",
+            b"t000\x7fa",
+            "t000-\u{e9}".as_bytes(),
+            b"t000-\xff",
+            b"t000\"a",
+            b"t000\\a",
+        ] {
+            assert_eq!(
+                decode_score(&payload_named(name)),
+                Err(DecodeError::TenantName),
+                "{name:?} must be refused"
+            );
+        }
+        assert_eq!(decode_score(&payload_named(b"t000-a")).unwrap().tenant, "t000-a");
+    }
+
+    #[test]
+    fn every_replay_tenant_name_is_accepted() {
+        use ppf_trace::{MultiTenantReplay, Suite, Workload};
+        for suite in [Suite::Spec2017, Suite::Spec2006, Suite::CloudSuite] {
+            let n = Workload::memory_intensive(suite).len();
+            for name in MultiTenantReplay::new(suite, n, 1, 0).tenant_names() {
+                let req = ScoreRequest { tenant: name.clone(), ..sample_request() };
+                assert_eq!(decode_score(&encode_score(&req)[4..]), Ok(req), "{name}");
+            }
+        }
     }
 
     #[test]

@@ -25,9 +25,7 @@ use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ppf_bench::fault::FaultSpec;
-use ppf_bench::runner::lock_unpoisoned;
-use ppf_bench::watchdog::Heartbeat;
+use ppf_sim::fault::{lock_unpoisoned, FaultSpec};
 use ppf_sim::{ProfConfig, SharedSpanTable, Span};
 
 use crate::counters::Counters;
@@ -36,6 +34,7 @@ use crate::daemon::route_hash;
 use crate::flight::{FlightKind, FlightRecorder};
 use crate::protocol::{ScoreReply, ScoreRequest};
 use crate::tenant::TenantState;
+use crate::watchdog::Heartbeat;
 
 /// How long an idle worker waits before re-beating its heartbeat.
 const IDLE_BEAT: Duration = Duration::from_millis(100);

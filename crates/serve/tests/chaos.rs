@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use ppf_bench::fault::FaultSpec;
+use ppf_sim::fault::FaultSpec;
 use ppf_serve::daemon::{Daemon, ServeConfig};
 use ppf_serve::loadgen::{run_drill, silence_injected_panics, DrillConfig};
 use ppf_serve::protocol::{Candidate, ScoreRequest};

@@ -1,8 +1,8 @@
 //! Shared crash-safe JSONL checkpoint substrate.
 //!
-//! Both the sweep driver ([`crate::sweep`]) and the serving daemon
-//! (`ppf-serve`) persist state as append-only JSONL files and must survive
-//! the two corruptions a crash actually produces:
+//! Both the figure harness's sweeps (`ppf_bench::sweep`) and the serving
+//! daemon (`ppf-serve`) persist state as append-only JSONL files and
+//! must survive the two corruptions a crash actually produces:
 //!
 //! * **Torn tails.** A process killed mid-append leaves a final line with no
 //!   terminating newline (or half a record). [`load_tolerant`] drops that
@@ -18,6 +18,9 @@
 //! [`atomic_write`]: write to a temp file in the same directory, fsync,
 //! rename — a crash leaves either the old file or the new one, never a
 //! partial mix.
+//!
+//! [`str_field`] and [`num_field`] read record fields back. Writers splice
+//! string values unescaped, so no value may contain `"` or `\`.
 
 use std::fs::{self, File};
 use std::io::{self, Write as _};
@@ -76,15 +79,6 @@ pub enum SealError {
     Mismatch,
 }
 
-impl std::fmt::Display for SealError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SealError::Unsealed => write!(f, "record carries no CRC seal"),
-            SealError::Mismatch => write!(f, "record body does not match its CRC"),
-        }
-    }
-}
-
 /// Validates a line produced by [`seal`]. The line still contains every
 /// original field (plus `crc`), so callers keep scanning it as before.
 ///
@@ -95,6 +89,11 @@ impl std::fmt::Display for SealError {
 pub fn check(line: &str) -> Result<(), SealError> {
     let rest = line.strip_prefix(SEAL_PREFIX).ok_or(SealError::Unsealed)?;
     let (hex, body) = rest.split_at_checked(8).ok_or(SealError::Unsealed)?;
+    // Only seal()'s lowercase form: `from_str_radix` alone also takes
+    // `A`-`F`, so a bit flip that changes a digit's case would pass.
+    if !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+        return Err(SealError::Unsealed);
+    }
     let stored = u32::from_str_radix(hex, 16).map_err(|_| SealError::Unsealed)?;
     let body = body.strip_prefix("\",").ok_or(SealError::Unsealed)?;
     if crc32(body.as_bytes()) == stored {
@@ -102,6 +101,24 @@ pub fn check(line: &str) -> Result<(), SealError> {
     } else {
         Err(SealError::Mismatch)
     }
+}
+
+/// Reads the `"key":"value"` string field of a record line. String values
+/// never contain `"`, so scanning to the next quote is exact.
+pub fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":\"");
+    let start = line.find(&pat)? + pat.len();
+    let end = line[start..].find('"')?;
+    Some(&line[start..start + end])
+}
+
+/// Reads the `"key":<digits>` unsigned number field of a record line.
+pub fn num_field(line: &str, key: &str) -> Option<u64> {
+    let pat = format!("\"{key}\":");
+    let start = line.find(&pat)? + pat.len();
+    let rest = &line[start..];
+    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+    rest[..end].parse().ok()
 }
 
 /// What [`load_tolerant`] recovered from a checkpoint file.
@@ -115,29 +132,24 @@ pub struct JsonlLoad {
     pub dropped_crc: usize,
 }
 
-impl JsonlLoad {
-    /// True when anything at all had to be dropped.
-    pub fn lossy(&self) -> bool {
-        self.torn_tail || self.dropped_crc > 0
-    }
-}
-
 /// Reads a sealed JSONL file, tolerating the corruptions a crash produces:
 /// a missing file loads as empty, a torn final line is dropped (and
 /// flagged), and any line failing its CRC seal is dropped (and counted).
-/// Empty lines are ignored.
+/// Empty lines are ignored. Invalid UTF-8 is read lossily, so a rotten
+/// byte fails only its own line's seal instead of the whole file.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors other than `NotFound`.
 pub fn load_tolerant(path: &Path) -> io::Result<JsonlLoad> {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
+    let bytes = match fs::read(path) {
+        Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(JsonlLoad::default()),
         Err(e) => return Err(e),
     };
+    let text = String::from_utf8_lossy(&bytes);
     let mut out = JsonlLoad::default();
-    let mut body = text.as_str();
+    let mut body: &str = &text;
     if !text.is_empty() && !text.ends_with('\n') {
         // A crash mid-append: everything after the last newline is the torn
         // tail. Complete lines before it are still good.
@@ -219,6 +231,33 @@ mod tests {
         assert_eq!(check(&line[..10]), Err(SealError::Unsealed));
     }
 
+    #[test]
+    fn check_rejects_every_prefix_and_every_single_bit_flip() {
+        let line = seal(r#"{"v":1,"tenant":"t003-619.lbm_s","gen":4,"weights":"00ff7f80"}"#);
+        for cut in 0..line.len() {
+            assert!(check(&line[..cut]).is_err(), "prefix of {cut} bytes passed");
+        }
+        for bit in 0..line.len() * 8 {
+            let mut bytes = line.clone().into_bytes();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            // Read the way load_tolerant reads a file: lossily.
+            let flipped = String::from_utf8_lossy(&bytes);
+            assert!(check(&flipped).is_err(), "flip of bit {bit} passed: {flipped}");
+        }
+    }
+
+    #[test]
+    fn field_readers_take_the_named_field() {
+        let line = seal(r#"{"v":2,"key":"619.lbm_s/PPF","wall_ms":17,"data":"3ff0~"}"#);
+        assert_eq!(num_field(&line, "v"), Some(2));
+        assert_eq!(num_field(&line, "wall_ms"), Some(17));
+        assert_eq!(str_field(&line, "key"), Some("619.lbm_s/PPF"));
+        assert_eq!(str_field(&line, "data"), Some("3ff0~"));
+        assert_eq!(str_field(&line, "missing"), None);
+        assert_eq!(num_field(&line, "key"), None, "a string is not a number");
+        assert_eq!(str_field(r#"{"key":"unterminated"#, "key"), None);
+    }
+
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("ppf-ckpt-{name}-{}", std::process::id()))
     }
@@ -235,7 +274,6 @@ mod tests {
         assert_eq!(load.lines, vec![good1, good2]);
         assert!(load.torn_tail);
         assert_eq!(load.dropped_crc, 1);
-        assert!(load.lossy());
         let _ = fs::remove_file(&path);
     }
 
@@ -243,7 +281,8 @@ mod tests {
     fn load_tolerant_missing_file_is_empty() {
         let load = load_tolerant(&tmp("never-written")).unwrap();
         assert!(load.lines.is_empty());
-        assert!(!load.lossy());
+        assert!(!load.torn_tail);
+        assert_eq!(load.dropped_crc, 0);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! `PPF_FAULT_INJECT` — the shared chaos-drill specification.
+//! `PPF_FAULT_INJECT` — the shared chaos-drill specification — and the
+//! poison-tolerant lock every fault-isolated worker uses.
 //!
 //! One environment variable drives every fault-injection hook in the
-//! workspace: the sweep driver's job saboteurs (`panic:` / `hang:`, PR 3)
-//! and the serving daemon's chaos modes (tenant panics, checkpoint
-//! bit-flips, slow shards, load spikes). Specs are comma-separated, so one
-//! drill can combine several faults:
+//! workspace: the sweeps' job saboteurs (`panic:` / `hang:`) and the
+//! serving daemon's chaos modes (tenant panics, checkpoint bit-flips, slow
+//! shards, load spikes). Specs are comma-separated, so one drill can
+//! combine several faults:
 //!
 //! ```text
 //! PPF_FAULT_INJECT=tenant-panic:t003,checkpoint-bitflip:t007,load-spike:10
@@ -16,6 +17,15 @@
 //! nothing — see [`specs_from_env_or_exit`]. Consumers ignore spec kinds
 //! that don't apply to them (a sweep never sees a tenant, a daemon never
 //! runs sweep jobs), so one combined spec can drive both.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks a mutex, recovering the guard from a poisoned lock. Sweep jobs and
+/// serve scoring run under `catch_unwind`, so a panic never leaves the data
+/// behind these locks half-updated: the poison flag carries no information.
+pub fn lock_unpoisoned<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One parsed fault-injection directive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,7 +167,7 @@ pub fn specs_from_env() -> Result<Vec<FaultSpec>, String> {
 
 /// [`specs_from_env`] for binary entry points: a malformed spec prints the
 /// error and exits with code 2 — the same contract as a malformed
-/// `--threads` (see [`crate::runner::thread_count`]).
+/// `--threads` (see `ppf_bench::runner::thread_count`).
 pub fn specs_from_env_or_exit() -> Vec<FaultSpec> {
     match specs_from_env() {
         Ok(specs) => specs,

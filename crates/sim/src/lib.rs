@@ -35,8 +35,10 @@
 
 pub mod addr;
 pub mod cache;
+pub mod ckpt;
 pub mod config;
 pub mod dram;
+pub mod fault;
 pub mod fxhash;
 pub mod horizon;
 pub mod invariants;

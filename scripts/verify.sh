@@ -3,7 +3,8 @@
 # test suite + fault-tolerance drill.
 #
 #   scripts/verify.sh             # build + clippy + tests + fault drill
-#                                 #   + horizon, serve and hybrid gates
+#                                 #   + horizon gate, layering check,
+#                                 #   serve and hybrid gates
 #                                 #   + observe gate
 #   scripts/verify.sh --quick     # ... + fig09 smoke run
 #   scripts/verify.sh --bench     # ... + hot-path micro-benchmarks and a
@@ -13,21 +14,22 @@
 #                                 #   must be byte-identical with cycle
 #                                 #   skipping on (default) and off
 #                                 #   (PPF_NO_SKIP=1)
-#   scripts/verify.sh --serve     # serve gate only: chaos drill (fault
-#                                 #   injection + 10x spike + warm restart)
-#                                 #   and the socket round trip
+#   scripts/verify.sh --serve     # serve gate only: layering check
+#                                 #   (ppf-serve must not depend on
+#                                 #   ppf-bench or ppf-analysis), chaos
+#                                 #   drill (fault injection + 10x spike +
+#                                 #   warm restart) and the socket round trip
 #   scripts/verify.sh --observe   # observe gate only: default build must
 #                                 #   ignore PPF_OBSERVE byte-for-byte;
 #                                 #   observe build must export valid
 #                                 #   JSONL, hold the <5% profiling
 #                                 #   overhead budget, cover >=90% of wall
 #                                 #   time, and pass its feature-on tests
-#   scripts/verify.sh --hybrid    # hybrid gate only: fig09 --quick stdout
-#                                 #   must be byte-identical with the PPF
-#                                 #   scheme routed through a single-member
-#                                 #   Hybrid (PPF_WRAP_HYBRID=1), and the
-#                                 #   fig_hybrid fusion ablation must run
-#                                 #   clean with per-source attribution
+#   scripts/verify.sh --hybrid    # hybrid gate only: the fig_hybrid
+#                                 #   fusion ablation must run clean with
+#                                 #   per-source attribution (the
+#                                 #   single-member identity is the tier-1
+#                                 #   test ppf-bench/tests/hybrid_identity)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -86,6 +88,20 @@ run_horizon_gate() {
     echo "== horizon gate: golden layout digests with PPF_NO_SKIP=1 =="
     PPF_NO_SKIP=1 cargo test -q -p ppf-bench --test layout_golden
     echo "horizon gate: OK (both loop shapes byte-identical)"
+}
+
+# Layering check: the serving daemon builds from ppf, ppf-sim and
+# ppf-trace only, never from the figure harness.
+run_layering_check() {
+    echo "== layering: ppf-serve's normal dependencies =="
+    serve_tree="$(cargo tree -p ppf-serve -e normal --offline --locked)" \
+        || { echo "layering: cargo tree failed"; exit 1; }
+    if printf '%s\n' "$serve_tree" | grep -Eq 'ppf-(bench|analysis) '; then
+        echo "layering: ppf-serve depends on the figure harness:"
+        printf '%s\n' "$serve_tree"
+        exit 1
+    fi
+    echo "layering: OK (ppf-serve does not depend on ppf-bench or ppf-analysis)"
 }
 
 # Serve gate: the filter-fleet daemon survives its chaos drill. The drill
@@ -194,26 +210,11 @@ run_observe_gate() {
     echo "observe gate: OK (off byte-identical, exports valid, on within budget)"
 }
 
-# Hybrid gate: the hybrid combinator must be an identity for one member and
-# a working fusion for two. (1) fig09 --quick runs twice — PPF filtering a
-# bare SPP (default) and the same SPP routed through a single-member Hybrid
-# (PPF_WRAP_HYBRID=1) — and the stdout tables must be byte-identical. (2)
-# the fig_hybrid fusion ablation runs --quick and must report per-source
-# attribution for both fused columns.
+# Hybrid gate: the fig_hybrid fusion ablation runs --quick and must report
+# per-source attribution for both fused columns. (The single-member
+# identity is checked in tier-1 by crates/bench/tests/hybrid_identity.rs.)
 run_hybrid_gate() {
-    echo "== hybrid gate: fig09 --quick, bare SPP vs single-member Hybrid =="
     hy_dir="$(mktemp -d)"
-    PPF_CHECKPOINT_DIR="$hy_dir/bare" \
-        ./target/release/fig09_single_core --quick > "$hy_dir/bare.out" 2>/dev/null \
-        || { echo "hybrid gate: fig09 (bare) failed"; rm -rf "$hy_dir"; exit 1; }
-    PPF_WRAP_HYBRID=1 PPF_CHECKPOINT_DIR="$hy_dir/wrapped" \
-        ./target/release/fig09_single_core --quick > "$hy_dir/wrapped.out" 2>/dev/null \
-        || { echo "hybrid gate: fig09 (PPF_WRAP_HYBRID=1) failed"; rm -rf "$hy_dir"; exit 1; }
-    cmp -s "$hy_dir/bare.out" "$hy_dir/wrapped.out" \
-        || { echo "hybrid gate: single-member Hybrid is not an identity"; \
-             diff "$hy_dir/bare.out" "$hy_dir/wrapped.out" | head -20; \
-             rm -rf "$hy_dir"; exit 1; }
-
     echo "== hybrid gate: fig_hybrid --quick (fusion ablation) =="
     PPF_CHECKPOINT_DIR="$hy_dir/fusion" \
         ./target/release/fig_hybrid --quick > "$hy_dir/fusion.out" 2>/dev/null \
@@ -226,7 +227,7 @@ run_hybrid_gate() {
         || { echo "hybrid gate: missing SPP+AMPM attribution table"; \
              cat "$hy_dir/fusion.out"; rm -rf "$hy_dir"; exit 1; }
     rm -rf "$hy_dir"
-    echo "hybrid gate: OK (single-member identity holds, fusion attributes per source)"
+    echo "hybrid gate: OK (fusion attributes per source)"
 }
 
 if [ "$mode" = "--hybrid" ]; then
@@ -244,6 +245,7 @@ if [ "$mode" = "--observe" ]; then
 fi
 
 if [ "$mode" = "--serve" ]; then
+    run_layering_check
     cargo build --release -q -p ppf-serve
     run_serve_gate
     echo "verify: OK"
@@ -275,6 +277,8 @@ cargo test -q --workspace
 run_fault_drill
 
 run_horizon_gate
+
+run_layering_check
 
 run_serve_gate
 

@@ -10,8 +10,9 @@
 //!   misses the acceptance bar (a stalled caller or an unexplained
 //!   warm-start mismatch).
 //! - `--connect <socket>`: replays against a running `ppf_serve` over its
-//!   unix socket and reports latency; `--stats` fetches the fleet's live
-//!   counters and span tables (`OP_STATS`); `--shutdown` asks it to exit.
+//!   unix socket and reports p50/p99/max latency and degraded replies;
+//!   `--stats` fetches the fleet's live counters and span tables
+//!   (`OP_STATS`); `--shutdown` asks it to exit.
 //!
 //! ```text
 //! PPF_FAULT_INJECT='tenant-panic:t001@5,checkpoint-bitflip:t002,slow-shard:1:1500,load-spike:10' \
@@ -134,10 +135,11 @@ fn connect_mode(sock: &std::path::Path, requests: u64, tenants: usize) -> ! {
         }
     };
     println!(
-        "connect: {} requests, p50 {}us, p99 {}us, degraded {}",
+        "connect: {} requests, p50 {}us, p99 {}us, max {}us, degraded {}",
         lat.len(),
         pct(0.50),
         pct(0.99),
+        lat.last().copied().unwrap_or(0),
         degraded
     );
     std::process::exit(0);

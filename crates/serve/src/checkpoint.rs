@@ -57,9 +57,11 @@ pub struct ShardCheckpoint {
 }
 
 fn hex_encode(bytes: &[u8]) -> String {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        s.push(char::from(NIBBLES[usize::from(b >> 4)]));
+        s.push(char::from(NIBBLES[usize::from(b & 0xf)]));
     }
     s
 }

@@ -16,7 +16,7 @@
 //!
 //! 1. queue pressure → shed oldest / per-tenant quota (degraded replies)
 //! 2. tenant panic → quarantine + rebuild from last checkpoint barrier
-//! 3. missed deadline → caller-side degraded reply (fail open)
+//! 3. missed deadline → degraded reply from the waiting side (fail open)
 //! 4. stalled heartbeat → supervisor replaces the whole shard
 //! 5. corrupt/torn checkpoint record → dropped by CRC, older gen wins
 
@@ -32,6 +32,7 @@ use ppf_sim::{ProfConfig, SharedSpanTable, Span};
 use crate::checkpoint::ShardCheckpoint;
 use crate::counters::Counters;
 use crate::protocol::{ScoreReply, ScoreRequest};
+use crate::reply::ReplySlot;
 use crate::shard::{Job, ShardInner, ShardWorker};
 use crate::watchdog::Watchdog;
 
@@ -273,25 +274,38 @@ impl Daemon {
     /// than the deadline (plus scheduler noise); a missed deadline, shed,
     /// or tenant panic all yield a degraded accept-all reply.
     pub fn score(&self, req: ScoreRequest) -> ScoreReply {
-        let n = req.candidates.len();
-        let start = Instant::now();
+        let slot = ReplySlot::for_caller(req.candidates.len(), self.cfg.deadline, &self.counters);
+        self.submit(req, slot.clone());
+        slot.wait()
+    }
+
+    /// Submits a batch whose reply frame the answering thread writes to
+    /// `conn`. The returned slot is settled before the connection's next
+    /// frame is handled.
+    #[cfg(unix)]
+    pub(crate) fn score_to(
+        &self,
+        req: ScoreRequest,
+        conn: &Arc<std::os::unix::net::UnixStream>,
+    ) -> ReplySlot {
+        let slot =
+            ReplySlot::for_conn(req.candidates.len(), self.cfg.deadline, &self.counters, conn);
+        self.submit(req, slot.clone());
+        slot
+    }
+
+    fn submit(&self, req: ScoreRequest, slot: ReplySlot) {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let inner = {
             let slot = lock_unpoisoned(&self.slots[self.route(&req.tenant)]);
             Arc::clone(&slot.inner)
         };
-        let (tx, rx) = sync_channel(1);
-        inner.submit_score(req, tx, &self.counters);
-        let reply = match rx.recv_timeout(self.cfg.deadline) {
-            Ok(reply) => reply,
-            Err(_) => {
-                self.counters.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                self.counters.degraded_replies.fetch_add(1, Ordering::Relaxed);
-                ScoreReply::degraded(n)
-            }
-        };
-        self.counters.record_latency_us(start.elapsed().as_micros() as u64);
-        reply
+        inner.submit_score(req, slot, &self.counters);
+    }
+
+    /// The caller deadline.
+    pub(crate) fn deadline(&self) -> Duration {
+        self.cfg.deadline
     }
 
     fn each_shard<T>(&self, make: impl Fn() -> (Job, std::sync::mpsc::Receiver<T>)) -> Vec<T> {

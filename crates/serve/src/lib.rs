@@ -18,7 +18,9 @@
 //!   the filter's epoch-barrier semantics (`PpfFilter::checkpoint_barrier`).
 //! - **Wire protocol** ([`protocol`], [`server`]): length-prefixed binary
 //!   frames over a unix socket; the in-process [`daemon::Daemon`] API is
-//!   the same path minus the framing.
+//!   the same path minus the framing. Either way a request's reply goes
+//!   through one reply slot (`reply`), and for a socket request the
+//!   thread that answers writes the reply frame to the connection.
 //! - **Self-profiling** ([`flight`]): every shard keeps an always-on
 //!   flight recorder (bounded event ring) that the supervisor dumps to
 //!   disk on retirement, plus span tables (`observe` feature +
@@ -39,6 +41,7 @@ pub mod daemon;
 pub mod flight;
 pub mod loadgen;
 pub mod protocol;
+mod reply;
 #[cfg(unix)]
 pub mod server;
 mod shard;

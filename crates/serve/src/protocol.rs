@@ -351,13 +351,27 @@ pub fn decode_reply(payload: &[u8]) -> Result<ScoreReply, String> {
     Ok(ScoreReply { degraded, decisions })
 }
 
+/// The payload length a frame's 4-byte prefix declares, refused over
+/// [`MAX_FRAME`] before anything is allocated for it.
+fn frame_len(prefix: [u8; 4]) -> std::io::Result<usize> {
+    let len = u32::from_le_bytes(prefix) as usize;
+    if len > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("frame of {len} bytes exceeds {MAX_FRAME}"),
+        ));
+    }
+    Ok(len)
+}
+
 /// Reads one frame's payload from a stream. `Ok(None)` on clean EOF at a
-/// frame boundary.
+/// frame boundary. It reads exactly one frame's bytes and no more; a
+/// long-lived stream is better served by a [`FrameReader`].
 pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
+    let mut prefix = [0u8; 4];
     let mut got = 0;
     while got < 4 {
-        match r.read(&mut len[got..])? {
+        match r.read(&mut prefix[got..])? {
             0 if got == 0 => return Ok(None),
             0 => {
                 return Err(std::io::Error::new(
@@ -368,16 +382,108 @@ pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Option<Vec<u8>>
             n => got += n,
         }
     }
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds {MAX_FRAME}"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
+    let mut payload = vec![0u8; frame_len(prefix)?];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
+}
+
+/// Bytes a [`FrameReader`] asks the stream for at least, per read.
+const READ_CHUNK: usize = 8 << 10;
+
+/// An incremental frame reader: it keeps a partial frame across reads
+/// that return early (a read timeout, a short read), and hands out every
+/// frame one read brought in. A request or reply fits one chunk, so each
+/// frame usually costs a single `read` call.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// Unconsumed bytes are `buf[head..tail]`.
+    head: usize,
+    tail: usize,
+}
+
+impl FrameReader {
+    /// An empty reader.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether unconsumed bytes are buffered; once [`Self::next_frame`]
+    /// has returned `None`, they are part of a frame.
+    pub fn has_partial(&self) -> bool {
+        self.head < self.tail
+    }
+
+    /// The declared length of the frame at the front of the buffer, once
+    /// its prefix is in.
+    fn front_len(&self) -> std::io::Result<Option<usize>> {
+        match self.buf.get(self.head..self.tail).and_then(|b| b.get(..4)) {
+            Some(prefix) => frame_len(prefix.try_into().expect("4 bytes")).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Where the next complete buffered frame's payload lies, consuming it.
+    fn next_range(&mut self) -> std::io::Result<Option<std::ops::Range<usize>>> {
+        let Some(len) = self.front_len()? else { return Ok(None) };
+        let start = self.head + 4;
+        if self.tail - start < len {
+            return Ok(None);
+        }
+        self.head = start + len;
+        Ok(Some(start..start + len))
+    }
+
+    /// The next complete buffered frame's payload, if one is buffered.
+    /// A length prefix over [`MAX_FRAME`] is an error.
+    pub fn next_frame(&mut self) -> std::io::Result<Option<&[u8]>> {
+        Ok(self.next_range()?.map(|r| &self.buf[r]))
+    }
+
+    /// One `read` call into the buffer, after making room for the frame
+    /// being assembled. Returns the byte count; `Ok(0)` is EOF. Errors,
+    /// timeouts included, leave the buffered bytes in place.
+    pub fn fill(&mut self, r: &mut impl std::io::Read) -> std::io::Result<usize> {
+        let buffered = self.tail - self.head;
+        let want = self
+            .front_len()?
+            .map_or(0, |len| 4 + len)
+            .max(buffered + 1)
+            .max(READ_CHUNK);
+        if self.buf.len() - self.head < want {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.head = 0;
+            self.tail = buffered;
+            if self.buf.len() < want {
+                self.buf.resize(want, 0);
+            }
+        }
+        let n = r.read(&mut self.buf[self.tail..])?;
+        self.tail += n;
+        Ok(n)
+    }
+
+    /// Blocks until the next frame arrives: `Ok(None)` on EOF at a frame
+    /// boundary, an `UnexpectedEof` error on EOF inside a frame.
+    pub fn read_frame(&mut self, r: &mut impl std::io::Read) -> std::io::Result<Option<&[u8]>> {
+        loop {
+            if let Some(range) = self.next_range()? {
+                return Ok(Some(&self.buf[range]));
+            }
+            match self.fill(r) {
+                Ok(0) if self.has_partial() => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "EOF inside frame",
+                    ))
+                }
+                Ok(0) => return Ok(None),
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -523,6 +629,87 @@ mod tests {
         let second = read_frame(&mut cursor).unwrap().expect("frame 2");
         assert_eq!(second, vec![OP_PING]);
         assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+    }
+
+    /// Hands out the non-empty `chunks` one read at a time, with a
+    /// `WouldBlock` (a read timeout) between every two, then EOF.
+    struct Chunked<'a> {
+        chunks: Vec<&'a [u8]>,
+        stalled: bool,
+    }
+
+    impl std::io::Read for Chunked<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            if self.chunks.is_empty() {
+                return Ok(0);
+            }
+            self.stalled = !self.stalled;
+            if !self.stalled {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let chunk = &mut self.chunks[0];
+            let n = chunk.len().min(out.len());
+            out[..n].copy_from_slice(&chunk[..n]);
+            *chunk = &chunk[n..];
+            if chunk.is_empty() {
+                self.chunks.remove(0);
+            }
+            Ok(n)
+        }
+    }
+
+    /// Every frame a reader gets out of `r`, riding out `WouldBlock`s,
+    /// up to a clean close.
+    fn drain(r: &mut impl std::io::Read) -> std::io::Result<Vec<Vec<u8>>> {
+        let mut reader = FrameReader::new();
+        let mut frames = Vec::new();
+        loop {
+            match reader.read_frame(r) {
+                Ok(Some(payload)) => frames.push(payload.to_vec()),
+                Ok(None) => return Ok(frames),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    #[test]
+    fn frame_reader_yields_the_same_frames_at_every_split_point() {
+        let first = encode_score(&sample_request());
+        let second = encode_op(OP_PING);
+        let stream = [first.clone(), second.clone()].concat();
+        let want = vec![first[4..].to_vec(), second[4..].to_vec()];
+        for cut in 0..=stream.len() {
+            let (head, tail) = stream.split_at(cut);
+            let chunks = [head, tail].into_iter().filter(|c| !c.is_empty()).collect();
+            let mut r = Chunked { chunks, stalled: false };
+            assert_eq!(drain(&mut r).unwrap(), want, "split at {cut}");
+        }
+    }
+
+    #[test]
+    fn frame_reader_refuses_an_oversized_prefix_before_allocating() {
+        let bytes = (MAX_FRAME as u32 + 1).to_le_bytes();
+        let mut reader = FrameReader::new();
+        let mut r = Chunked { chunks: vec![&bytes[..], &[0; 8][..]], stalled: false };
+        assert_eq!(reader.fill(&mut r).unwrap(), 4);
+        let err = reader.next_frame().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // The next fill refuses to make room for the frame at all.
+        assert_eq!(reader.fill(&mut r).unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+        assert!(reader.buf.len() <= READ_CHUNK, "grew to {}", reader.buf.len());
+    }
+
+    #[test]
+    fn frame_reader_tells_a_torn_frame_from_a_clean_close() {
+        let stream = [encode_score(&sample_request()), encode_op(OP_PING)].concat();
+        let mut whole = std::io::Cursor::new(&stream);
+        assert_eq!(drain(&mut whole).unwrap().len(), 2, "EOF at a boundary is a clean close");
+        for cut in (1..stream.len()).filter(|&c| c != stream.len() - 5) {
+            let mut torn = std::io::Cursor::new(&stream[..cut]);
+            let err = drain(&mut torn).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
     }
 
     #[test]

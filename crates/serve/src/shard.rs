@@ -33,6 +33,7 @@ use crate::checkpoint::{RestoredTenant, ShardCheckpoint};
 use crate::daemon::route_hash;
 use crate::flight::{FlightKind, FlightRecorder};
 use crate::protocol::{ScoreReply, ScoreRequest};
+use crate::reply::ReplySlot;
 use crate::tenant::TenantState;
 use crate::watchdog::Heartbeat;
 
@@ -41,13 +42,13 @@ const IDLE_BEAT: Duration = Duration::from_millis(100);
 
 /// One queued unit of work.
 pub(crate) enum Job {
-    /// Score a batch; the reply channel is bounded (capacity 1) and the
-    /// caller may have given up — send errors are ignored.
+    /// Score a batch. The slot may already be answered (the deadline
+    /// passed), and then the late answer is dropped.
     Score {
         /// The decoded request.
         req: ScoreRequest,
         /// Where the (possibly degraded) reply goes.
-        reply: SyncSender<ScoreReply>,
+        reply: ReplySlot,
         /// When the job entered the queue (feeds the queue-wait span).
         at: Instant,
     },
@@ -98,12 +99,6 @@ impl std::fmt::Debug for ShardInner {
     }
 }
 
-fn send_degraded(reply: &SyncSender<ScoreReply>, n: usize) {
-    // The caller may already have timed out and dropped the receiver;
-    // a failed send is exactly "nobody is waiting any more".
-    let _ = reply.try_send(ScoreReply::degraded(n));
-}
-
 impl ShardInner {
     pub(crate) fn new(idx: usize, incarnation: u64, capacity: usize, quota: usize) -> Self {
         Self {
@@ -121,22 +116,20 @@ impl ShardInner {
         }
     }
 
-    /// Submits a score job, applying the shed policy. Every path produces
-    /// exactly one reply on `reply` (possibly degraded, possibly later).
-    pub(crate) fn submit_score(
-        &self,
-        req: ScoreRequest,
-        reply: SyncSender<ScoreReply>,
-        counters: &Counters,
-    ) {
+    /// Submits a score job, applying the shed policy. Every path answers
+    /// `reply` exactly once (possibly degraded, possibly later). A shed
+    /// answer may write to a socket, so it is given after the queue lock
+    /// is released.
+    pub(crate) fn submit_score(&self, req: ScoreRequest, reply: ReplySlot, counters: &Counters) {
         let tenant_hash = route_hash(&req.tenant);
         let mut q = lock_unpoisoned(&self.queue);
         if self.retired.load(Ordering::Acquire) {
             // Raced with a replacement: fail open rather than enqueue into
             // a queue nobody will ever drain.
+            drop(q);
             counters.degraded_replies.fetch_add(1, Ordering::Relaxed);
             self.flight.record(FlightKind::Degraded, tenant_hash, req.candidates.len() as u64, 0);
-            send_degraded(&reply, req.candidates.len());
+            reply.degrade();
             return;
         }
         let tenant_queued = q
@@ -144,33 +137,34 @@ impl ShardInner {
             .filter(|j| matches!(j, Job::Score { req: r, .. } if r.tenant == req.tenant))
             .count();
         if tenant_queued >= self.quota {
+            drop(q);
             counters.shed_quota.fetch_add(1, Ordering::Relaxed);
             counters.degraded_replies.fetch_add(1, Ordering::Relaxed);
             self.flight.record(FlightKind::Degraded, tenant_hash, req.candidates.len() as u64, 0);
-            send_degraded(&reply, req.candidates.len());
+            reply.degrade();
             return;
         }
+        let mut shed = None;
         let scores_queued = q.iter().filter(|j| matches!(j, Job::Score { .. })).count();
         if scores_queued >= self.capacity {
-            if let Some(oldest) =
-                q.iter().position(|j| matches!(j, Job::Score { .. }))
-            {
-                if let Job::Score { req: old, reply: old_reply, .. } = q.remove(oldest) {
-                    counters.shed_overflow.fetch_add(1, Ordering::Relaxed);
-                    counters.degraded_replies.fetch_add(1, Ordering::Relaxed);
-                    self.flight.record(
-                        FlightKind::Degraded,
-                        route_hash(&old.tenant),
-                        old.candidates.len() as u64,
-                        0,
-                    );
-                    send_degraded(&old_reply, old.candidates.len());
-                }
+            if let Some(oldest) = q.iter().position(|j| matches!(j, Job::Score { .. })) {
+                shed = Some(q.remove(oldest));
             }
         }
         q.push(Job::Score { req, reply, at: Instant::now() });
         drop(q);
         self.cv.notify_one();
+        if let Some(Job::Score { req: old, reply: old_reply, .. }) = shed {
+            counters.shed_overflow.fetch_add(1, Ordering::Relaxed);
+            counters.degraded_replies.fetch_add(1, Ordering::Relaxed);
+            self.flight.record(
+                FlightKind::Degraded,
+                route_hash(&old.tenant),
+                old.candidates.len() as u64,
+                0,
+            );
+            old_reply.degrade();
+        }
     }
 
     /// Submits a control job (flush / digests / stop), bypassing shed.
@@ -192,10 +186,15 @@ impl ShardInner {
         loop {
             hb.beat();
             if self.retired.load(Ordering::Acquire) {
-                // Drain: answer everything still queued, fail-open.
-                for job in q.drain(..) {
+                // Drain: answer everything still queued, fail-open, after
+                // the lock is released (an answer may write to a socket).
+                let drained = std::mem::take(&mut *q);
+                drop(q);
+                for job in drained {
                     match job {
-                        Job::Score { req, reply, .. } => send_degraded(&reply, req.candidates.len()),
+                        Job::Score { reply, .. } => {
+                            reply.degrade();
+                        }
                         Job::Flush(done) => {
                             let _ = done.try_send(0);
                         }
@@ -281,7 +280,7 @@ impl ShardWorker {
         &mut self,
         tenants: &mut HashMap<String, TenantState>,
         req: ScoreRequest,
-        reply: SyncSender<ScoreReply>,
+        reply: ReplySlot,
         queued_at: Instant,
     ) {
         if self.inner.prof_on {
@@ -341,7 +340,7 @@ impl ShardWorker {
                     accepted,
                     score_ns / 1_000,
                 );
-                let _ = reply.try_send(ScoreReply { degraded: false, decisions });
+                reply.answer(ScoreReply { degraded: false, decisions });
                 // A zombie worker (replaced mid-job by the supervisor) must
                 // not keep appending stale generations to a file its
                 // replacement now owns.
@@ -365,7 +364,7 @@ impl ShardWorker {
                 // tenant's count forward past the trigger.
                 rebuilt.seen = tenants[&name].seen + 1;
                 tenants.insert(name.clone(), rebuilt);
-                send_degraded(&reply, req.candidates.len());
+                reply.degrade();
             }
         }
     }

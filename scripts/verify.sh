@@ -109,7 +109,9 @@ run_layering_check() {
 # tenant, a hung shard, and a 10x load spike, then warm-restarts from the
 # checkpoints it wrote. The binary itself enforces the acceptance bar (zero
 # stalled callers, warm start clean) and exits nonzero otherwise; the gate
-# additionally proves the unix-socket front end round-trips and shuts down.
+# additionally proves the unix-socket front end round-trips and shuts down,
+# and that a hung shard behind the socket still answers every request
+# degraded within the deadline plus the drill's 200-ms stall margin.
 run_serve_gate() {
     echo "== serve gate: chaos drill (tenant panic + bitflip + hung shard + 10x spike) =="
     serve_dir="$(mktemp -d)"
@@ -147,8 +149,40 @@ run_serve_gate() {
     grep -q "^warm-start:" "$serve_dir/serve.out" \
         || { echo "serve gate: no warm-start banner"; cat "$serve_dir/serve.out"; \
              rm -rf "$serve_dir"; exit 1; }
+
+    echo "== serve gate: socket hung shard (50-ms deadline, shard 0 stalls 1.5 s) =="
+    PPF_FAULT_INJECT='slow-shard:0:1500' ./target/release/ppf_serve \
+        --listen "$serve_dir/hung.sock" --shards 1 --deadline-ms 50 \
+        --checkpoint-dir "$serve_dir/hung-ckpt" > "$serve_dir/hung.out" 2>&1 &
+    serve_pid=$!
+    tries=0
+    while [ ! -S "$serve_dir/hung.sock" ]; do
+        tries=$((tries + 1))
+        [ "$tries" -gt 100 ] \
+            && { echo "serve gate: hung-shard daemon never bound its socket"; \
+                 cat "$serve_dir/hung.out"; rm -rf "$serve_dir"; exit 1; }
+        sleep 0.1
+    done
+    hung="$(./target/release/ppf_loadgen --connect "$serve_dir/hung.sock" --requests 50)" \
+        || { echo "serve gate: hung-shard load run failed"; kill "$serve_pid" 2>/dev/null; \
+             rm -rf "$serve_dir"; exit 1; }
+    echo "$hung"
+    ./target/release/ppf_loadgen --shutdown "$serve_dir/hung.sock" > /dev/null \
+        || { echo "serve gate: hung-shard daemon shutdown failed"; \
+             kill "$serve_pid" 2>/dev/null; rm -rf "$serve_dir"; exit 1; }
+    wait "$serve_pid" \
+        || { echo "serve gate: hung-shard daemon exited nonzero"; cat "$serve_dir/hung.out"; \
+             rm -rf "$serve_dir"; exit 1; }
+    hung_degraded="$(printf '%s\n' "$hung" | sed -n 's/.*degraded \([0-9]*\).*/\1/p')"
+    hung_max="$(printf '%s\n' "$hung" | sed -n 's/.*max \([0-9]*\)us.*/\1/p')"
+    [ "${hung_degraded:-0}" -ge 1 ] \
+        || { echo "serve gate: the hung shard produced no degraded reply"; \
+             rm -rf "$serve_dir"; exit 1; }
+    [ -n "$hung_max" ] && [ "$hung_max" -lt 250000 ] \
+        || { echo "serve gate: a reply took ${hung_max:-?}us, over the 50-ms deadline + 200 ms"; \
+             rm -rf "$serve_dir"; exit 1; }
     rm -rf "$serve_dir"
-    echo "serve gate: OK (drill passed, socket round trip clean)"
+    echo "serve gate: OK (drill passed, socket round trip clean, hung shard answered in time)"
 }
 
 # Observe gate: the observability layer must be invisible when compiled

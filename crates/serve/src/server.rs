@@ -16,7 +16,7 @@
 //!
 //! The deadline needs no waiting thread. The socket's read timeout is
 //! the daemon deadline, so a client waiting for a reply wakes its
-//! connection thread by then at the latest, and that thread answers an
+//! connection thread at about the deadline, and that thread answers an
 //! overdue reply degraded. A read that brings in only part of a frame
 //! settles the pending reply before reading on, so it cannot push the
 //! deadline back. The write timeout is the deadline too: a reply that

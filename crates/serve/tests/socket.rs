@@ -1,7 +1,8 @@
-//! The socket front end under faults: a hung shard, a client that never
-//! reads its replies, and a client that pipelines requests. Replies are
-//! written by whichever thread answers them, so these pin the deadline,
-//! the write timeout and reply order over a real unix socket.
+//! The socket front end under faults: a hung shard, a frame that arrives
+//! in parts, a client that never reads its replies, and a client that
+//! pipelines requests. Replies are written by whichever thread answers
+//! them, so these pin the deadline, the write timeout and reply order
+//! over a real unix socket.
 
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -98,6 +99,41 @@ fn hung_shard_degrades_in_time_and_the_connection_recovers() {
     }
     assert!(!client.score(&req("t000-a", i + 1, 4)).unwrap().degraded);
     drop(client);
+    stop(server, &sock);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn part_of_the_next_frame_does_not_push_the_deadline_back() {
+    let dir = tmpdir("partial");
+    let (server, sock) = serve(
+        &dir,
+        ServeConfig {
+            shards: 1,
+            checkpoint_dir: dir.join("ckpt"),
+            deadline: Duration::from_millis(200),
+            faults: vec![FaultSpec::SlowShard { shard: 0, millis: 1500 }],
+            ..ServeConfig::default()
+        },
+    );
+    let mut stream = UnixStream::connect(&sock).unwrap();
+    let next = encode_score(&req("t000-a", 1, 2));
+    let t0 = Instant::now();
+    stream.write_all(&encode_score(&req("t000-a", 0, 2))).unwrap();
+    // Two bytes of the next request wake the connection thread 150 ms
+    // into the first one's 200-ms deadline. Waiting a whole read timeout
+    // for the rest would send the degraded reply at 350 ms or later.
+    std::thread::sleep(Duration::from_millis(150));
+    stream.write_all(&next[..2]).unwrap();
+    let mut reader = FrameReader::new();
+    let first = decode_reply(reader.read_frame(&mut stream).unwrap().unwrap()).unwrap();
+    let took = t0.elapsed();
+    assert!(first.degraded, "the hung shard must fail open");
+    assert!(took < Duration::from_millis(300), "degraded reply took {took:?}");
+    stream.write_all(&next[2..]).unwrap();
+    let second = decode_reply(reader.read_frame(&mut stream).unwrap().unwrap()).unwrap();
+    assert_eq!(second.decisions.len(), 2);
+    drop(stream);
     stop(server, &sock);
     let _ = std::fs::remove_dir_all(&dir);
 }

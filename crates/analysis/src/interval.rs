@@ -95,7 +95,7 @@ pub fn render_intervals(records: &[Record]) -> String {
 mod tests {
     use super::*;
     use crate::observe::{parse_document, parse_line};
-    use ppf_sim::observe::SCHEMA_VERSION;
+    use ppf_sim::observe::{envelope, SCHEMA_VERSION};
     use ppf_sim::{CacheStats, FilterCounters, IntervalSnapshot, PrefetchStats};
 
     fn snapshot(core: u32, seq: u64) -> IntervalSnapshot {
@@ -142,11 +142,31 @@ mod tests {
     #[test]
     fn rejects_malformed_lines() {
         let good = snapshot(0, 0).to_jsonl();
+        let span = format!(
+            "{},\"span\":0,\"calls\":1,\"wall_ns\":1,\"cycles\":1,\"stride\":1}}",
+            envelope("span")
+        );
+        assert!(parse_line(&span).is_ok());
         assert!(parse_line("not json").is_err());
         assert!(parse_line("{\"a\" 1}").is_err());
         assert!(parse_line("{a:1}").is_err());
-        assert!(parse_line(&good.replacen("\"core\":0", "\"core\":\"0\"", 1)).is_err());
-        assert!(parse_line(&good.replacen("\"seq\":0", "\"seq\":0,\"seq\":1", 1)).is_err());
+        for bad in [
+            good.replacen("\"core\":0", "\"core\":\"0\"", 1),
+            good.replacen("\"seq\":0", "\"seq\":0,\"seq\":1", 1),
+            // Not JSON: an empty member, a trailing comma, and numbers
+            // outside the grammar or the f64 range.
+            span.replacen(',', ",,", 1).replacen('}', ",}", 1),
+            span.replacen(',', ",,", 1),
+            good.replacen('}', ",}", 1),
+            span.replacen("\"calls\":1", "\"calls\":NaN", 1),
+            span.replacen("\"calls\":1", "\"calls\":inf", 1),
+            span.replacen("\"wall_ns\":1", "\"wall_ns\":1e999", 1),
+            span.replacen("\"calls\":1", "\"calls\":+1", 1),
+            good.replacen("\"instr\":1000", "\"instr\":01000", 1),
+        ] {
+            assert!(bad != good && bad != span, "the case must differ from a valid line");
+            assert!(parse_line(&bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -2,20 +2,22 @@
 //!
 //! Every emitter in the workspace writes one flat JSON object per line that
 //! opens with the shared envelope `{"v":2,"kind":"<kind>"`
-//! ([`ppf_sim::observe::envelope`]). `kind` is the only string-valued key;
-//! every other value is a plain number. That restricted shape lets this
-//! module parse it with a small hand-rolled scanner instead of a JSON
-//! dependency. A record is valid when:
+//! ([`ppf_sim::observe::envelope`]). Each line is decoded by the workspace's
+//! one JSON decoder, [`ppf_sim::json`], and then checked against the
+//! envelope. A record is valid when:
 //!
-//! 1. `v` equals [`SCHEMA_VERSION`];
-//! 2. `kind` names a [`Kind`] and the record carries every key of that
+//! 1. it is one JSON object whose only string value is `kind` and whose
+//!    other values are numbers;
+//! 2. `v` equals [`SCHEMA_VERSION`];
+//! 3. `kind` names a [`Kind`] and the record carries every key of that
 //!    kind's row in [`Kind::required_keys`];
-//! 3. for `span` records only, the span id and its `parent` tag agree with
+//! 4. for `span` records only, the span id and its `parent` tag agree with
 //!    the taxonomy compiled into [`ppf_sim::Span`], and `stride >= 1`.
 //!
 //! Documents may mix kinds: the daemon's `OP_STATS` payload is one `serve`
 //! line followed by `span` lines.
 
+use ppf_sim::json::{self, Json};
 use ppf_sim::observe::SCHEMA_VERSION;
 use ppf_sim::Span;
 
@@ -131,39 +133,19 @@ impl Record {
 /// value outside `kind`, a wrong or missing `v`, an unknown or missing
 /// `kind`, a missing required key, or a span that contradicts the taxonomy.
 pub fn parse_line(line: &str) -> Result<Record, String> {
-    let inner = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| "record is not a JSON object".to_string())?;
+    let Json::Obj(members) = json::parse(line).map_err(|e| e.to_string())? else {
+        return Err("record is not a JSON object".to_string());
+    };
     let mut kind = None;
-    let mut fields: Vec<(String, f64)> = Vec::new();
-    // Values are numbers or the kind name, and keys contain no commas or
-    // escapes, so splitting on commas is exact for this schema.
-    for pair in inner.split(',').filter(|p| !p.trim().is_empty()) {
-        let (k, v) = pair
-            .split_once(':')
-            .ok_or_else(|| format!("field {pair:?} has no ':' separator"))?;
-        let key = unquote(k).ok_or_else(|| format!("key {k:?} is not quoted"))?;
-        if key.is_empty() {
-            return Err("empty key".to_string());
-        }
+    let mut fields = Vec::with_capacity(members.len());
+    for (key, value) in members {
         if key == "kind" {
-            if kind.is_some() {
-                return Err("duplicate key \"kind\"".to_string());
-            }
-            let name = unquote(v).ok_or_else(|| format!("kind {v:?} is not a string"))?;
+            let name = value.as_str().ok_or("kind is not a string")?;
             kind = Some(Kind::from_name(name).ok_or_else(|| format!("unknown kind {name:?}"))?);
-            continue;
+        } else {
+            let x = value.as_f64().ok_or_else(|| format!("value of {key:?} is not a number"))?;
+            fields.push((key, x));
         }
-        if fields.iter().any(|(k, _)| k == key) {
-            return Err(format!("duplicate key {key:?}"));
-        }
-        let value: f64 = v
-            .trim()
-            .parse()
-            .map_err(|_| format!("value {v:?} of {key:?} is not numeric"))?;
-        fields.push((key.to_string(), value));
     }
     let v = fields.iter().find(|(k, _)| k == "v").map(|&(_, v)| v);
     match v {
@@ -187,10 +169,6 @@ pub fn parse_line(line: &str) -> Result<Record, String> {
         check_span(&rec)?;
     }
     Ok(rec)
-}
-
-fn unquote(s: &str) -> Option<&str> {
-    s.trim().strip_prefix('"').and_then(|s| s.strip_suffix('"'))
 }
 
 /// The span-specific checks: a known id, a stride of at least 1, and a

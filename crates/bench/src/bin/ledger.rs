@@ -35,6 +35,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 use std::process::{Command, ExitCode, Stdio};
 
+use ppf_sim::json::{self, Json};
+
 const DEFAULT_LOG: &str = "results/bench_throughput.json";
 
 /// Layout version of the records this tool writes and compares.
@@ -42,10 +44,6 @@ const SCHEMA_VERSION: f64 = 5.0;
 
 /// Fewest records per rev that a verdict is drawn from.
 const MIN_RUNS: usize = 5;
-
-/// Deepest nesting the decoder follows. Ledger lines nest four levels and
-/// `BENCHMARK.json` three; the bound keeps hostile input off the stack.
-const MAX_DEPTH: usize = 16;
 
 const USAGE: &str = "\
 usage: ledger [--log FILE] record --workload W [--seed N] [--seconds S] [--trace 0|1]
@@ -174,13 +172,16 @@ fn record(log: &Path, run: &RunArgs, args: &[String]) -> Result<(), String> {
 /// The v5 record of one run, from perfbench's `host` line and its result
 /// (last) line.
 fn v5_line(run: &RunArgs, host: &str, result: &str) -> Result<String, String> {
-    let host =
-        host.strip_prefix("host ").and_then(Json::parse).ok_or("perfbench printed no host line")?;
+    let host = host
+        .strip_prefix("host ")
+        .and_then(|h| json::parse(h).ok())
+        .ok_or("perfbench printed no host line")?;
     let field = |key: &str| {
         host.get(key).and_then(Json::as_str).map(json_str).ok_or(format!("host line has no {key}"))
     };
     let result = result.trim();
-    Json::parse(result)
+    json::parse(result)
+        .ok()
         .filter(|r| matches!(r.get("metrics"), Some(Json::Obj(_))))
         .ok_or("perfbench's last line is not a result")?;
     Ok(format!(
@@ -240,174 +241,6 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// A decoded JSON value: enough of JSON for ledger lines and
-/// `BENCHMARK.json`.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Decodes one complete value; `None` for anything else, never a panic.
-    fn parse(text: &str) -> Option<Json> {
-        let mut p = Parser { s: text.as_bytes(), i: 0 };
-        let v = p.value(0)?;
-        p.ws();
-        (p.i == p.s.len()).then_some(v)
-    }
-
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while matches!(self.s.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        self.ws();
-        let hit = self.s.get(self.i) == Some(&b);
-        self.i += usize::from(hit);
-        hit
-    }
-
-    fn value(&mut self, depth: usize) -> Option<Json> {
-        if depth > MAX_DEPTH {
-            return None;
-        }
-        self.ws();
-        match *self.s.get(self.i)? {
-            b'{' => self
-                .seq(b'}', depth, |p, d| {
-                    p.ws();
-                    let key = p.string()?;
-                    p.eat(b':').then_some(())?;
-                    Some((key, p.value(d)?))
-                })
-                .map(Json::Obj),
-            b'[' => self.seq(b']', depth, Self::value).map(Json::Arr),
-            b'"' => self.string().map(Json::Str),
-            b't' => self.word("true", Json::Bool(true)),
-            b'f' => self.word("false", Json::Bool(false)),
-            b'n' => self.word("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    /// The items of an object or array, from its opening byte to `close`.
-    fn seq<T>(
-        &mut self,
-        close: u8,
-        depth: usize,
-        mut item: impl FnMut(&mut Self, usize) -> Option<T>,
-    ) -> Option<Vec<T>> {
-        self.i += 1;
-        let mut items = Vec::new();
-        if self.eat(close) {
-            return Some(items);
-        }
-        loop {
-            items.push(item(self, depth + 1)?);
-            if self.eat(close) {
-                return Some(items);
-            }
-            if !self.eat(b',') {
-                return None;
-            }
-        }
-    }
-
-    fn word(&mut self, word: &str, v: Json) -> Option<Json> {
-        self.s[self.i..].starts_with(word.as_bytes()).then(|| {
-            self.i += word.len();
-            v
-        })
-    }
-
-    fn number(&mut self) -> Option<Json> {
-        let start = self.i;
-        while matches!(self.s.get(self.i), Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')) {
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(&self.s[start..self.i]).ok()?;
-        text.parse::<f64>().ok().filter(|x| x.is_finite()).map(Json::Num)
-    }
-
-    fn string(&mut self) -> Option<String> {
-        if self.s.get(self.i) != Some(&b'"') {
-            return None;
-        }
-        self.i += 1;
-        let mut out = String::new();
-        loop {
-            let start = self.i;
-            while !matches!(self.s.get(self.i), None | Some(b'"' | b'\\' | 0..=0x1f)) {
-                self.i += 1;
-            }
-            // The input is a `&str` and runs stop only at ASCII bytes, so
-            // every run is whole UTF-8.
-            out.push_str(std::str::from_utf8(&self.s[start..self.i]).ok()?);
-            let b = *self.s.get(self.i)?;
-            self.i += 1;
-            match b {
-                b'"' => return Some(out),
-                b'\\' => {
-                    let e = *self.s.get(self.i)?;
-                    self.i += 1;
-                    out.push(match e {
-                        b'"' | b'\\' | b'/' => char::from(e),
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        b'b' => '\u{8}',
-                        b'f' => '\u{c}',
-                        b'u' => {
-                            let hex = self.s.get(self.i..self.i + 4)?;
-                            self.i += 4;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            char::from_u32(code)?
-                        }
-                        _ => return None,
-                    });
-                }
-                _ => return None, // an unescaped control character
-            }
-        }
-    }
-}
-
 /// One v5 record, as far as `compare` needs it.
 #[derive(Debug, Clone, PartialEq)]
 struct Record {
@@ -429,14 +262,14 @@ enum Line {
 }
 
 fn classify(line: &str) -> Line {
-    let Some(obj) = Json::parse(line) else { return Line::Malformed };
+    let Ok(obj) = json::parse(line) else { return Line::Malformed };
     let version = obj.get("schema_version");
-    if version.is_some_and(|v| v.as_num() == Some(SCHEMA_VERSION)) {
+    if version.is_some_and(|v| v.as_f64() == Some(SCHEMA_VERSION)) {
         return decode_v5(&obj).map_or(Line::Malformed, Line::V5);
     }
     // v1 records carry no schema_version; v2–v4 carry 2, 3 or 4.
     let old =
-        version.map_or(Some(1.0), Json::as_num).is_some_and(|v| [1.0, 2.0, 3.0, 4.0].contains(&v));
+        version.map_or(Some(1.0), Json::as_f64).is_some_and(|v| [1.0, 2.0, 3.0, 4.0].contains(&v));
     if old && obj.get("experiment").is_some() {
         Line::Legacy
     } else {
@@ -449,9 +282,9 @@ fn decode_v5(obj: &Json) -> Option<Record> {
     let Json::Obj(metrics) = result.get("metrics")? else { return None };
     let metrics = metrics
         .iter()
-        .map(|(name, m)| Some((name.clone(), m.get("value")?.as_num()?)))
+        .map(|(name, m)| Some((name.clone(), m.get("value")?.as_f64()?)))
         .collect::<Option<Vec<_>>>()?;
-    let trace = match obj.get("trace")?.as_num()? {
+    let trace = match obj.get("trace")?.as_f64()? {
         0.0 => false,
         1.0 => true,
         _ => return None,
@@ -460,7 +293,7 @@ fn decode_v5(obj: &Json) -> Option<Record> {
         workload: obj.get("workload")?.as_str()?.to_string(),
         trace,
         git_rev: obj.get("git_rev")?.as_str()?.to_string(),
-        ok: *result.get("correct")? == Json::Bool(true) && result.get("failed")?.as_num()? == 0.0,
+        ok: *result.get("correct")? == Json::Bool(true) && result.get("failed")?.as_f64()? == 0.0,
         metrics,
     })
 }
@@ -693,7 +526,7 @@ fn compare_main(log: &Path, base: &str, head: &str) -> Result<(), String> {
     let bytes = std::fs::read(log).map_err(|e| format!("cannot read {}: {e}", log.display()))?;
     let bench = std::fs::read_to_string("BENCHMARK.json")
         .ok()
-        .and_then(|t| Json::parse(&t))
+        .and_then(|t| json::parse(&t).ok())
         .ok_or("cannot read BENCHMARK.json (run from the repository root)")?;
     let (records, skipped) = read_log(&bytes);
     println!(
@@ -723,6 +556,7 @@ fn compare_main(log: &Path, base: &str, head: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppf_trace::mutate;
 
     const HOST: &str =
         "host {\"git_rev\":\"aaaa111\",\"cpu\":\"TestCPU \\\"9000\\\"\",\"nproc\":2,\"simd\":\"Portable\"}";
@@ -829,7 +663,7 @@ mod tests {
         let s = std::fs::read_to_string(&path).unwrap();
         assert!(s.trim_start().starts_with('['), "not an array: {s}");
         assert!(s.trim_end().ends_with(']'), "unterminated: {s}");
-        assert!(Json::parse(&s).is_some(), "not valid JSON: {s}");
+        assert!(json::parse(&s).is_ok(), "not valid JSON: {s}");
         assert_eq!(read_log(s.as_bytes()).0.len(), 2);
         let _ = std::fs::remove_file(&path);
     }
@@ -854,13 +688,15 @@ mod tests {
     fn damaged_records_are_skipped_and_counted_never_a_panic() {
         let sample =
             line("c0ffee", "fig09-1c", true, &[("ops_per_cpu_s", 2.28e7), ("sim.ticks", 3.4e7)]);
+        let other = line("beef", "serve-sock", false, &[("op_p50_us", 30.2)]);
         assert!(matches!(classify(&sample), Line::V5(_)));
-        // Every cut: no prefix is a whole object.
-        for end in 1..sample.len() {
-            let cut = &sample.as_bytes()[..end];
+        assert!(matches!(classify(&other), Line::V5(_)));
+        // Every cut: no prefix is a whole object (the empty one is a blank
+        // line, which is layout).
+        for cut in mutate::prefixes(sample.as_bytes()).skip(1) {
             let (records, skipped) = read_log(cut);
-            assert!(records.is_empty(), "prefix {end} decoded");
-            assert_eq!(skipped.malformed, 1, "prefix {end} not counted");
+            assert!(records.is_empty(), "prefix {} decoded", cut.len());
+            assert_eq!(skipped.malformed, 1, "prefix {} not counted", cut.len());
         }
         // Every byte replaced by a control character: invalid anywhere.
         for at in 0..sample.len() {
@@ -870,24 +706,36 @@ mod tests {
             assert!(records.is_empty(), "corruption at {at} decoded");
             assert_eq!(skipped.malformed, 1, "corruption at {at} not counted");
         }
-        // Every single-bit flip: a flip may still spell a valid record (a
-        // digit for a digit), but each line lands in exactly one bucket.
-        for at in 0..sample.len() {
-            for bit in 0..8 {
-                let mut bad = sample.clone().into_bytes();
-                bad[at] ^= 1 << bit;
-                let (records, skipped) = read_log(&bad);
-                let total =
-                    records.len() + skipped.legacy + skipped.malformed + skipped.not_correct;
-                assert_eq!(total, 1, "flip {at}:{bit} counted {total} times");
-            }
+        // Numbers outside the JSON grammar, and a key given twice.
+        for bad in [
+            sample.replacen("\"value\":22800000", "\"value\":+22800000", 1),
+            sample.replacen("\"value\":22800000", "\"value\":022800000", 1),
+            sample.replacen("\"value\":22800000", "\"value\":.5", 1),
+            sample.replacen("\"value\":22800000", "\"value\":1.", 1),
+            sample.replacen("\"trace\":1", "\"trace\":1,\"trace\":0", 1),
+        ] {
+            assert_ne!(bad, sample);
+            let (records, skipped) = read_log(bad.as_bytes());
+            assert!(records.is_empty(), "decoded {bad}");
+            assert_eq!(skipped.malformed, 1, "not counted: {bad}");
+        }
+        // Every single-bit flip and every splice of two records: a mutant
+        // may still spell a valid record (a digit for a digit), but each
+        // line lands in exactly one bucket.
+        let flips = mutate::bit_flips(sample.as_bytes());
+        for (n, bad) in
+            flips.chain(mutate::splices(sample.as_bytes(), other.as_bytes())).enumerate()
+        {
+            let (records, skipped) = read_log(&bad);
+            let total = records.len() + skipped.legacy + skipped.malformed + skipped.not_correct;
+            assert_eq!(total, 1, "mutant {n} counted {total} times");
         }
     }
 
     #[test]
     fn nesting_is_bounded() {
         let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
-        assert_eq!(Json::parse(&deep), None);
+        assert_eq!(json::parse(&deep).map_err(|e| e.reason), Err(json::Reason::Depth));
         assert_eq!(classify(&deep), Line::Malformed);
     }
 
@@ -980,7 +828,7 @@ mod tests {
 
     #[test]
     fn directions_come_from_the_benchmark_file() {
-        let bench = Json::parse(
+        let bench = json::parse(
             "{\"end_to_end\":[{\"name\":\"ops_per_cpu_s\",\"better\":\"higher\"},{\"name\":\"op_p50_us\",\"better\":\"lower\"}],\
              \"per_layer\":[{\"name\":\"pf.accuracy\",\"better\":\"higher\"}]}",
         )

@@ -24,6 +24,7 @@
 use crate::runner::{self, BoxedJob, JobError, Outcome};
 use ppf_sim::ckpt;
 use ppf_sim::fault::{self, lock_unpoisoned, FaultSpec};
+use ppf_sim::json::{self, Json};
 use ppf_sim::{CacheStats, CoreReport, DramStats, PrefetchStats, SimReport};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
@@ -40,8 +41,8 @@ pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 /// A value that can round-trip through a checkpoint record.
 ///
 /// Encodings must be *bit-exact* (floats go through [`f64::to_bits`]) and
-/// must not contain `"` or `\` — the record line is spliced as a JSON
-/// string without an escaper.
+/// must not contain `"`, `\` or control characters: the record line splices
+/// them into a JSON string unescaped, and [`ppf_sim::json`] reads it back.
 pub trait Checkpoint: Sized {
     /// Serializes the value into a checkpoint payload.
     fn encode(&self) -> String;
@@ -346,7 +347,7 @@ impl Sweep {
     }
 
     /// Loads `key -> payload` for this experiment from the checkpoint file
-    /// (last record per key wins; foreign or unparsable lines are skipped).
+    /// (last record per key wins; foreign or malformed records are skipped).
     ///
     /// Crash artifacts are tolerated, never fatal: a torn final line (the
     /// process died mid-append) and records failing their CRC seal are
@@ -379,18 +380,16 @@ impl Sweep {
             );
         }
         for line in &load.lines {
-            if ckpt::num_field(line, "v") != Some(u64::from(CHECKPOINT_SCHEMA_VERSION)) {
+            let Ok(rec) = json::parse(line) else { continue };
+            let text = |key| rec.get(key).and_then(Json::as_str);
+            if rec.get("v").and_then(Json::as_u64) != Some(u64::from(CHECKPOINT_SCHEMA_VERSION))
+                || text("experiment") != Some(&self.experiment)
+            {
                 continue;
             }
-            if ckpt::str_field(line, "experiment") != Some(&self.experiment) {
-                continue;
+            if let (Some(key), Some(data)) = (text("key"), text("data")) {
+                done.insert(key.to_string(), data.to_string());
             }
-            let (Some(key), Some(data)) =
-                (ckpt::str_field(line, "key"), ckpt::str_field(line, "data"))
-            else {
-                continue;
-            };
-            done.insert(key.to_string(), data.to_string());
         }
         done
     }
@@ -741,19 +740,30 @@ mod tests {
         let dir = temp_dir("foreign");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("exp.jsonl");
-        // A record from another experiment and one corrupt line.
-        fs::write(
-            &path,
-            format!(
-                "{}not json at all\n",
-                format_record("other", "a", Duration::from_millis(1), &7.0f64.encode())
-            ),
-        )
-        .unwrap();
-        let sweep = Sweep::new("exp", 1, None, true, &dir);
-        let out = sweep.run(vec![("a".to_string(), boxed(|| 1.0f64))]);
-        assert_eq!(out.resumed, 0, "foreign record must not satisfy this experiment");
-        assert_eq!(*out.results[0].1.as_ref().unwrap(), 1.0);
+        let data = 7.0f64.encode();
+        // A record from another experiment and one corrupt line, then
+        // sealed records of this experiment whose bodies are not well-formed
+        // records: each must re-run its job.
+        let foreign = format!(
+            "{}not json at all\n",
+            format_record("other", "a", Duration::from_millis(1), &data)
+        );
+        let mut files = vec![foreign];
+        for body in [
+            format!(r#"{{"v":2x,"experiment":"exp","key":"a","wall_ms":1,"data":"{data}"}}"#),
+            format!(r#"{{"v":2,"experiment":"exp","key":"a","wall_ms":12abc,"data":"{data}"}}"#),
+            format!(r#"{{"v":2,"experiment":"exp","key":"a","data":"{data}","experiment":"x"}}"#),
+            format!(r#"{{"v":2,,"experiment":"exp","key":"a","wall_ms":1,"data":"{data}",}}"#),
+        ] {
+            files.push(ckpt::seal(&body) + "\n");
+        }
+        for text in files {
+            fs::write(&path, &text).unwrap();
+            let sweep = Sweep::new("exp", 1, None, true, &dir);
+            let out = sweep.run(vec![("a".to_string(), boxed(|| 1.0f64))]);
+            assert_eq!(out.resumed, 0, "record must not satisfy this experiment: {text}");
+            assert_eq!(*out.results[0].1.as_ref().unwrap(), 1.0);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

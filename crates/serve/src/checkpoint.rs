@@ -1,8 +1,8 @@
 //! Per-shard crash-safe weight checkpoints.
 //!
 //! Each shard owns one append-only JSONL file, `shard-<k>.jsonl`, of
-//! CRC-sealed records (the same seal and field readers the sweep
-//! checkpoints use, see [`ppf_sim::ckpt`]):
+//! CRC-sealed records (the same seal the sweep checkpoints use, see
+//! [`ppf_sim::ckpt`], read back through [`ppf_sim::json`]):
 //!
 //! ```text
 //! {"crc":"xxxxxxxx","v":1,"tenant":"t003-619.lbm_s","gen":4,"weights":"<hex>"}
@@ -25,7 +25,7 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use ppf_sim::ckpt;
+use ppf_sim::{ckpt, json};
 
 use crate::protocol::valid_tenant;
 
@@ -46,7 +46,7 @@ pub struct RestoredTenant {
 pub struct Restored {
     /// Last-wins tenant snapshots.
     pub tenants: HashMap<String, RestoredTenant>,
-    /// Records dropped: torn tail, failed CRC, or unparseable body.
+    /// Records dropped: torn tail, failed CRC, or malformed body.
     pub dropped: u64,
 }
 
@@ -148,15 +148,15 @@ impl ShardCheckpoint {
         let mut out = Restored { tenants: HashMap::new(), dropped };
         for line in &loaded.lines {
             let parsed = (|| {
-                let v = ckpt::num_field(line, "v")?;
-                if v != u64::from(SCHEMA_VERSION) {
+                let rec = json::parse(line).ok()?;
+                if rec.get("v")?.as_u64()? != u64::from(SCHEMA_VERSION) {
                     return None;
                 }
                 // Names a client may no longer use (or a forged record) drop
                 // here, so compaction never rewrites them.
-                let tenant = ckpt::str_field(line, "tenant").filter(|t| valid_tenant(t))?;
-                let gen = ckpt::num_field(line, "gen")?;
-                let weights = hex_decode(ckpt::str_field(line, "weights")?)?;
+                let tenant = rec.get("tenant")?.as_str().filter(|t| valid_tenant(t))?;
+                let gen = rec.get("gen")?.as_u64()?;
+                let weights = hex_decode(rec.get("weights")?.as_str()?)?;
                 Some((tenant.to_string(), RestoredTenant { gen, weights }))
             })();
             match parsed {
@@ -193,6 +193,7 @@ impl ShardCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppf_trace::mutate;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -209,11 +210,13 @@ mod tests {
         ck.append("t000-a", 1, &[1, 2, 3], false).unwrap();
         ck.append("t001-b", 1, &[9, 8], false).unwrap();
         ck.append("t000-a", 2, &[4, 5, 6], false).unwrap();
+        ck.append("t002-c", u64::MAX, &[7], false).unwrap();
         let r = ck.load();
         assert_eq!(r.dropped, 0);
-        assert_eq!(r.tenants.len(), 2);
+        assert_eq!(r.tenants.len(), 3);
         assert_eq!(r.tenants["t000-a"], RestoredTenant { gen: 2, weights: vec![4, 5, 6] });
         assert_eq!(r.tenants["t001-b"].weights, vec![9, 8]);
+        assert_eq!(r.tenants["t002-c"].gen, u64::MAX, "generations are exact to u64::MAX");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -268,12 +271,20 @@ mod tests {
     fn corrupt_files_never_panic_or_restore_unwritten_state() {
         let dir = tmpdir("mutate");
         let ck = ShardCheckpoint::new(&dir, 4);
-        let written: [(&str, u64, Vec<u8>); 2] =
-            [("t000-a", 1, vec![1, 2, 3]), ("t001-b", 7, vec![0xfe, 0x00])];
-        for (tenant, gen, weights) in &written {
-            ck.append(tenant, *gen, weights, false).unwrap();
+        let written: [(&str, u64, Vec<u8>); 4] = [
+            ("t000-a", 1, vec![1, 2, 3]),
+            ("t001-b", 7, vec![0xfe, 0x00]),
+            ("t000-a", 2, vec![4, 5, 6]),
+            ("t001-b", 8, vec![0x10]),
+        ];
+        let mut files = Vec::new();
+        for pair in written.chunks(2) {
+            let _ = std::fs::remove_file(ck.path());
+            for (tenant, gen, weights) in pair {
+                ck.append(tenant, *gen, weights, false).unwrap();
+            }
+            files.push(std::fs::read(ck.path()).unwrap());
         }
-        let file = std::fs::read(ck.path()).unwrap();
         let load_only_written = |bytes: &[u8]| {
             std::fs::write(ck.path(), bytes).unwrap();
             for (tenant, r) in ck.load().tenants {
@@ -285,28 +296,34 @@ mod tests {
                 );
             }
         };
-        for cut in 0..file.len() {
-            load_only_written(&file[..cut]);
-        }
-        for bit in 0..file.len() * 8 {
-            let mut bytes = file.clone();
-            bytes[bit / 8] ^= 1 << (bit % 8);
-            load_only_written(&bytes);
-        }
+        let file = &files[0];
+        mutate::prefixes(file).for_each(load_only_written);
+        mutate::bit_flips(file).for_each(|bytes| load_only_written(&bytes));
+        mutate::splices(file, &files[1]).for_each(|bytes| load_only_written(&bytes));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn sealed_record_with_non_hex_weights_is_dropped() {
-        let dir = tmpdir("nonhex");
+    fn sealed_but_malformed_records_are_dropped() {
+        let dir = tmpdir("malformed");
         let ck = ShardCheckpoint::new(&dir, 5);
         // Correctly sealed, so only the body parser stands between these
-        // weights and a restore; multi-byte chars must not split mid-char.
-        let body = "{\"v\":1,\"tenant\":\"t000-a\",\"gen\":1,\"weights\":\"\u{20ac}\u{20ac}\"}";
-        std::fs::write(ck.path(), format!("{}\n", ckpt::seal(body))).unwrap();
-        let r = ck.load();
-        assert!(r.tenants.is_empty());
-        assert_eq!(r.dropped, 1);
+        // records and a restore.
+        for body in [
+            // Multi-byte chars must not split mid-char.
+            "{\"v\":1,\"tenant\":\"t000-a\",\"gen\":1,\"weights\":\"\u{20ac}\u{20ac}\"}",
+            r#"{"v":1,"tenant":"t000-a","gen":12abc,"weights":"02"}"#,
+            r#"{"v":1x,"tenant":"t000-a","gen":1,"weights":"02"}"#,
+            r#"{"v":1,"tenant":"t000-a","gen":1,"weights":"02","tenant":"t001-b"}"#,
+            r#"{"v":1,"tenant":"t000-a","gen":1,"weights":"02",}"#,
+            r#"{"v":1,"tenant":"t000-a","gen":-1,"weights":"02"}"#,
+            r#"{"v":1,"tenant":"t000-a","gen":18446744073709551616,"weights":"02"}"#,
+        ] {
+            std::fs::write(ck.path(), format!("{}\n", ckpt::seal(body))).unwrap();
+            let r = ck.load();
+            assert!(r.tenants.is_empty(), "{body} restored {:?}", r.tenants);
+            assert_eq!(r.dropped, 1, "{body}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -489,6 +489,7 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppf_trace::mutate;
 
     fn sample_request() -> ScoreRequest {
         let inputs = FeatureInputs {
@@ -593,16 +594,51 @@ mod tests {
         assert_eq!(back.decisions, vec![Decision::PrefetchL2; 2]);
     }
 
+    /// A second, differently shaped request to splice with the sample.
+    fn other_request() -> ScoreRequest {
+        ScoreRequest {
+            tenant: "t12-a".into(),
+            candidates: vec![sample_request().candidates[1]],
+            demands: vec![],
+            evictions: vec![0xDDDD_0000, 0xEEEE_0000, 0xFFFF_0000],
+        }
+    }
+
+    /// Every bit flip of `a` and every splice of `a` with `b`; prefixes
+    /// have their own, stricter oracle.
+    fn mutants<'a>(a: &'a [u8], b: &'a [u8]) -> impl Iterator<Item = Vec<u8>> + 'a {
+        mutate::bit_flips(a).chain(mutate::splices(a, b))
+    }
+
     #[test]
     fn truncated_frames_error_not_panic() {
-        let req = sample_request();
-        let framed = encode_score(&req);
-        for cut in 1..framed.len() - 4 {
-            // Every prefix of the payload must fail cleanly.
-            let _ = decode_score(&framed[4..4 + cut]);
+        let (framed, other) = (encode_score(&sample_request()), encode_score(&other_request()));
+        for cut in mutate::prefixes(&framed[4..]) {
+            assert!(decode_score(cut).is_err(), "prefix of {} bytes decoded", cut.len());
+        }
+        // A mutant that decodes reads exactly the canonical encoding of what
+        // it decoded to, and ignores any bytes after it.
+        for bad in mutants(&framed[4..], &other[4..]) {
+            if let Ok(req) = decode_score(&bad) {
+                assert!(bad.starts_with(&encode_score(&req)[4..]), "{bad:02x?} -> {req:?}");
+            }
         }
         assert!(decode_score(&[]).is_err());
         assert!(decode_reply(&[OP_REPLY, 0, 9, 0, 0, 0]).is_err());
+        let reply = encode_reply(&ScoreReply {
+            degraded: false,
+            decisions: vec![Decision::PrefetchL2, Decision::Reject, Decision::PrefetchLlc],
+        });
+        let other = encode_reply(&ScoreReply::degraded(1));
+        for cut in mutate::prefixes(&reply[4..]) {
+            assert!(decode_reply(cut).is_err(), "prefix of {} bytes decoded", cut.len());
+        }
+        for bad in mutants(&reply[4..], &other[4..]) {
+            if let Ok(r) = decode_reply(&bad) {
+                assert_eq!(r.degraded, bad[1] != 0);
+                assert!(6 + r.decisions.len() <= bad.len(), "{bad:?} -> {r:?}");
+            }
+        }
     }
 
     #[test]
@@ -610,9 +646,14 @@ mod tests {
         let report = "{\"v\":1,\"requests\":3}\n{\"v\":1,\"span\":15,\"shard\":0}\n";
         let framed = encode_stats_reply(report);
         assert_eq!(decode_stats_reply(&framed[4..]).unwrap(), report);
-        for cut in 1..framed.len() - 4 {
-            // Every prefix must fail cleanly, never panic.
-            let _ = decode_stats_reply(&framed[4..4 + cut]);
+        for cut in mutate::prefixes(&framed[4..]) {
+            assert!(decode_stats_reply(cut).is_err(), "prefix of {} bytes decoded", cut.len());
+        }
+        let other = encode_stats_reply("{}");
+        for bad in mutants(&framed[4..], &other[4..]) {
+            if let Ok(text) = decode_stats_reply(&bad) {
+                assert_eq!(bad.get(5..5 + text.len()), Some(text.as_bytes()), "{bad:?}");
+            }
         }
         assert!(decode_stats_reply(&[]).is_err());
         assert!(decode_stats_reply(&[OP_STATS, 9, 0, 0, 0]).is_err());
@@ -705,10 +746,40 @@ mod tests {
         let stream = [encode_score(&sample_request()), encode_op(OP_PING)].concat();
         let mut whole = std::io::Cursor::new(&stream);
         assert_eq!(drain(&mut whole).unwrap().len(), 2, "EOF at a boundary is a clean close");
-        for cut in (1..stream.len()).filter(|&c| c != stream.len() - 5) {
-            let mut torn = std::io::Cursor::new(&stream[..cut]);
+        for cut in mutate::prefixes(&stream).skip(1).filter(|c| c.len() != stream.len() - 5) {
+            let mut torn = std::io::Cursor::new(cut);
             let err = drain(&mut torn).unwrap_err();
-            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {cut}");
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {}", cut.len());
+        }
+        // A splice with another stream yields whole frames read from its
+        // front, then a clean close, a torn frame or an oversized prefix.
+        let other =
+            [encode_reply(&ScoreReply::degraded(3)), encode_score(&other_request())].concat();
+        for spliced in mutate::splices(&stream, &other) {
+            let mut reader = FrameReader::new();
+            let mut cursor = std::io::Cursor::new(&spliced);
+            let mut at = 0;
+            let end = loop {
+                match reader.read_frame(&mut cursor) {
+                    Ok(Some(payload)) => {
+                        assert_eq!(spliced[at..at + 4], (payload.len() as u32).to_le_bytes());
+                        assert_eq!(&spliced[at + 4..at + 4 + payload.len()], payload);
+                        at += 4 + payload.len();
+                    }
+                    Ok(None) => break None,
+                    Err(e) => break Some(e.kind()),
+                }
+            };
+            match end {
+                None => assert_eq!(at, spliced.len()),
+                Some(kind) => assert!(
+                    matches!(
+                        kind,
+                        std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::InvalidData
+                    ),
+                    "{kind:?}"
+                ),
+            }
         }
     }
 

@@ -19,8 +19,10 @@
 //! rename — a crash leaves either the old file or the new one, never a
 //! partial mix.
 //!
-//! [`str_field`] and [`num_field`] read record fields back. Writers splice
-//! string values unescaped, so no value may contain `"` or `\`.
+//! A line that passes [`check`] is one JSON object (the `crc` field plus
+//! the writer's fields); loaders decode it with [`crate::json::parse`] and
+//! read their fields from the object. Writers splice string values
+//! unescaped, so no value may contain `"` or `\`.
 
 use std::fs::{self, File};
 use std::io::{self, Write as _};
@@ -80,7 +82,7 @@ pub enum SealError {
 }
 
 /// Validates a line produced by [`seal`]. The line still contains every
-/// original field (plus `crc`), so callers keep scanning it as before.
+/// original field (plus `crc`), so callers decode it whole.
 ///
 /// # Errors
 ///
@@ -101,24 +103,6 @@ pub fn check(line: &str) -> Result<(), SealError> {
     } else {
         Err(SealError::Mismatch)
     }
-}
-
-/// Reads the `"key":"value"` string field of a record line. String values
-/// never contain `"`, so scanning to the next quote is exact.
-pub fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(&line[start..start + end])
-}
-
-/// Reads the `"key":<digits>` unsigned number field of a record line.
-pub fn num_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// What [`load_tolerant`] recovered from a checkpoint file.
@@ -203,6 +187,8 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{self, Json};
+    use ppf_trace::mutate;
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -234,28 +220,48 @@ mod tests {
     #[test]
     fn check_rejects_every_prefix_and_every_single_bit_flip() {
         let line = seal(r#"{"v":1,"tenant":"t003-619.lbm_s","gen":4,"weights":"00ff7f80"}"#);
-        for cut in 0..line.len() {
-            assert!(check(&line[..cut]).is_err(), "prefix of {cut} bytes passed");
+        let other = seal(r#"{"v":1,"tenant":"t001-605.mcf_s","gen":9,"weights":"7f"}"#);
+        for cut in mutate::prefixes(line.as_bytes()) {
+            let cut = std::str::from_utf8(cut).unwrap();
+            assert!(check(cut).is_err(), "prefix of {} bytes passed", cut.len());
         }
-        for bit in 0..line.len() * 8 {
-            let mut bytes = line.clone().into_bytes();
-            bytes[bit / 8] ^= 1 << (bit % 8);
+        for (bit, bytes) in mutate::bit_flips(line.as_bytes()).enumerate() {
             // Read the way load_tolerant reads a file: lossily.
             let flipped = String::from_utf8_lossy(&bytes);
             assert!(check(&flipped).is_err(), "flip of bit {bit} passed: {flipped}");
+        }
+        // A splice of two sealed lines passes only if it is one of them.
+        for bytes in mutate::splices(line.as_bytes(), other.as_bytes()) {
+            let spliced = String::from_utf8_lossy(&bytes);
+            if spliced != line && spliced != other {
+                assert!(check(&spliced).is_err(), "splice passed: {spliced}");
+            }
         }
     }
 
     #[test]
     fn field_readers_take_the_named_field() {
         let line = seal(r#"{"v":2,"key":"619.lbm_s/PPF","wall_ms":17,"data":"3ff0~"}"#);
-        assert_eq!(num_field(&line, "v"), Some(2));
-        assert_eq!(num_field(&line, "wall_ms"), Some(17));
-        assert_eq!(str_field(&line, "key"), Some("619.lbm_s/PPF"));
-        assert_eq!(str_field(&line, "data"), Some("3ff0~"));
-        assert_eq!(str_field(&line, "missing"), None);
-        assert_eq!(num_field(&line, "key"), None, "a string is not a number");
-        assert_eq!(str_field(r#"{"key":"unterminated"#, "key"), None);
+        let rec = json::parse(&line).expect("a sealed line is one JSON object");
+        let num = |key| rec.get(key).and_then(Json::as_u64);
+        let text = |key| rec.get(key).and_then(Json::as_str);
+        assert_eq!(num("v"), Some(2));
+        assert_eq!(num("wall_ms"), Some(17));
+        assert_eq!(text("key"), Some("619.lbm_s/PPF"));
+        assert_eq!(text("data"), Some("3ff0~"));
+        assert_eq!(text("crc").map(str::len), Some(8));
+        assert_eq!(text("missing"), None);
+        assert_eq!(num("key"), None, "a string is not a number");
+        // A number with a trailing non-digit, a key given twice and an
+        // unterminated string are not JSON, so no field is read from them.
+        for bad in [
+            r#"{"v":1,"tenant":"t000-a","gen":12abc,"weights":"02"}"#,
+            r#"{"v":1x,"tenant":"t000-a","gen":1,"weights":"02"}"#,
+            r#"{"v":1,"tenant":"t000-a","gen":1,"weights":"02","tenant":"t001-b"}"#,
+            r#"{"key":"unterminated"#,
+        ] {
+            assert!(json::parse(bad).is_err(), "{bad}");
+        }
     }
 
     fn tmp(name: &str) -> PathBuf {

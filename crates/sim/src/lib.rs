@@ -42,6 +42,7 @@ pub mod fault;
 pub mod fxhash;
 pub mod horizon;
 pub mod invariants;
+pub mod json;
 pub mod mshr;
 pub mod observe;
 pub mod prefetcher;

@@ -32,6 +32,7 @@
 
 pub mod io;
 pub mod mix;
+pub mod mutate;
 pub mod pattern;
 pub mod prng;
 pub mod profile;

@@ -1,19 +1,18 @@
 //! Fault-injection harness for the trace loaders: corrupted inputs must
-//! yield structured [`TraceError`]s, never panics. The sweeps below exercise
-//! every truncation point and systematic bit flips across a valid trace, so
-//! any future panic path in the parser fails here first.
+//! yield structured [`TraceError`]s, never panics. The sweeps below run the
+//! shared [`mutate`] families over a valid trace (every truncation point,
+//! every single-bit flip, every splice with a second trace), so any future
+//! panic path in the parser fails here first.
 
-use ppf_trace::{load_trace_csv, AccessPattern, TraceError, TraceFile};
+use ppf_trace::{load_trace_csv, mutate, AccessPattern, TraceError, TraceFile};
 
 const MAGIC: [u8; 8] = *b"PPFT\x01\0\0\0";
 const RECORD_BYTES: usize = 19;
 
-/// A well-formed 3-record trace built by hand against the documented format.
-fn valid_trace() -> Vec<u8> {
+/// A well-formed trace built by hand against the documented format.
+fn trace_of(records: &[(u64, u64, u8, u8)]) -> Vec<u8> {
     let mut bytes = MAGIC.to_vec();
-    for (pc, addr, flags, work) in
-        [(0x400100u64, 0x1000u64, 0b00u8, 3u8), (0x400108, 0x2000, 0b01, 0), (0x400110, 0x3000, 0b10, 7)]
-    {
+    for &(pc, addr, flags, work) in records {
         bytes.extend_from_slice(&pc.to_le_bytes());
         bytes.extend_from_slice(&addr.to_le_bytes());
         bytes.push(flags);
@@ -21,6 +20,15 @@ fn valid_trace() -> Vec<u8> {
         bytes.push(0); // reserved
     }
     bytes
+}
+
+/// The 3-record trace every sweep starts from.
+fn valid_trace() -> Vec<u8> {
+    trace_of(&[
+        (0x400100, 0x1000, 0b00, 3),
+        (0x400108, 0x2000, 0b01, 0),
+        (0x400110, 0x3000, 0b10, 7),
+    ])
 }
 
 #[test]
@@ -36,8 +44,9 @@ fn valid_trace_parses() {
 #[test]
 fn truncation_sweep_classifies_every_cut() {
     let full = valid_trace();
-    for cut in 0..full.len() {
-        let got = TraceFile::from_bytes(&full[..cut]);
+    for prefix in mutate::prefixes(&full) {
+        let cut = prefix.len();
+        let got = TraceFile::from_bytes(prefix);
         if cut < MAGIC.len() {
             assert!(
                 matches!(got, Err(TraceError::TruncatedHeader { got }) if got == cut),
@@ -60,30 +69,41 @@ fn truncation_sweep_classifies_every_cut() {
     }
 }
 
-/// Flipping the high bit of every byte in turn: header flips are BadMagic,
-/// flag/reserved flips are MalformedRecord, payload flips still parse (the
-/// format cannot police pc/addr/work values). Nothing panics.
+/// Flipping every bit in turn: header flips are BadMagic, flips of an
+/// undefined flag bit or a reserved bit are MalformedRecord, and flips of
+/// a defined flag bit or a payload bit still parse (the format cannot
+/// police pc/addr/work values). Nothing panics.
 #[test]
 fn bit_flip_sweep_never_panics() {
     let full = valid_trace();
-    for pos in 0..full.len() {
-        let mut bytes = full.clone();
-        bytes[pos] ^= 0x80;
+    for (n, bytes) in mutate::bit_flips(&full).enumerate() {
+        let (pos, bit) = (n / 8, n % 8);
         let got = TraceFile::from_bytes(&bytes);
         if pos < MAGIC.len() {
-            assert!(matches!(got, Err(TraceError::BadMagic { .. })), "pos {pos}: {got:?}");
+            assert!(matches!(got, Err(TraceError::BadMagic { .. })), "pos {pos}:{bit}: {got:?}");
             continue;
         }
         let record = (pos - MAGIC.len()) / RECORD_BYTES;
-        match (pos - MAGIC.len()) % RECORD_BYTES {
-            16 | 18 => assert!(
+        match ((pos - MAGIC.len()) % RECORD_BYTES, bit) {
+            (16, 2..) | (18, _) => assert!(
                 matches!(got, Err(TraceError::MalformedRecord { record: r, .. }) if r == record),
-                "pos {pos}: {got:?}"
+                "pos {pos}:{bit}: {got:?}"
             ),
             _ => {
-                got.unwrap_or_else(|e| panic!("payload flip at {pos} must still parse: {e}"));
+                got.unwrap_or_else(|e| panic!("data flip at {pos}:{bit} must still parse: {e}"));
             }
         }
+    }
+}
+
+/// Splicing two valid traces at any offset keeps every field at its place,
+/// so each splice is a valid trace as long as the source it ends with.
+#[test]
+fn splices_of_two_traces_are_traces() {
+    let (a, b) = (valid_trace(), trace_of(&[(0x500000, 0xdead_0000, 0b11, 255), (1, 2, 0b00, 0)]));
+    for bytes in mutate::splices(&a, &b) {
+        let t = TraceFile::from_bytes(&bytes).unwrap_or_else(|e| panic!("{bytes:02x?}: {e}"));
+        assert_eq!(t.len(), (bytes.len() - MAGIC.len()) / RECORD_BYTES);
     }
 }
 

@@ -4,8 +4,8 @@
 #
 #   scripts/verify.sh             # build + clippy + tests + fault drill
 #                                 #   + horizon gate, layering check,
-#                                 #   serve and hybrid gates
-#                                 #   + observe gate
+#                                 #   ledger check, serve and hybrid
+#                                 #   gates + observe gate
 #   scripts/verify.sh --quick     # ... + fig09 smoke run
 #   scripts/verify.sh --bench     # ... + hot-path micro-benchmarks and a
 #                                 #       ledger record/compare round trip
@@ -51,6 +51,10 @@ run_fault_drill() {
     echo "== fault-injection tests =="
     cargo test -q -p ppf-bench --test fault_tolerance
     cargo test -q -p ppf-trace --test fault_injection
+    echo "== decoder mutation tests (JSON decoder, socket protocol, serve checkpoints) =="
+    cargo test -q -p ppf-sim --lib json::
+    cargo test -q -p ppf-serve --lib protocol::
+    cargo test -q -p ppf-serve --lib checkpoint::
 
     echo "== injected-panic sweep drill (fig09 --quick) =="
     drill_dir="$(mktemp -d)"
@@ -102,6 +106,21 @@ run_layering_check() {
         exit 1
     fi
     echo "layering: OK (ppf-serve does not depend on ppf-bench or ppf-analysis)"
+}
+
+# Ledger check: the committed performance ledger decodes whole. Compares
+# two revisions that have records in results/bench_throughput.json (runs no
+# benchmark); the header must count no malformed line.
+run_ledger_check() {
+    echo "== ledger: compare 9d73cec cc3f5fd over the committed log =="
+    ledger_out="$(./scripts/ledger compare 9d73cec cc3f5fd)" \
+        || { echo "ledger check: compare failed"; exit 1; }
+    header="$(printf '%s\n' "$ledger_out" | head -n 1)"
+    echo "$header"
+    case "$header" in
+        *" 0 malformed lines"*) echo "ledger check: OK (no malformed line)" ;;
+        *) echo "ledger check: the committed ledger has malformed lines"; exit 1 ;;
+    esac
 }
 
 # Serve gate: the filter-fleet daemon survives its chaos drill. The drill
@@ -313,6 +332,8 @@ run_fault_drill
 run_horizon_gate
 
 run_layering_check
+
+run_ledger_check
 
 run_serve_gate
 

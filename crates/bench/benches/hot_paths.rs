@@ -1,19 +1,21 @@
 //! Criterion micro-benchmarks for the filter's per-candidate path
 //! (`infer_indexed` + `record_indexed`, `score_and_record` over a depth
-//! window, and the one-pass feature index into the byte arena), the
-//! struct-of-arrays cache tag scan (`probe` / `demand_access` / `fill`),
-//! and the simulator's base tick.
+//! window, and the one-pass feature index into the byte arena), one
+//! unthrottled SPP lookahead, the struct-of-arrays cache tag scan
+//! (`probe` / `demand_access` / `fill`), and the simulator's base tick.
 //!
 //! These isolate the data-layout work from whole-simulator noise: the
 //! `perceptron` bench measures the legacy `infer` API, this one measures
 //! the indexed path the simulator wrapper actually drives.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use ppf::{Decision, FeatureInputs, FeatureKind, Perceptron, PpfConfig, PpfFilter};
+use ppf::{Decision, FeatureInputs, FeatureKind, Perceptron, Ppf, PpfConfig, PpfFilter};
+use ppf_prefetchers::{LookaheadSource, Spp};
 use ppf_sim::{
-    Cache, CacheConfig, FillKind, NoPrefetcher, ReplacementPolicy, Simulation, SystemConfig,
+    AccessContext, Cache, CacheConfig, FillKind, NoPrefetcher, Prefetcher, ReplacementPolicy,
+    Simulation, SystemConfig,
 };
-use ppf_trace::SequentialStream;
+use ppf_trace::{SequentialStream, TraceBuilder, Workload};
 
 fn inputs(i: u64) -> FeatureInputs {
     FeatureInputs {
@@ -89,6 +91,111 @@ fn bench_score_and_record(c: &mut Criterion) {
             black_box(p.index(&set, &inputs(i)))
         });
     });
+    g.finish();
+}
+
+/// `n` demand accesses of each named fig09 workload (seed 42), one after
+/// the other, with consecutive touches of one block collapsed as an L1
+/// would collapse them.
+fn demand_stream(workloads: &[&str], n: usize) -> Vec<AccessContext> {
+    let mut out = Vec::with_capacity(workloads.len() * n);
+    for name in workloads {
+        let w = Workload::by_name(name).expect("workload");
+        let mut gen = TraceBuilder::new(w).seed(42).build();
+        let start = out.len();
+        let mut last_block = u64::MAX;
+        while out.len() - start < n {
+            let rec = gen.next_record();
+            if rec.addr >> 6 == last_block {
+                continue;
+            }
+            last_block = rec.addr >> 6;
+            let cycle = out.len() as u64;
+            out.push(AccessContext {
+                pc: rec.pc,
+                addr: rec.addr,
+                is_store: false,
+                l2_hit: false,
+                cycle,
+                core: 0,
+            });
+        }
+    }
+    out
+}
+
+/// A demand stream split into warm-up and measured accesses: `WARM` then
+/// `CALLS` accesses of each of four memory-intensive fig09 workloads.
+fn warm_and_measured() -> (Vec<AccessContext>, Vec<AccessContext>) {
+    const WARM: usize = 20_000;
+    const CALLS: usize = 4_000;
+    let workloads = ["619.lbm_s", "654.roms_s", "603.bwaves_s", "605.mcf_s"];
+    let stream = demand_stream(&workloads, WARM + CALLS);
+    let (mut warm, mut measured) = (Vec::new(), Vec::new());
+    for w in stream.chunks(WARM + CALLS) {
+        warm.extend_from_slice(&w[..WARM]);
+        measured.extend_from_slice(&w[WARM..]);
+    }
+    (warm, measured)
+}
+
+/// One SPP lookahead, unthrottled as PPF drives it through
+/// `LookaheadSource::candidates`, and one whole PPF trigger
+/// (`Ppf<Spp>::on_demand_access`: demand training, the lookahead, and
+/// scoring and recording every candidate). Each warmed on the workloads'
+/// first accesses walks the next ones; every sample restarts from a clone
+/// of the warmed state, so every run emits the same candidates.
+/// `per_call` counts calls and `per_candidate` the candidates emitted.
+fn bench_lookahead(c: &mut Criterion) {
+    let (warm, measured) = warm_and_measured();
+    let run_spp = |spp: &mut Spp, stream: &[AccessContext]| {
+        let mut out = Vec::new();
+        let mut emitted = 0;
+        for ctx in stream {
+            out.clear();
+            spp.candidates(ctx, &mut out);
+            emitted += out.len() as u64;
+        }
+        emitted
+    };
+    let mut spp = Spp::default();
+    run_spp(&mut spp, &warm);
+    bench_walk(c, "spp_lookahead", &spp, measured.len(), |mut s| run_spp(&mut s, &measured));
+
+    let run_ppf = |ppf: &mut Ppf<Spp>, stream: &[AccessContext]| {
+        let mut out = Vec::new();
+        let before = ppf.filter_stats().inferences;
+        for ctx in stream {
+            out.clear();
+            ppf.on_demand_access(ctx, &mut out);
+        }
+        ppf.filter_stats().inferences - before
+    };
+    let mut ppf = Ppf::new(Spp::default());
+    run_ppf(&mut ppf, &warm);
+    bench_walk(c, "ppf_trigger", &ppf, measured.len(), |mut p| run_ppf(&mut p, &measured));
+}
+
+/// Times `walk` (which makes `calls` calls and returns the candidates
+/// they emit) on a fresh clone of `warm` per sample, as a group of two:
+/// `per_call` and `per_candidate` throughput.
+fn bench_walk<T: Clone>(
+    c: &mut Criterion,
+    group: &str,
+    warm: &T,
+    calls: usize,
+    walk: impl Fn(T) -> u64,
+) {
+    let cands = walk(warm.clone());
+    let per_call = cands as f64 / calls as f64;
+    eprintln!("[{group}] {calls} calls emit {cands} candidates ({per_call:.1} per call)");
+    let mut g = c.benchmark_group(group);
+    for (name, elements) in [("per_call", calls as u64), ("per_candidate", cands)] {
+        g.throughput(Throughput::Elements(elements));
+        g.bench_function(name, |b| {
+            b.iter_batched(|| warm.clone(), &walk, BatchSize::PerIteration);
+        });
+    }
     g.finish();
 }
 
@@ -184,6 +291,7 @@ criterion_group!(
     benches,
     bench_filter_fast_path,
     bench_score_and_record,
+    bench_lookahead,
     bench_cache_tag_scan,
     bench_tick
 );

@@ -235,6 +235,7 @@ impl PpfFilter {
 
     /// The lookahead depth recorded for a tracked (accepted) prefetch of
     /// this address, if any.
+    #[inline]
     pub fn tracked_depth(&self, addr: u64) -> Option<u8> {
         self.prefetch_table.lookup(block_number(addr)).map(|e| e.depth)
     }
@@ -245,6 +246,7 @@ impl PpfFilter {
     /// of a composed source: attribution is *first-issuer wins*, because
     /// [`MetaTable::record`] keeps a pending same-tag entry over a later
     /// re-record of the same block.
+    #[inline]
     pub fn tracked_source(&self, addr: u64) -> Option<u8> {
         self.prefetch_table.lookup(block_number(addr)).map(|e| e.source)
     }
@@ -289,23 +291,20 @@ impl PpfFilter {
         Ok(())
     }
 
-    /// Hashes every feature straight to its weight-arena position — the
-    /// indices the whole inference/record/train cycle reuses. Inline
-    /// ([`IndexList`]), so no heap allocation.
-    #[inline]
-    fn index(&self, inputs: &FeatureInputs) -> IndexList {
-        self.perceptron.index(&self.cfg.features, inputs)
-    }
-
     /// Step 1, inference: sums the feature-selected weights and thresholds
     /// the result against τ_hi / τ_lo.
     ///
     /// Also returns the weight-arena indices so [`PpfFilter::record_indexed`]
     /// can store them without rehashing (the zero-allocation fast path the
     /// [`Ppf`](crate::Ppf) wrapper uses).
+    ///
+    /// This and the other per-candidate and feedback methods are
+    /// `#[inline]` because their hot callers, `score_and_record` and
+    /// `Ppf<S>`, are generic and compile in the caller's crate, where a
+    /// plain function of this crate is an opaque call.
+    #[inline]
     pub fn infer_indexed(&mut self, inputs: &FeatureInputs) -> (Decision, i32, IndexList) {
-        let idxs = self.index(inputs);
-        let sum = self.perceptron.sum_at(&idxs);
+        let (idxs, sum) = self.perceptron.index_and_sum(&self.cfg.features, inputs);
         let decision = self.judge(sum, &idxs, inputs.source);
         (decision, sum, idxs)
     }
@@ -374,6 +373,7 @@ impl PpfFilter {
     /// Step 2, recording: stores the candidate's metadata — including the
     /// arena indices from [`PpfFilter::infer_indexed`] — in the Prefetch
     /// Table (accepted) or the Reject Table (rejected).
+    #[inline]
     pub fn record_indexed(
         &mut self,
         target_addr: u64,
@@ -421,13 +421,14 @@ impl PpfFilter {
     /// (convenience for callers that used [`PpfFilter::infer`]; still
     /// allocation-free).
     pub fn record(&mut self, target_addr: u64, inputs: FeatureInputs, sum: i32, d: Decision) {
-        let indices = self.index(&inputs);
+        let indices = self.perceptron.index(&self.cfg.features, &inputs);
         self.record_indexed(target_addr, inputs, indices, sum, d);
     }
 
     /// Steps 3–4 on a demand access: a hit in the Prefetch Table is a
     /// correct positive (train up while under θ_p); a hit in the Reject
     /// Table is a recovered false negative (always train up).
+    #[inline]
     pub fn train_on_demand(&mut self, addr: u64) {
         let block = block_number(addr);
         let theta_p = self.cfg.theta_p;
@@ -462,6 +463,7 @@ impl PpfFilter {
     /// unused means the filter should have rejected it (train down; always,
     /// since it is a misprediction — but saturate at θ_n if it was judged
     /// correctly negative before).
+    #[inline]
     pub fn train_on_eviction(&mut self, addr: u64, was_used: bool) {
         let block = block_number(addr);
         let Some(e) = self.prefetch_table.take(block) else { return };

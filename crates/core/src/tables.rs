@@ -96,6 +96,7 @@ impl MetaTable {
     /// targets every trigger, but the hardware tracks the prefetch that was
     /// actually sent — its indices, depth and source are what training
     /// and credit attribution must see.
+    #[inline]
     pub fn record(
         &mut self,
         block: u64,
@@ -105,13 +106,12 @@ impl MetaTable {
         sum: i32,
         perc_decision: bool,
     ) -> Option<TableEntry> {
-        let idx = self.index(block);
-        let tag = self.tag(block);
-        if self.entries[idx].as_ref().is_some_and(|e| e.tag == tag && !e.useful) {
+        let (idx, tag) = (self.index(block), self.tag(block));
+        let slot = &mut self.entries[idx];
+        if slot.as_ref().is_some_and(|e| e.tag == tag && !e.useful) {
             return None;
         }
-        let displaced = self.entries[idx].take().filter(|e| e.tag != tag);
-        self.entries[idx] = Some(TableEntry {
+        slot.replace(TableEntry {
             target_block: block,
             indices,
             sum,
@@ -120,8 +120,8 @@ impl MetaTable {
             perc_decision,
             depth,
             source,
-        });
-        displaced
+        })
+        .filter(|e| e.tag != tag)
     }
 
     /// Looks up the entry for `block` (tag must match).

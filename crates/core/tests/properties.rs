@@ -1,6 +1,6 @@
 //! Property-based tests of PPF's filter-level invariants.
 
-use ppf::{Decision, FeatureInputs, FeatureKind, Ppf, PpfConfig, PpfFilter};
+use ppf::{Decision, FeatureInputs, FeatureKind, Perceptron, Ppf, PpfConfig, PpfFilter};
 use ppf_prefetchers::{Candidate, CandidateMeta, LookaheadSource};
 use ppf_sim::{AccessContext, EvictionInfo, Prefetcher};
 use proptest::prelude::*;
@@ -128,6 +128,30 @@ proptest! {
             let inferred = after.inferences - before.inferences;
             let rejected = after.rejected - before.rejected;
             prop_assert_eq!(out.len() as u64, inferred - rejected);
+        }
+    }
+}
+
+proptest! {
+    /// The one-pass `index_and_sum` gives the positions of `index` and the
+    /// sum `sum_at` reads at them, for the paper's nine features and the
+    /// hybrid set, over weights trained up and down at arbitrary inputs.
+    #[test]
+    fn index_and_sum_matches_index_then_sum_at(
+        trained in proptest::collection::vec((arb_inputs(), any::<bool>()), 0..300),
+        probes in proptest::collection::vec(arb_inputs(), 1..40),
+    ) {
+        for set in [FeatureKind::default_set(), FeatureKind::hybrid_set()] {
+            let sizes: Vec<usize> = set.iter().map(|k| k.table_entries()).collect();
+            let mut p = Perceptron::new(&sizes);
+            for (inputs, up) in &trained {
+                let positions = p.index(&set, inputs);
+                p.train_at(&positions, *up);
+            }
+            for inputs in trained.iter().map(|(i, _)| i).chain(&probes) {
+                let positions = p.index(&set, inputs);
+                prop_assert_eq!(p.index_and_sum(&set, inputs), (positions, p.sum_at(&positions)));
+            }
         }
     }
 }

@@ -24,7 +24,7 @@ use ppf_sim::{AccessContext, FillLevel, Prefetcher, PrefetchRequest};
 
 /// Most delta predictions a Pattern Table entry may hold
 /// ([`SppConfig::deltas_per_entry`] is asserted against this), sizing the
-/// fixed per-depth prediction buffer in the lookahead walk.
+/// inline delta and counter arrays of every entry.
 pub const MAX_PATTERN_WAYS: usize = 16;
 
 /// SPP configuration (defaults follow the paper's Table 3 structures).
@@ -91,45 +91,82 @@ struct SigEntry {
     signature: u16,
 }
 
-#[derive(Debug, Clone, Default)]
+/// `C_sig` halves when it reaches this: the paper's 4-bit counters.
+const C_SIG_MAX: u8 = 16;
+
+/// `RATIO[c_sig][c_d] = c_d * 100 / c_sig`, the walk's per-delta
+/// confidence `C_d` in percent, for every counter value a Pattern Table
+/// entry can hold (both counters stay at or below [`C_SIG_MAX`]). Row 0 is
+/// never read: the walk stops at an untrained entry.
+const RATIO: [[u16; C_SIG_MAX as usize + 1]; C_SIG_MAX as usize + 1] = {
+    let mut t = [[0u16; C_SIG_MAX as usize + 1]; C_SIG_MAX as usize + 1];
+    let mut c_sig = 1;
+    while c_sig <= C_SIG_MAX as usize {
+        let mut c_d = 0;
+        while c_d <= C_SIG_MAX as usize {
+            t[c_sig][c_d] = (c_d * 100 / c_sig) as u16;
+            c_d += 1;
+        }
+        c_sig += 1;
+    }
+    t
+};
+
+/// One Pattern Table entry, held inline: the signature's occurrence
+/// counter `C_sig` and up to [`MAX_PATTERN_WAYS`] deltas with their
+/// counters `C_delta`, live in `..len`.
+#[derive(Debug, Clone, Copy, Default)]
 struct PatternEntry {
-    c_sig: u32,
-    deltas: Vec<i16>,
-    c_delta: Vec<u32>,
+    c_sig: u8,
+    len: u8,
+    deltas: [i16; MAX_PATTERN_WAYS],
+    c_delta: [u8; MAX_PATTERN_WAYS],
 }
 
 impl PatternEntry {
-    /// Bumps (or allocates, evicting the weakest) the counter for `delta`.
-    fn train(&mut self, delta: i16, max_ways: usize, c_sig_max: u32) {
+    /// The live deltas and their counters, way by way.
+    fn ways(&self) -> impl Iterator<Item = (i16, u8)> + '_ {
+        let len = usize::from(self.len);
+        self.deltas[..len].iter().copied().zip(self.c_delta[..len].iter().copied())
+    }
+
+    /// Bumps (or allocates, evicting the first weakest) the counter for
+    /// `delta`.
+    fn train(&mut self, delta: i16, max_ways: usize) {
         self.c_sig += 1;
-        if let Some(i) = self.deltas.iter().position(|&d| d == delta) {
+        let mut len = usize::from(self.len);
+        if let Some(i) = self.deltas[..len].iter().position(|&d| d == delta) {
             self.c_delta[i] += 1;
-        } else if self.deltas.len() < max_ways {
-            self.deltas.push(delta);
-            self.c_delta.push(1);
+        } else if len < max_ways {
+            self.deltas[len] = delta;
+            self.c_delta[len] = 1;
+            len += 1;
         } else {
             let (victim, _) =
-                self.c_delta.iter().enumerate().min_by_key(|(_, &c)| c).expect("non-empty");
+                self.c_delta[..len].iter().enumerate().min_by_key(|(_, &c)| c).expect("non-empty");
             self.deltas[victim] = delta;
             self.c_delta[victim] = 1;
         }
         // 4-bit counters: halve on saturation, preserving ratios.
-        if self.c_sig >= c_sig_max {
+        if self.c_sig >= C_SIG_MAX {
             self.c_sig >>= 1;
-            for c in &mut self.c_delta {
+            for c in &mut self.c_delta[..len] {
                 *c >>= 1;
             }
-            // Drop dead ways so they don't block learning.
+            // Drop dead ways so they don't block learning: each dead way
+            // takes the last live one's place, as `Vec::swap_remove` would.
             let mut i = 0;
-            while i < self.deltas.len() {
+            while i < len {
                 if self.c_delta[i] == 0 {
-                    self.deltas.swap_remove(i);
-                    self.c_delta.swap_remove(i);
+                    len -= 1;
+                    self.deltas[i] = self.deltas[len];
+                    self.c_delta[i] = self.c_delta[len];
                 } else {
                     i += 1;
                 }
             }
         }
+        self.len = len as u8;
     }
 }
 
@@ -193,6 +230,8 @@ pub struct Spp {
     // Global accuracy α: C_useful / C_total, 10-bit counters per Table 3.
     c_total: u32,
     c_useful: u32,
+    /// Reused candidate buffer of the throttled [`Prefetcher`] path.
+    scratch: Vec<Candidate>,
     /// Run statistics.
     pub stats: SppStats,
 }
@@ -222,6 +261,7 @@ impl Spp {
             ghr_next: 0,
             c_total: 1,
             c_useful: 1,
+            scratch: Vec::new(),
             stats: SppStats::default(),
             cfg,
         }
@@ -318,7 +358,7 @@ impl Spp {
         if let Some(d) = delta {
             let idx = self.pt_index(train_sig);
             let ways = self.cfg.deltas_per_entry;
-            self.pattern_table[idx].train(d, ways, 16);
+            self.pattern_table[idx].train(d, ways);
             current_sig = update_signature(train_sig, d);
         }
 
@@ -332,26 +372,16 @@ impl Spp {
         let page_base = base & !0xFFFu64;
 
         loop {
-            let entry = &self.pattern_table[self.pt_index(current_sig)];
-            if entry.c_sig == 0 || entry.deltas.is_empty() {
+            // A copy, because `ghr_insert` below needs `&mut self`.
+            let entry = self.pattern_table[self.pt_index(current_sig)];
+            if entry.c_sig == 0 || entry.len == 0 {
                 break;
             }
-            let c_sig = entry.c_sig;
-            // Emit all deltas clearing the floor at this depth. The
-            // predictions are copied into a fixed stack buffer (the entry
-            // holds at most MAX_PATTERN_WAYS deltas, asserted at
-            // construction) because `ghr_insert` below needs `&mut self` —
-            // this keeps the per-depth loop allocation-free.
+            let ratio = &RATIO[usize::from(entry.c_sig)];
+            // Emit all deltas clearing the floor at this depth.
             let mut best: Option<(i16, u32)> = None;
-            let mut preds = [(0i16, 0u32); MAX_PATTERN_WAYS];
-            let n_preds = entry.deltas.len();
-            for (slot, (&d, &c_d)) in
-                preds.iter_mut().zip(entry.deltas.iter().zip(&entry.c_delta))
-            {
-                *slot = (d, c_d);
-            }
-            for &(d, c_d) in &preds[..n_preds] {
-                let conf = path_conf * (c_d * 100 / c_sig) * alpha / 10_000;
+            for (d, c_d) in entry.ways() {
+                let conf = path_conf * u32::from(ratio[usize::from(c_d)]) * alpha / 10_000;
                 if best.is_none_or(|(_, bc)| conf > bc) {
                     best = Some((d, conf));
                 }
@@ -418,12 +448,14 @@ impl Default for Spp {
 
 impl Prefetcher for Spp {
     fn on_demand_access(&mut self, ctx: &AccessContext, out: &mut Vec<PrefetchRequest>) {
-        let mut cands = Vec::new();
+        let mut cands = std::mem::take(&mut self.scratch);
+        cands.clear();
         let floor = self.cfg.prefetch_threshold;
         self.generate(ctx, floor, &mut cands);
         out.extend(
             cands.iter().map(|c| PrefetchRequest::new(c.addr, self.fill_for(c.meta.confidence))),
         );
+        self.scratch = cands;
     }
 
     fn on_useful_prefetch(&mut self, _addr: u64) {
@@ -653,16 +685,101 @@ mod tests {
         assert!(!reqs.is_empty(), "descending stride should be prefetched");
     }
 
+    /// The Pattern Table entry as it was before entries went inline: two
+    /// heap `Vec`s and `u32` counters, the walk dividing per delta. The
+    /// oracle the inline entry and its ratio table are held to.
+    #[derive(Debug, Default)]
+    struct VecEntry {
+        c_sig: u32,
+        deltas: Vec<i16>,
+        c_delta: Vec<u32>,
+    }
+
+    impl VecEntry {
+        fn train(&mut self, delta: i16, max_ways: usize, c_sig_max: u32) {
+            self.c_sig += 1;
+            if let Some(i) = self.deltas.iter().position(|&d| d == delta) {
+                self.c_delta[i] += 1;
+            } else if self.deltas.len() < max_ways {
+                self.deltas.push(delta);
+                self.c_delta.push(1);
+            } else {
+                let (victim, _) =
+                    self.c_delta.iter().enumerate().min_by_key(|(_, &c)| c).expect("non-empty");
+                self.deltas[victim] = delta;
+                self.c_delta[victim] = 1;
+            }
+            if self.c_sig >= c_sig_max {
+                self.c_sig >>= 1;
+                for c in &mut self.c_delta {
+                    *c >>= 1;
+                }
+                let mut i = 0;
+                while i < self.deltas.len() {
+                    if self.c_delta[i] == 0 {
+                        self.deltas.swap_remove(i);
+                        self.c_delta.swap_remove(i);
+                    } else {
+                        i += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::Config::with_cases(256))]
+        /// For any way count and delta stream, the inline entry holds the
+        /// same counters and ways in the same order as the `Vec` model,
+        /// and the walk's confidence for every way matches the model's
+        /// division: saturation halving, first-minimum eviction and
+        /// dead-way removal all included.
+        #[test]
+        fn inline_entry_matches_the_vec_model(
+            ways in 1usize..=MAX_PATTERN_WAYS,
+            stream in proptest::collection::vec((-12i16..=12, 1u32..=100, 25u32..=100), 1..400),
+        ) {
+            let (mut inline, mut model) = (PatternEntry::default(), VecEntry::default());
+            for (delta, path_conf, alpha) in stream {
+                inline.train(delta, ways);
+                model.train(delta, ways, u32::from(C_SIG_MAX));
+                proptest::prop_assert_eq!(u32::from(inline.c_sig), model.c_sig);
+                let got: Vec<(i16, u32)> =
+                    inline.ways().map(|(d, c)| (d, u32::from(c))).collect();
+                let want: Vec<(i16, u32)> =
+                    model.deltas.iter().copied().zip(model.c_delta.iter().copied()).collect();
+                proptest::prop_assert_eq!(&got, &want);
+                let ratio = &RATIO[usize::from(inline.c_sig)];
+                for ((_, c_d), &model_c_d) in inline.ways().zip(&model.c_delta) {
+                    proptest::prop_assert_eq!(
+                        path_conf * u32::from(ratio[usize::from(c_d)]) * alpha / 10_000,
+                        path_conf * (model_c_d * 100 / model.c_sig) * alpha / 10_000
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ratio_table_is_the_division() {
+        for c_sig in 1..=C_SIG_MAX {
+            for c_d in 0..=C_SIG_MAX {
+                let want = u32::from(c_d) * 100 / u32::from(c_sig);
+                assert_eq!(u32::from(RATIO[usize::from(c_sig)][usize::from(c_d)]), want);
+            }
+        }
+    }
+
     #[test]
     fn pattern_entry_counter_halving_preserves_winner() {
         let mut e = PatternEntry::default();
         for _ in 0..14 {
-            e.train(2, 4, 16);
+            e.train(2, 4);
         }
-        e.train(5, 4, 16);
-        e.train(2, 4, 16); // triggers halving at c_sig = 16
-        let i2 = e.deltas.iter().position(|&d| d == 2).unwrap();
-        assert!(e.c_delta[i2] >= 1);
+        e.train(5, 4);
+        e.train(2, 4); // triggers halving at c_sig = 16
+        let (_, c2) = e.ways().find(|&(d, _)| d == 2).unwrap();
+        assert!(c2 >= 1);
         assert!(e.c_sig < 16);
     }
 }

@@ -198,20 +198,18 @@ pub fn encode_stats_reply(report: &str) -> Vec<u8> {
     frame(payload)
 }
 
-/// Decodes a stats-reply payload (opcode byte included).
-pub fn decode_stats_reply(payload: &[u8]) -> Result<String, String> {
-    if payload.len() < 5 {
-        return Err("stats frame too short".into());
-    }
+/// Decodes a stats-reply payload (opcode byte included). The report must
+/// be UTF-8 and fill the payload exactly.
+pub fn decode_stats_reply(payload: &[u8]) -> Result<String, DecodeError> {
+    let need = needs(payload);
+    need(0, 5)?;
     if payload[0] != OP_STATS {
-        return Err(format!("expected OP_STATS, got opcode {}", payload[0]));
+        return Err(DecodeError::Opcode { want: OP_STATS, got: payload[0] });
     }
     let n = read_u32(payload, 1) as usize;
-    if payload.len() < 5 + n {
-        return Err("stats frame shorter than its length field".into());
-    }
-    String::from_utf8(payload[5..5 + n].to_vec())
-        .map_err(|_| "stats report is not UTF-8".to_string())
+    need(5, n)?;
+    no_trailing(payload, 5 + n)?;
+    String::from_utf8(payload[5..].to_vec()).map_err(|_| DecodeError::NotUtf8)
 }
 
 fn frame(payload: Vec<u8>) -> Vec<u8> {
@@ -221,7 +219,9 @@ fn frame(payload: Vec<u8>) -> Vec<u8> {
     out
 }
 
-/// Why a score frame failed to decode; the server then closes the connection.
+/// Why a frame failed to decode. The server closes a connection whose
+/// score frame fails; the client reports a failed reply as
+/// `io::ErrorKind::InvalidData`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// The frame ends before a field it declares.
@@ -233,8 +233,20 @@ pub enum DecodeError {
         /// Payload length.
         have: usize,
     },
-    /// The first byte is not [`OP_SCORE`].
-    Opcode(u8),
+    /// Bytes follow the last field the frame declares.
+    Trailing {
+        /// Offset the last declared field ends at.
+        at: usize,
+        /// Payload length.
+        have: usize,
+    },
+    /// The first byte is not the opcode this decoder reads.
+    Opcode {
+        /// The opcode the decoder expects.
+        want: u8,
+        /// The opcode the frame carries.
+        got: u8,
+    },
     /// A declared element count exceeds the frame budget.
     Oversized {
         /// `"candidate"` or `"address"`.
@@ -244,6 +256,12 @@ pub enum DecodeError {
     },
     /// The tenant name fails [`valid_tenant`].
     TenantName,
+    /// A reply's status byte is neither `0` (scored) nor `1` (degraded).
+    Status(u8),
+    /// A reply's decision byte is not `0`, `1` or `2`.
+    DecisionByte(u8),
+    /// A stats report is not UTF-8.
+    NotUtf8,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -252,15 +270,43 @@ impl std::fmt::Display for DecodeError {
             DecodeError::Truncated { need, at, have } => {
                 write!(f, "truncated frame: need {need} bytes at {at}, have {have}")
             }
-            DecodeError::Opcode(op) => write!(f, "expected OP_SCORE, got opcode {op}"),
+            DecodeError::Trailing { at, have } => {
+                write!(f, "trailing bytes: the frame ends at {at}, have {have}")
+            }
+            DecodeError::Opcode { want, got } => write!(f, "expected opcode {want}, got {got}"),
             DecodeError::Oversized { what, count } => {
                 write!(f, "{what} count {count} exceeds frame budget")
             }
             DecodeError::TenantName => {
                 write!(f, "tenant name must be non-empty printable ASCII with no '\"' or '\\'")
             }
+            DecodeError::Status(b) => write!(f, "unknown reply status byte {b}"),
+            DecodeError::DecisionByte(b) => write!(f, "unknown decision byte {b}"),
+            DecodeError::NotUtf8 => write!(f, "stats report is not UTF-8"),
         }
     }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// The bounds check every decoder runs before reading a field: `need`
+/// bytes at offset `at` must lie inside `payload`.
+fn needs(payload: &[u8]) -> impl Fn(usize, usize) -> Result<(), DecodeError> + '_ {
+    move |at, need| {
+        if at.checked_add(need).is_none_or(|end| end > payload.len()) {
+            Err(DecodeError::Truncated { need, at, have: payload.len() })
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// Refuses bytes after offset `end`, where the last declared field ends.
+fn no_trailing(payload: &[u8], end: usize) -> Result<(), DecodeError> {
+    if payload.len() > end {
+        return Err(DecodeError::Trailing { at: end, have: payload.len() });
+    }
+    Ok(())
 }
 
 /// Whether the daemon accepts `name` as a tenant: non-empty printable ASCII
@@ -270,19 +316,14 @@ pub fn valid_tenant(name: &str) -> bool {
 }
 
 /// Decodes a score-request payload (opcode byte included). Every length is
-/// bounds-checked and the tenant name must pass [`valid_tenant`]; a
-/// malformed frame is an error, never a panic.
+/// bounds-checked, the tenant name must pass [`valid_tenant`], and the
+/// evictions list must end the payload; a malformed frame is an error,
+/// never a panic.
 pub fn decode_score(payload: &[u8]) -> Result<ScoreRequest, DecodeError> {
-    let need = |at: usize, need: usize| {
-        if at + need > payload.len() {
-            Err(DecodeError::Truncated { need, at, have: payload.len() })
-        } else {
-            Ok(())
-        }
-    };
+    let need = needs(payload);
     need(0, 3)?;
     if payload[0] != OP_SCORE {
-        return Err(DecodeError::Opcode(payload[0]));
+        return Err(DecodeError::Opcode { want: OP_SCORE, got: payload[0] });
     }
     let name_len = read_u16(payload, 1) as usize;
     need(3, name_len)?;
@@ -323,31 +364,35 @@ pub fn decode_score(payload: &[u8]) -> Result<ScoreRequest, DecodeError> {
     };
     let demands = addrs(&mut at)?;
     let evictions = addrs(&mut at)?;
+    no_trailing(payload, at)?;
     Ok(ScoreRequest { tenant, candidates, demands, evictions })
 }
 
-/// Decodes a reply payload (opcode byte included).
-pub fn decode_reply(payload: &[u8]) -> Result<ScoreReply, String> {
-    if payload.len() < 6 {
-        return Err("reply frame too short".into());
-    }
+/// Decodes a reply payload (opcode byte included): a status byte of `0`
+/// or `1`, then exactly the declared number of decision bytes.
+pub fn decode_reply(payload: &[u8]) -> Result<ScoreReply, DecodeError> {
+    let need = needs(payload);
+    need(0, 6)?;
     if payload[0] != OP_REPLY {
-        return Err(format!("expected OP_REPLY, got opcode {}", payload[0]));
+        return Err(DecodeError::Opcode { want: OP_REPLY, got: payload[0] });
     }
-    let degraded = payload[1] != 0;
+    let degraded = match payload[1] {
+        0 => false,
+        1 => true,
+        other => return Err(DecodeError::Status(other)),
+    };
     let n = read_u32(payload, 2) as usize;
-    if payload.len() < 6 + n {
-        return Err("reply frame shorter than its decision count".into());
-    }
-    let mut decisions = Vec::with_capacity(n);
-    for &b in &payload[6..6 + n] {
-        decisions.push(match b {
-            0 => Decision::Reject,
-            1 => Decision::PrefetchLlc,
-            2 => Decision::PrefetchL2,
-            other => return Err(format!("unknown decision byte {other}")),
-        });
-    }
+    need(6, n)?;
+    no_trailing(payload, 6 + n)?;
+    let decisions = payload[6..]
+        .iter()
+        .map(|&b| match b {
+            0 => Ok(Decision::Reject),
+            1 => Ok(Decision::PrefetchLlc),
+            2 => Ok(Decision::PrefetchL2),
+            other => Err(DecodeError::DecisionByte(other)),
+        })
+        .collect::<Result<_, _>>()?;
     Ok(ScoreReply { degraded, decisions })
 }
 
@@ -616,11 +661,11 @@ mod tests {
         for cut in mutate::prefixes(&framed[4..]) {
             assert!(decode_score(cut).is_err(), "prefix of {} bytes decoded", cut.len());
         }
-        // A mutant that decodes reads exactly the canonical encoding of what
-        // it decoded to, and ignores any bytes after it.
+        // A mutant that decodes is exactly the canonical encoding of what
+        // it decoded to: no byte is ignored.
         for bad in mutants(&framed[4..], &other[4..]) {
             if let Ok(req) = decode_score(&bad) {
-                assert!(bad.starts_with(&encode_score(&req)[4..]), "{bad:02x?} -> {req:?}");
+                assert_eq!(bad, encode_score(&req)[4..], "{bad:02x?} -> {req:?}");
             }
         }
         assert!(decode_score(&[]).is_err());
@@ -635,10 +680,41 @@ mod tests {
         }
         for bad in mutants(&reply[4..], &other[4..]) {
             if let Ok(r) = decode_reply(&bad) {
-                assert_eq!(r.degraded, bad[1] != 0);
-                assert!(6 + r.decisions.len() <= bad.len(), "{bad:?} -> {r:?}");
+                assert_eq!(bad, encode_reply(&r)[4..], "{bad:?} -> {r:?}");
             }
         }
+    }
+
+    #[test]
+    fn decoders_refuse_trailing_bytes_and_unknown_status() {
+        let mut score = encode_score(&sample_request())[4..].to_vec();
+        let end = score.len();
+        score.push(0);
+        assert_eq!(decode_score(&score), Err(DecodeError::Trailing { at: end, have: end + 1 }));
+        let mut reply = encode_reply(&ScoreReply::degraded(2))[4..].to_vec();
+        reply.push(2);
+        assert_eq!(decode_reply(&reply), Err(DecodeError::Trailing { at: 8, have: 9 }));
+        reply.pop();
+        reply[1] = 2;
+        assert_eq!(decode_reply(&reply), Err(DecodeError::Status(2)));
+        reply[1] = 0;
+        reply[7] = 3;
+        assert_eq!(decode_reply(&reply), Err(DecodeError::DecisionByte(3)));
+        let mut stats = encode_stats_reply("{}")[4..].to_vec();
+        stats.push(b'\n');
+        assert_eq!(decode_stats_reply(&stats), Err(DecodeError::Trailing { at: 7, have: 8 }));
+        assert_eq!(
+            decode_stats_reply(&[OP_STATS, 1, 0, 0, 0, 0xff]),
+            Err(DecodeError::NotUtf8)
+        );
+        assert_eq!(
+            decode_reply(&encode_op(OP_PING)[4..]),
+            Err(DecodeError::Truncated { need: 6, at: 0, have: 1 })
+        );
+        assert_eq!(
+            decode_stats_reply(&encode_reply(&ScoreReply::degraded(0))[4..]),
+            Err(DecodeError::Opcode { want: OP_STATS, got: OP_REPLY })
+        );
     }
 
     #[test]
@@ -652,7 +728,7 @@ mod tests {
         let other = encode_stats_reply("{}");
         for bad in mutants(&framed[4..], &other[4..]) {
             if let Ok(text) = decode_stats_reply(&bad) {
-                assert_eq!(bad.get(5..5 + text.len()), Some(text.as_bytes()), "{bad:?}");
+                assert_eq!(bad, encode_stats_reply(&text)[4..], "{bad:?}");
             }
         }
         assert!(decode_stats_reply(&[]).is_err());

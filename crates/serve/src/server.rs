@@ -34,7 +34,7 @@ use std::sync::Arc;
 use crate::daemon::Daemon;
 use crate::protocol::{
     decode_reply, decode_score, decode_stats_reply, encode_op, encode_reply,
-    encode_stats_reply, FrameReader, ScoreReply, ScoreRequest, OP_PING, OP_REPLY, OP_SCORE,
+    encode_stats_reply, FrameReader, ScoreReply, ScoreRequest, OP_PING, OP_SCORE,
     OP_SHUTDOWN, OP_STATS,
 };
 use crate::reply::ReplySlot;
@@ -199,9 +199,6 @@ impl Client {
 
     fn round_trip(&mut self, frame: &[u8]) -> std::io::Result<ScoreReply> {
         let payload = self.exchange(frame)?;
-        if payload.first() != Some(&OP_REPLY) {
-            return Err(std::io::Error::new(ErrorKind::InvalidData, "expected OP_REPLY"));
-        }
         decode_reply(payload).map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))
     }
 

@@ -7,8 +7,10 @@
 #                                 #   ledger check, serve and hybrid
 #                                 #   gates + observe gate
 #   scripts/verify.sh --quick     # ... + fig09 smoke run
-#   scripts/verify.sh --bench     # ... + hot-path micro-benchmarks and a
-#                                 #       ledger record/compare round trip
+#   scripts/verify.sh --bench     # ... + hot-path micro-benchmarks (filter
+#                                 #       scoring, SPP lookahead, PPF trigger,
+#                                 #       cache probe, tick) and a ledger
+#                                 #       record/compare round trip
 #   scripts/verify.sh --faults    # fault drill only (assumes a release build)
 #   scripts/verify.sh --horizon   # horizon gate only: fig09 --quick stdout
 #                                 #   must be byte-identical with cycle

@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks for the filter's per-candidate path
 //! (`infer_indexed` + `record_indexed`, `score_and_record` over a depth
 //! window, and the one-pass feature index into the byte arena), one
-//! unthrottled SPP lookahead, the struct-of-arrays cache tag scan
-//! (`probe` / `demand_access` / `fill`), and the simulator's base tick.
+//! unthrottled SPP lookahead and one whole PPF trigger, the
+//! struct-of-arrays cache tag scan (`probe` / `demand_access` / `fill`),
+//! and the simulator's base tick.
 //!
 //! These isolate the data-layout work from whole-simulator noise: the
 //! `perceptron` bench measures the legacy `infer` API, this one measures

@@ -10,16 +10,14 @@
 //!
 //! The per-feature tables are stored as **one contiguous `i8` arena** with
 //! a precomputed base offset and index mask per feature (see DESIGN.md §5b).
-//! One byte holds one 5-bit weight, so the paper's nine tables take the
-//! arena's first 22,656 bytes and stay cache-resident; weights widen to
-//! `i32` only when summed. The arena is sized to [`MAX_POSITIONS`], every
-//! position a `u16` can name, so a gather through an [`IndexList`] needs no
-//! bounds check; the tables use a prefix and the rest stays zero.
-//! [`Perceptron::index_and_sum`] hashes each feature once, straight to its
-//! arena position `base[f] + (hash & mask[f])`, and reads the weight there
-//! in the same pass. The resulting [`IndexList`] drives later sums
+//! One byte holds one 5-bit weight, so the paper's nine tables take
+//! 22,656 bytes and stay cache-resident; weights widen to `i32` only when
+//! summed. [`Perceptron::index_and_sum`] hashes each feature once, straight
+//! to its arena position `base[f] + (hash & mask[f])`, and reads the weight
+//! there in the same pass. The resulting [`IndexList`] of `u16` positions
+//! (an arena holds at most [`MAX_POSITIONS`]) drives later sums
 //! ([`Perceptron::sum_at`]) and training ([`Perceptron::train_at`]) as a
-//! single gather over a flat array — no per-table pointer chasing and no
+//! single gather over a flat slice — no per-table pointer chasing and no
 //! heap allocation.
 
 use crate::features::{FeatureInputs, FeatureKind, IndexList, MAX_FEATURES};
@@ -88,10 +86,8 @@ impl FromIterator<i8> for WeightList {
 /// A bank of per-feature weight tables flattened into one arena.
 #[derive(Debug, Clone)]
 pub struct Perceptron {
-    /// All tables' weights, concatenated in feature order, in `..used`.
-    arena: Box<[i8; MAX_POSITIONS]>,
-    /// Weights the tables hold.
-    used: usize,
+    /// All tables' weights, concatenated in feature order.
+    arena: Vec<i8>,
     /// Arena offset of each feature's table.
     bases: Vec<u32>,
     /// `entries - 1` per feature (all sizes are powers of two).
@@ -117,8 +113,7 @@ impl Perceptron {
             total += s;
         }
         assert!(total <= MAX_POSITIONS, "weight arena of {total} exceeds {MAX_POSITIONS} positions");
-        let arena = vec![0; MAX_POSITIONS].into_boxed_slice().try_into().expect("MAX_POSITIONS");
-        Self { arena, used: total, bases, masks }
+        Self { arena: vec![0; total], bases, masks }
     }
 
     /// Number of feature tables.
@@ -267,20 +262,15 @@ impl Perceptron {
     /// simulator keeps each weight in a whole byte; the budget counts the
     /// modeled 5.
     pub fn storage_bits(&self) -> u64 {
-        self.used as u64 * 5
-    }
-
-    /// The tables' weights: the arena's used prefix.
-    fn weights(&self) -> &[i8] {
-        &self.arena[..self.used]
+        self.arena.len() as u64 * 5
     }
 
     /// Serializes all weights into a flat byte vector (one `i8` per weight,
-    /// tables concatenated in order): the used arena's own bytes. Pair with
+    /// tables concatenated in order): the arena's own bytes. Pair with
     /// [`Perceptron::load_weights`] to warm-start a filter from a previous
     /// run.
     pub fn save_weights(&self) -> Vec<u8> {
-        self.weights().iter().map(|&w| w as u8).collect()
+        self.arena.iter().map(|&w| w as u8).collect()
     }
 
     /// Restores weights produced by [`Perceptron::save_weights`].
@@ -290,8 +280,8 @@ impl Perceptron {
     /// Returns the expected length if `bytes` has the wrong size, or the
     /// offending value if any byte is outside the 5-bit weight range.
     pub fn load_weights(&mut self, bytes: &[u8]) -> Result<(), String> {
-        if bytes.len() != self.used {
-            return Err(format!("expected {} weights, got {}", self.used, bytes.len()));
+        if bytes.len() != self.arena.len() {
+            return Err(format!("expected {} weights, got {}", self.arena.len(), bytes.len()));
         }
         for &b in bytes {
             let w = b as i8;
@@ -299,20 +289,20 @@ impl Perceptron {
                 return Err(format!("weight {w} outside the 5-bit range"));
             }
         }
-        for (slot, &b) in self.arena[..self.used].iter_mut().zip(bytes) {
+        for (slot, &b) in self.arena.iter_mut().zip(bytes) {
             *slot = b as i8;
         }
         Ok(())
     }
 
-    /// FNV-1a digest of the tables' weights (as the bytes
+    /// FNV-1a digest of the full weight arena (as the bytes
     /// [`Perceptron::save_weights`] serializes). Two perceptrons with equal
     /// digests hold bit-identical weights — the cheap equality check the
     /// serving daemon's warm-start verification and the checkpoint tests
     /// rely on.
     pub fn weights_digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &w in self.weights() {
+        for &w in &self.arena {
             h ^= u64::from(w as u8);
             h = h.wrapping_mul(0x100_0000_01b3);
         }

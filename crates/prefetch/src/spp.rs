@@ -231,7 +231,7 @@ pub struct Spp {
     c_total: u32,
     c_useful: u32,
     /// Reused candidate buffer of the throttled [`Prefetcher`] path.
-    scratch: Vec<Candidate>,
+    candidate_buf: Vec<Candidate>,
     /// Run statistics.
     pub stats: SppStats,
 }
@@ -261,7 +261,7 @@ impl Spp {
             ghr_next: 0,
             c_total: 1,
             c_useful: 1,
-            scratch: Vec::new(),
+            candidate_buf: Vec::new(),
             stats: SppStats::default(),
             cfg,
         }
@@ -448,14 +448,14 @@ impl Default for Spp {
 
 impl Prefetcher for Spp {
     fn on_demand_access(&mut self, ctx: &AccessContext, out: &mut Vec<PrefetchRequest>) {
-        let mut cands = std::mem::take(&mut self.scratch);
+        let mut cands = std::mem::take(&mut self.candidate_buf);
         cands.clear();
         let floor = self.cfg.prefetch_threshold;
         self.generate(ctx, floor, &mut cands);
         out.extend(
             cands.iter().map(|c| PrefetchRequest::new(c.addr, self.fill_for(c.meta.confidence))),
         );
-        self.scratch = cands;
+        self.candidate_buf = cands;
     }
 
     fn on_useful_prefetch(&mut self, _addr: u64) {

@@ -1,16 +1,22 @@
 //! Criterion micro-benchmarks for the filter's per-candidate path
-//! (`infer_indexed` + `record_indexed`, `score_and_record` over a depth
-//! window, and the one-pass feature index into the byte arena), one
-//! unthrottled SPP lookahead and one whole PPF trigger, the
-//! struct-of-arrays cache tag scan (`probe` / `demand_access` / `fill`),
-//! and the simulator's base tick.
+//! (`infer_indexed` + `record_indexed`, and the one-pass feature index into
+//! the byte arena), one unthrottled SPP lookahead and one whole PPF trigger,
+//! the struct-of-arrays cache tag scan (`probe` / `demand_access` /
+//! `fill`), and the simulator's base tick.
 //!
 //! These isolate the data-layout work from whole-simulator noise: the
 //! `perceptron` bench measures the legacy `infer` API, this one measures
 //! the indexed path the simulator wrapper actually drives.
+//!
+//! Every per-op number here is cache-warm: one structure is replayed in a
+//! tight loop, with nothing else competing for the caches and branch
+//! predictors. It does not predict the cost in situ. A per-candidate
+//! rewrite measured 20% faster in such a replay moved fig09's PPF cells by
+//! +0.9%, so a speed claim needs paired perfbench runs
+//! (`scripts/ledger compare`), not these numbers.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use ppf::{Decision, FeatureInputs, FeatureKind, Perceptron, Ppf, PpfConfig, PpfFilter};
+use ppf::{FeatureInputs, FeatureKind, Perceptron, Ppf, PpfConfig, PpfFilter};
 use ppf_prefetchers::{LookaheadSource, Spp};
 use ppf_sim::{
     AccessContext, Cache, CacheConfig, FillKind, NoPrefetcher, Prefetcher, ReplacementPolicy,
@@ -59,27 +65,8 @@ fn bench_filter_fast_path(c: &mut Criterion) {
     g.finish();
 }
 
-/// The per-candidate steps the wrapper's depth window drives:
-/// `score_and_record` over an 8-candidate window (the wrapper's depth
-/// window; one element = one candidate scored, recorded and committed),
-/// and the one-pass hash of the paper's nine features to arena positions.
-fn bench_score_and_record(c: &mut Criterion) {
-    let mut g = c.benchmark_group("score_and_record");
-    g.throughput(Throughput::Elements(8));
-    g.bench_function("8", |b| {
-        let mut f = PpfFilter::new(PpfConfig::default());
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 8;
-            let mut accepted = 0u32;
-            f.score_and_record((i..i + 8).map(|n| (0x2000_0000 + n * 64, inputs(n))), |_, d| {
-                accepted += u32::from(d != Decision::Reject)
-            });
-            black_box(accepted)
-        });
-    });
-    g.finish();
-
+/// The one-pass hash of the paper's nine features to arena positions.
+fn bench_index(c: &mut Criterion) {
     let mut g = c.benchmark_group("index");
     g.throughput(Throughput::Elements(1));
     let set = FeatureKind::default_set();
@@ -291,7 +278,7 @@ fn bench_tick(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_filter_fast_path,
-    bench_score_and_record,
+    bench_index,
     bench_lookahead,
     bench_cache_tag_scan,
     bench_tick

@@ -13,8 +13,8 @@
 //! `cpu` of perfbench's `host` line, and perfbench's result line verbatim as
 //! `result`.
 //!
-//! `compare` reads the log and, per workload, compares the records whose
-//! `git_rev` starts with BASE against those that start with HEAD. For every
+//! `compare` reads the log and, per workload and seed, compares the records
+//! whose `git_rev` starts with BASE against those that start with HEAD. For every
 //! metric it prints each side's q1 / median / q3, the median delta and the
 //! base IQR as a share of the base median. The verdict is `better` or
 //! `worse` only when the medians differ by more than the base IQR, in the
@@ -245,6 +245,7 @@ fn json_str(s: &str) -> String {
 #[derive(Debug, Clone, PartialEq)]
 struct Record {
     workload: String,
+    seed: u64,
     trace: bool,
     git_rev: String,
     /// perfbench reported `correct:true` and `failed:0`.
@@ -289,8 +290,13 @@ fn decode_v5(obj: &Json) -> Option<Record> {
         1.0 => true,
         _ => return None,
     };
+    let seed = obj.get("seed")?.as_f64()?;
+    if seed < 0.0 || seed.fract() != 0.0 {
+        return None;
+    }
     Some(Record {
         workload: obj.get("workload")?.as_str()?.to_string(),
+        seed: seed as u64,
         trace,
         git_rev: obj.get("git_rev")?.as_str()?.to_string(),
         ok: *result.get("correct")? == Json::Bool(true) && result.get("failed")?.as_f64()? == 0.0,
@@ -411,10 +417,11 @@ struct Row {
     verdict: Verdict,
 }
 
-/// The comparison of one workload's untraced or traced records.
+/// The comparison of one workload's untraced or traced records at one seed.
 #[derive(Debug)]
 struct Block {
     workload: String,
+    seed: u64,
     trace: bool,
     base_runs: usize,
     head_runs: usize,
@@ -428,11 +435,11 @@ fn compare(
     dirs: &BTreeMap<String, bool>,
 ) -> Vec<Block> {
     type Sides<'a> = (Vec<&'a Record>, Vec<&'a Record>);
-    let mut groups: BTreeMap<(&str, bool), Sides<'_>> = BTreeMap::new();
+    let mut groups: BTreeMap<(&str, u64, bool), Sides<'_>> = BTreeMap::new();
     for r in records {
         let (b, h) = (r.git_rev.starts_with(base), r.git_rev.starts_with(head));
         if b || h {
-            let sides = groups.entry((&r.workload, r.trace)).or_default();
+            let sides = groups.entry((&r.workload, r.seed, r.trace)).or_default();
             if b {
                 sides.0.push(r);
             }
@@ -443,7 +450,7 @@ fn compare(
     }
     groups
         .into_iter()
-        .map(|((workload, trace), (b, h))| {
+        .map(|((workload, seed, trace), (b, h))| {
             let mut names: Vec<&str> = Vec::new();
             for (name, _) in b.iter().chain(&h).flat_map(|r| &r.metrics) {
                 if !names.contains(&name.as_str()) {
@@ -469,6 +476,7 @@ fn compare(
                 .collect();
             Block {
                 workload: workload.to_string(),
+                seed,
                 trace,
                 base_runs: b.len(),
                 head_runs: h.len(),
@@ -492,8 +500,8 @@ fn render(blocks: &[Block], base: &str, head: &str) -> String {
     for b in blocks {
         let kind = if b.trace { "per layer (traced)" } else { "end to end" };
         out += &format!(
-            "\n{} — {kind}: base {base} ({} runs), head {head} ({} runs)\n",
-            b.workload, b.base_runs, b.head_runs
+            "\n{} — {kind}: base {base} ({} runs), head {head} ({} runs), seed {}\n",
+            b.workload, b.base_runs, b.head_runs, b.seed
         );
         out += &format!(
             "  {:<28} {:>32}  {:>32}  {:>8}  {:>8}  verdict\n",
@@ -571,6 +579,17 @@ mod tests {
 
     /// A v5 line as `record` writes it, for `rev`, with one metric per pair.
     fn line(rev: &str, workload: &str, trace: bool, metrics: &[(&str, f64)]) -> String {
+        seeded_line(rev, workload, 42, trace, metrics)
+    }
+
+    /// [`line`] for a run at `seed`.
+    fn seeded_line(
+        rev: &str,
+        workload: &str,
+        seed: u64,
+        trace: bool,
+        metrics: &[(&str, f64)],
+    ) -> String {
         let body: Vec<String> = metrics
             .iter()
             .map(|(n, v)| format!("\"{n}\":{{\"value\":{v},\"unit\":\"x\"}}"))
@@ -580,7 +599,7 @@ mod tests {
             body.join(",")
         );
         let host = HOST.replace("aaaa111", rev);
-        v5_line(&run(workload, trace), &host, &result).unwrap()
+        v5_line(&RunArgs { seed, ..run(workload, trace) }, &host, &result).unwrap()
     }
 
     fn log_of(lines: &[String]) -> String {
@@ -616,7 +635,7 @@ mod tests {
         assert!(l.contains("\"seconds\":50,\"trace\":1,\"git_rev\":\"c0ffee\""), "{l}");
         assert!(l.contains("\"cpu\":\"TestCPU \\\"9000\\\"\""), "{l}");
         let Line::V5(r) = classify(&l) else { panic!("did not decode: {l}") };
-        assert_eq!(r.workload, "serve-sock");
+        assert_eq!((r.workload.as_str(), r.seed), ("serve-sock", 42));
         assert!(r.trace && r.ok);
         assert_eq!(r.git_rev, "c0ffee");
         assert_eq!(
@@ -818,12 +837,42 @@ mod tests {
         assert_eq!(blocks[1].rows[0].verdict, Verdict::Insufficient(1));
         let text = render(&blocks, "base", "head");
         assert!(
-            text.contains("fig09-1c — end to end: base base (5 runs), head head (5 runs)"),
+            text.contains(
+                "fig09-1c — end to end: base base (5 runs), head head (5 runs), seed 42"
+            ),
             "{text}"
         );
         assert!(text.contains("fig09-1c — per layer (traced)"), "{text}");
         assert!(text.contains("insufficient (1)"), "{text}");
         assert!(text.contains("-4.0%"), "{text}");
+    }
+
+    #[test]
+    fn each_seed_gets_its_own_block() {
+        let lines: Vec<String> = [42, 7]
+            .into_iter()
+            .flat_map(|seed| {
+                ["base", "head"].map(|rev| {
+                    seeded_line(rev, "fig09-1c", seed, false, &[("ops_per_cpu_s", seed as f64)])
+                })
+            })
+            .collect();
+        let (records, _) = read_log(log_of(&lines).as_bytes());
+        assert_eq!(records.iter().map(|r| r.seed).collect::<Vec<_>>(), [42, 42, 7, 7]);
+        let blocks = compare(&records, "base", "head", &dirs());
+        assert_eq!(blocks.iter().map(|b| b.seed).collect::<Vec<_>>(), [7, 42]);
+        for b in &blocks {
+            assert_eq!((b.base_runs, b.head_runs), (1, 1));
+            assert_eq!(b.rows[0].base, Some([b.seed as f64; 3]), "seeds pooled");
+        }
+        let text = render(&blocks, "base", "head");
+        assert!(text.contains("(1 runs), seed 7\n"), "{text}");
+        assert!(text.contains("(1 runs), seed 42\n"), "{text}");
+        // A seed that is not a whole non-negative number is malformed.
+        for bad in ["\"seed\":-1,", "\"seed\":4.5,", "\"seed\":\"42\","] {
+            let l = lines[0].replacen("\"seed\":42,", bad, 1);
+            assert_eq!(classify(&l), Line::Malformed, "{l}");
+        }
     }
 
     #[test]

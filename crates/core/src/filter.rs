@@ -8,12 +8,6 @@ use crate::tables::{MetaTable, TableEntry};
 use ppf_prefetchers::MAX_SOURCES;
 use ppf_sim::addr::block_number;
 
-/// Most candidates the [`Ppf`](crate::Ppf) wrapper hands to one
-/// [`PpfFilter::score_and_record`] call (its depth window's cap). Sized
-/// above SPP's `max_candidates` (40) so a full lookahead burst fits in one
-/// call; `score_and_record` itself takes streams of any length.
-pub const MAX_BATCH: usize = 64;
-
 /// Inference outcome for one candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
@@ -299,9 +293,9 @@ impl PpfFilter {
     /// [`Ppf`](crate::Ppf) wrapper uses).
     ///
     /// This and the other per-candidate and feedback methods are
-    /// `#[inline]` because their hot callers, `score_and_record` and
-    /// `Ppf<S>`, are generic and compile in the caller's crate, where a
-    /// plain function of this crate is an opaque call.
+    /// `#[inline]` because their hot caller, `Ppf<S>`, is generic and
+    /// compiles in the caller's crate, where a plain function of this crate
+    /// is an opaque call.
     #[inline]
     pub fn infer_indexed(&mut self, inputs: &FeatureInputs) -> (Decision, i32, IndexList) {
         let (idxs, sum) = self.perceptron.index_and_sum(&self.cfg.features, inputs);
@@ -341,26 +335,6 @@ impl PpfFilter {
             );
         }
         decision
-    }
-
-    /// Steps 1-2 for a stream of `(target, inputs)` candidates: scores,
-    /// commits and records each one in candidate order, calling
-    /// `on_decision(position, decision)` after each record.
-    ///
-    /// A candidate is scored only after the previous one is recorded, so
-    /// it sees any weights that recording displacement-trained (see
-    /// [`PpfFilter::record_indexed`]): the decisions, counters, and trained
-    /// weights are those of one [`PpfFilter::infer_indexed`] +
-    /// [`PpfFilter::record_indexed`] call per candidate.
-    pub fn score_and_record<I>(&mut self, candidates: I, mut on_decision: impl FnMut(usize, Decision))
-    where
-        I: IntoIterator<Item = (u64, FeatureInputs)>,
-    {
-        for (position, (target, inputs)) in candidates.into_iter().enumerate() {
-            let (decision, sum, idxs) = self.infer_indexed(&inputs);
-            self.record_indexed(target, inputs, idxs, sum, decision);
-            on_decision(position, decision);
-        }
     }
 
     /// Step 1, inference, without surfacing the indices (convenience; see
@@ -696,11 +670,14 @@ mod tests {
         let mut f = PpfFilter::new(PpfConfig::hybrid());
         let mut i = inputs(0xB000, 80);
         (i.depth, i.source) = (5, 2);
-        f.score_and_record([(0xB040, i)], |_, d| assert_ne!(d, Decision::Reject));
+        let (d, sum) = f.infer(&i);
+        assert_ne!(d, Decision::Reject);
+        f.record(0xB040, i, sum, d);
         assert_eq!((f.tracked_depth(0xB040), f.tracked_source(0xB040)), (Some(5), Some(2)));
         // A re-suggestion of the pending block keeps the first record.
         (i.depth, i.source) = (1, 0);
-        f.score_and_record([(0xB040, i)], |_, _| {});
+        let (d, sum) = f.infer(&i);
+        f.record(0xB040, i, sum, d);
         assert_eq!((f.tracked_depth(0xB040), f.tracked_source(0xB040)), (Some(5), Some(2)));
         assert_eq!(f.tracked_depth(0xB080), None);
     }
@@ -729,12 +706,6 @@ mod tests {
         assert_eq!(f.stats.accepted_by_source[1], 2);
         assert_eq!(f.stats.accepted_by_source[MAX_SOURCES - 1], 1);
         assert_eq!(f.stats.rejected_by_source, [0; MAX_SOURCES]);
-
-        // The batched path attributes identically.
-        let mut b = PpfFilter::new(PpfConfig::hybrid());
-        let window = [i0, i1, i1, far];
-        b.score_and_record(window.iter().map(|&i| (i.trigger_addr, i)), |_, _| {});
-        assert_eq!(b.stats, f.stats);
     }
 
     #[test]
@@ -742,44 +713,6 @@ mod tests {
     fn inconsistent_thresholds_rejected() {
         let cfg = PpfConfig { tau_lo: 10, tau_hi: -10, ..PpfConfig::default() };
         PpfFilter::new(cfg);
-    }
-
-    /// Batched scoring must reproduce the sequential infer/record loop
-    /// exactly — including when recording one candidate displacement-trains
-    /// the weights before the next is judged. Tiny metadata tables make
-    /// displacement constant.
-    #[test]
-    fn batched_path_matches_sequential_with_mid_batch_training() {
-        let tiny = PpfConfig {
-            prefetch_table_entries: 8,
-            reject_table_entries: 8,
-            ..PpfConfig::default()
-        };
-        let mut seq = PpfFilter::new(tiny.clone());
-        let mut bat = PpfFilter::new(tiny);
-        let stream: Vec<(u64, FeatureInputs)> = (0..400u64)
-            .map(|n| {
-                let addr = 0x10_000 + (n * 64) % 4096 + (n % 7) * 0x10_000;
-                (addr, inputs(addr, (n % 100) as u8))
-            })
-            .collect();
-        for window in stream.chunks(11) {
-            // Sequential reference.
-            for &(addr, inp) in window {
-                let (d, sum, idxs) = seq.infer_indexed(&inp);
-                seq.record_indexed(addr, inp, idxs, sum, d);
-            }
-            // Batched path.
-            bat.score_and_record(window.iter().copied(), |_, _| {});
-            // Occasional eviction feedback so training fires on both sides.
-            for &(addr, _) in window.iter().step_by(3) {
-                seq.train_on_eviction(addr, false);
-                bat.train_on_eviction(addr, false);
-            }
-        }
-        assert!(seq.stats.replacement_trains > 0, "tiny tables must displace-train");
-        assert_eq!(seq.stats, bat.stats);
-        assert_eq!(seq.save_weights(), bat.save_weights());
     }
 
     /// Drives a filter through a deterministic infer/record/feedback stream

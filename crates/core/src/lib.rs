@@ -59,7 +59,7 @@ pub mod wrapper;
 
 pub use budget::{adder_tree_depth, default_budget, StorageBudget};
 pub use features::{FeatureInputs, FeatureKind, IndexList, MAX_FEATURES};
-pub use filter::{Decision, FilterStats, PpfConfig, PpfFilter, TrainingEvent, MAX_BATCH};
+pub use filter::{Decision, FilterStats, PpfConfig, PpfFilter, TrainingEvent};
 pub use introspect::{
     render_report, weight_saturation, DecisionTelemetry, SaturationRow, MARGIN_BUCKETS,
 };

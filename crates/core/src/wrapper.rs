@@ -9,10 +9,8 @@
 //! filter downward.
 
 use crate::features::FeatureInputs;
-use crate::filter::{Decision, FilterStats, PpfConfig, PpfFilter, MAX_BATCH};
-use ppf_prefetchers::{
-    depth_window_len, Candidate, Feedback, LookaheadSource, SourceId, MAX_SOURCES,
-};
+use crate::filter::{Decision, FilterStats, PpfConfig, PpfFilter};
+use ppf_prefetchers::{Candidate, Feedback, LookaheadSource, SourceId, MAX_SOURCES};
 use ppf_sim::{
     AccessContext, EvictionInfo, FillLevel, FilterCounters, Prefetcher, PrefetchRequest,
 };
@@ -20,11 +18,6 @@ use ppf_sim::{
 /// Depth buckets tracked by [`PpfStats`] (depths beyond clamp into the
 /// last bucket).
 pub const DEPTH_BUCKETS: usize = 16;
-
-/// Distinct lookahead depths scored per [`PpfFilter::score_and_record`]
-/// call (see `depth_window_len`). Decisions are the same at any window;
-/// the value survives because `FilterCounters::batch_window` reports it.
-const BATCH_WINDOW: usize = 8;
 
 /// PPF-specific run statistics (Sec 6.1 depth analysis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,43 +194,30 @@ impl<S: LookaheadSource> Prefetcher for Ppf<S> {
         cands.clear();
         self.source.candidates(ctx, &mut cands);
 
-        // Judge the stream one depth-window at a time: the filter scores,
-        // commits and records each candidate strictly in order, so
-        // emission order and τ-threshold semantics match the per-candidate
-        // loop exactly. `last_signature` chains
-        // through the lookahead path (the previous step's signature) and
-        // depends only on candidate metadata.
+        // Judge the stream in order (paper Fig. 5 steps 1-2): each
+        // candidate is inferred and recorded before the next is scored, so
+        // it sees any weights that recording displacement-trained.
+        // `last_signature` chains through the lookahead path (the previous
+        // step's signature) and depends only on candidate metadata.
         let mut last_signature = cands.first().map_or(0, |c| c.meta.signature);
-        let mut start = 0usize;
-        while start < cands.len() {
-            let window =
-                &cands[start..start + depth_window_len(&cands[start..], BATCH_WINDOW, MAX_BATCH)];
-            let pc_history = &self.pc_history;
-            let stats = &mut self.stats;
-            self.filter.score_and_record(
-                window.iter().map(|c| {
-                    let inputs = build_inputs(ctx, pc_history, c, last_signature);
-                    last_signature = c.meta.signature;
-                    (c.addr, inputs)
-                }),
-                |j, decision| {
-                    let c = &window[j];
-                    let level = match decision {
-                        Decision::PrefetchL2 => FillLevel::L2,
-                        Decision::PrefetchLlc => FillLevel::Llc,
-                        Decision::Reject => {
-                            stats.rejected += 1;
-                            stats.rejected_by_depth[bucket(c.meta.depth)] += 1;
-                            return;
-                        }
-                    };
-                    stats.accepted += 1;
-                    stats.accepted_depth_sum += u64::from(c.meta.depth);
-                    stats.accepted_by_depth[bucket(c.meta.depth)] += 1;
-                    out.push(PrefetchRequest::new(c.addr, level));
-                },
-            );
-            start += window.len();
+        for c in &cands {
+            let inputs = build_inputs(ctx, &self.pc_history, c, last_signature);
+            last_signature = c.meta.signature;
+            let (decision, sum, idxs) = self.filter.infer_indexed(&inputs);
+            self.filter.record_indexed(c.addr, inputs, idxs, sum, decision);
+            let level = match decision {
+                Decision::PrefetchL2 => FillLevel::L2,
+                Decision::PrefetchLlc => FillLevel::Llc,
+                Decision::Reject => {
+                    self.stats.rejected += 1;
+                    self.stats.rejected_by_depth[bucket(c.meta.depth)] += 1;
+                    continue;
+                }
+            };
+            self.stats.accepted += 1;
+            self.stats.accepted_depth_sum += u64::from(c.meta.depth);
+            self.stats.accepted_by_depth[bucket(c.meta.depth)] += 1;
+            out.push(PrefetchRequest::new(c.addr, level));
         }
         self.candidate_buf = cands;
 
@@ -304,7 +284,9 @@ impl<S: LookaheadSource> Prefetcher for Ppf<S> {
             negative_trains: s.negative_trains,
             false_negative_recoveries: s.false_negative_recoveries,
             replacement_trains: s.replacement_trains,
-            batch_window: BATCH_WINDOW as u64,
+            // Fixed at 8, the depth window the wrapper once scored by:
+            // perfbench's fig09 digest still hashes it (ROADMAP item 1).
+            batch_window: 8,
         }
     }
 
@@ -410,7 +392,7 @@ mod tests {
 
     #[test]
     fn counters_report_the_batch_window() {
-        assert_eq!(Ppf::new(TwoFaced).filter_counters().batch_window, BATCH_WINDOW as u64);
+        assert_eq!(Ppf::new(TwoFaced).filter_counters().batch_window, 8);
     }
 
     /// A source that pushes one literal candidate per access at a fixed
@@ -557,8 +539,7 @@ mod tests {
         assert_eq!(ppf.stats.unattributed_useful, 1);
     }
 
-    /// A deep lookahead burst: 20 candidates over 12 distinct depths, so
-    /// one access spans two depth windows.
+    /// A deep lookahead burst: 20 candidates over 12 distinct depths.
     struct Burst;
 
     impl LookaheadSource for Burst {
@@ -583,11 +564,10 @@ mod tests {
         }
     }
 
-    /// `on_demand_access` scores through `score_and_record`; it must
-    /// issue the same requests and leave the same counters and weights as
-    /// scoring the same candidate stream one `infer_indexed` +
-    /// `record_indexed` at a time. Tiny metadata tables make recording
-    /// displacement-train mid-window.
+    /// `on_demand_access` must issue the same requests and leave the same
+    /// counters and weights as scoring the same candidate stream one
+    /// `infer_indexed` + `record_indexed` at a time on a bare filter. Tiny
+    /// metadata tables make recording displacement-train mid-burst.
     #[test]
     fn demand_access_matches_a_sequential_filter_loop() {
         let tiny =

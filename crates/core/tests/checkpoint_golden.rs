@@ -63,7 +63,10 @@ fn train(f: &mut PpfFilter, seed: u64) {
                 (target, inputs)
             })
             .collect();
-        f.score_and_record(cands.iter().copied(), |_, _| {});
+        for &(target, inputs) in &cands {
+            let (d, sum, idxs) = f.infer_indexed(&inputs);
+            f.record_indexed(target, inputs, idxs, sum, d);
+        }
         recent[n % recent.len()] = cands[0].0;
         let old = recent[(n * 7 + 3) % recent.len()];
         match rng.next() % 4 {

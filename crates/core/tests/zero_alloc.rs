@@ -1,5 +1,6 @@
 //! Proves the PPF steady-state hot path — inference, recording, demand
-//! training, and eviction training — performs zero heap allocations.
+//! training, and eviction training, on a bare filter and through a whole
+//! `Ppf<Spp>` trigger — performs zero heap allocations.
 //!
 //! A counting global allocator wraps the system allocator; after the filter
 //! is constructed (arena + metadata tables are allocated once, up front),
@@ -7,21 +8,37 @@
 //! This is the acceptance test for the flattened-arena / inline-index
 //! redesign: any reintroduced `Vec` in the per-candidate path fails here.
 //!
-//! The file holds a single `#[test]` so no concurrent test can allocate
-//! while the steady-state window is measured.
+//! The count is per thread, so the test harness and a concurrently running
+//! test cannot move the window another test measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use ppf::{Decision, FeatureInputs, PpfConfig, PpfFilter, MAX_BATCH};
+use ppf::{Decision, FeatureInputs, Ppf, PpfConfig, PpfFilter};
+use ppf_prefetchers::Spp;
+use ppf_sim::{AccessContext, EvictionInfo, Prefetcher, PrefetchRequest};
+use ppf_trace::{TraceBuilder, Workload};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without `Drop`, so touching it from inside the
+    // allocator neither allocates nor registers a destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations this thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -83,11 +100,11 @@ fn steady_state_filter_path_never_allocates() {
         cycle(&mut f, i);
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 50_000..150_000 {
         cycle(&mut f, i);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -105,11 +122,11 @@ fn steady_state_filter_path_never_allocates() {
     // `observe` feature the enable is forced off, so this window also
     // proves the disabled hook costs nothing.
     f.set_telemetry_enabled(true);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 150_000..250_000 {
         cycle(&mut f, i);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -130,11 +147,11 @@ fn steady_state_filter_path_never_allocates() {
     for i in 0..20_000 {
         cycle(&mut f, i);
     }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 20_000..60_000 {
         cycle(&mut f, i);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -142,41 +159,81 @@ fn steady_state_filter_path_never_allocates() {
         after - before
     );
     assert_eq!(f.training_events().len(), 64, "the ring must have filled and wrapped");
+}
 
-    // Streamed scoring path: score_and_record over windows of 9 and of
-    // MAX_BATCH + 6 candidates, with recording displacement-training
-    // mid-window, is allocation-free too.
-    let mut f = PpfFilter::new(PpfConfig {
-        prefetch_table_entries: 8, // tiny tables force mid-window training
-        reject_table_entries: 8,
-        ..PpfConfig::default()
-    });
-    let batched_cycles = |f: &mut PpfFilter, lo: u64, hi: u64| {
-        let mut accepted = [false; MAX_BATCH + 6];
-        let mut base = lo;
-        let mut long = false;
-        while base < hi {
-            let n = if long { MAX_BATCH as u64 + 6 } else { 9 }.min(hi - base);
-            long = !long;
-            let window = (base..base + n).map(|i| (inputs(i).trigger_addr + 64, inputs(i)));
-            f.score_and_record(window, |j, d| accepted[j] = d != Decision::Reject);
-            for j in (0..n).step_by(2) {
-                if accepted[j as usize] {
-                    f.train_on_eviction(inputs(base + j).trigger_addr + 64, false);
-                }
-            }
-            base += n;
+/// The first `n` distinct-block demand accesses of one fig09 workload
+/// (seed 42), as the L2 sees them.
+fn demand_stream(workload: &str, n: usize) -> Vec<AccessContext> {
+    let w = Workload::by_name(workload).expect("fig09 workload");
+    let mut gen = TraceBuilder::new(w).seed(42).build();
+    let mut out = Vec::with_capacity(n);
+    let mut last_block = u64::MAX;
+    while out.len() < n {
+        let rec = gen.next_record();
+        if rec.addr >> 6 == last_block {
+            continue;
         }
-    };
-    batched_cycles(&mut f, 0, 20_000);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    batched_cycles(&mut f, 20_000, 60_000);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+        last_block = rec.addr >> 6;
+        let cycle = out.len() as u64;
+        let (pc, addr) = (rec.pc, rec.addr);
+        out.push(AccessContext { pc, addr, is_store: false, l2_hit: false, cycle, core: 0 });
+    }
+    out
+}
+
+/// One whole PPF trigger per access, as the simulator drives it:
+/// `on_demand_access` (demand training, the SPP lookahead, then scoring and
+/// recording every candidate in order), a fill for every issued prefetch,
+/// and, from a ring of recent prefetches, an unused eviction or a useful
+/// demand on alternate triggers.
+fn triggers(
+    ppf: &mut Ppf<Spp>,
+    stream: &[AccessContext],
+    out: &mut Vec<PrefetchRequest>,
+    ring: &mut [u64; 256],
+    n0: usize,
+) {
+    for (k, ctx) in stream.iter().enumerate() {
+        let n = n0 + k;
+        out.clear();
+        ppf.on_demand_access(ctx, out);
+        for (j, req) in out.iter().enumerate() {
+            ppf.on_prefetch_fill(req.addr, req.fill);
+            ring[(n * 7 + j) % ring.len()] = req.addr;
+        }
+        let old = ring[(n * 13 + 5) % ring.len()];
+        if n.is_multiple_of(2) {
+            ppf.on_eviction(&EvictionInfo { addr: old, was_prefetch: true, was_used: false });
+        } else {
+            ppf.on_useful_prefetch(old);
+        }
+    }
+}
+
+#[test]
+fn steady_state_ppf_trigger_never_allocates() {
+    const WARM: usize = 50_000;
+    const MEASURED: usize = 200_000;
+    let stream = demand_stream("638.imagick_s", WARM + MEASURED);
+    let mut ppf = Ppf::new(Spp::default());
+    // Sized above SPP's 40-candidate cap, so no trigger grows it.
+    let mut out = Vec::with_capacity(64);
+    let mut ring = [0u64; 256];
+    triggers(&mut ppf, &stream[..WARM], &mut out, &mut ring, 0);
+
+    let inferences = ppf.filter_stats().inferences;
+    let before = allocations();
+    triggers(&mut ppf, &stream[WARM..], &mut out, &mut ring, WARM);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
-        "streamed scoring path allocated {} time(s)",
+        "steady-state Ppf<Spp> trigger allocated {} time(s)",
         after - before
     );
-    assert!(f.stats.replacement_trains > 0, "tiny tables must have displacement-trained");
+
+    // Sanity: the window scored candidates, issued prefetches, and trained.
+    let s = ppf.filter_stats();
+    assert!(s.inferences - inferences > MEASURED as u64, "{s:?}");
+    assert!(ppf.stats.accepted > 0 && s.positive_trains > 0 && s.negative_trains > 0, "{s:?}");
 }

@@ -50,7 +50,7 @@ pub use baselines::{NextLine, StridePrefetcher};
 pub use bop::{Bop, BopConfig};
 pub use hybrid::Hybrid;
 pub use lookahead::{
-    depth_window_len, Candidate, CandidateMeta, Feedback, LookaheadSource, SourceId, MAX_SOURCES,
+    Candidate, CandidateMeta, Feedback, LookaheadSource, SourceId, MAX_SOURCES,
 };
 pub use spp::{update_signature, Spp, SppConfig, SppStats};
 pub use vldp::{Vldp, VldpConfig};

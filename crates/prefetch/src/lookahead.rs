@@ -140,46 +140,6 @@ pub trait LookaheadSource {
     fn name(&self) -> &'static str;
 }
 
-/// How many leading candidates of `cands` form one *depth window*: a run
-/// spanning at most `max_depths` *distinct* depth values, capped at
-/// `max_cands` candidates. PPF's wrapper feeds one window per
-/// `PpfFilter::score_and_record` call, so this is purely a scheduling
-/// boundary — candidates are still judged in stream order within and across
-/// windows.
-///
-/// Distinctness is over the *set* of depth values, not consecutive runs:
-/// hybrid interleaving legitimately revisits a depth (source A depth 1,
-/// source B depth 1, source A depth 2, …), and counting each revisit as a
-/// new level would collapse windows to near-singletons under fusion. A
-/// revisited depth therefore extends the current window for free.
-///
-/// Returns 0 only for an empty slice, so callers always make progress.
-///
-/// # Panics
-///
-/// Panics if `max_depths` or `max_cands` is zero.
-pub fn depth_window_len(cands: &[Candidate], max_depths: usize, max_cands: usize) -> usize {
-    assert!(max_depths >= 1 && max_cands >= 1, "window limits must be at least 1");
-    // 256-bit seen-set over the u8 depth space; no allocation.
-    let mut seen = [0u64; 4];
-    let mut depths_seen = 0usize;
-    for (i, c) in cands.iter().enumerate() {
-        if i >= max_cands {
-            return i;
-        }
-        let d = usize::from(c.meta.depth);
-        let (word, bit) = (d >> 6, d & 63);
-        if seen[word] >> bit & 1 == 0 {
-            depths_seen += 1;
-            if depths_seen > max_depths {
-                return i;
-            }
-            seen[word] |= 1 << bit;
-        }
-    }
-    cands.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,54 +163,6 @@ mod tests {
         fn name(&self) -> &'static str {
             "fixed"
         }
-    }
-
-    fn cand(depth: u8) -> Candidate {
-        Candidate {
-            addr: 0x1000,
-            meta: CandidateMeta {
-                depth,
-                signature: 0,
-                confidence: 50,
-                delta: 1,
-                trigger_pc: 0,
-                trigger_addr: 0,
-                source: SourceId::PRIMARY,
-            },
-        }
-    }
-
-    #[test]
-    fn depth_window_spans_distinct_depth_values() {
-        let cands: Vec<Candidate> =
-            [1, 1, 1, 2, 2, 3, 4, 4, 4, 4, 5].iter().map(|&d| cand(d)).collect();
-        assert_eq!(depth_window_len(&cands, 1, 64), 3, "one depth level");
-        assert_eq!(depth_window_len(&cands, 2, 64), 5);
-        assert_eq!(depth_window_len(&cands, 4, 64), 10);
-        assert_eq!(depth_window_len(&cands, 8, 64), cands.len(), "window covers all");
-        assert_eq!(depth_window_len(&cands, 8, 4), 4, "candidate cap binds first");
-        assert_eq!(depth_window_len(&[], 8, 64), 0, "empty stream");
-    }
-
-    #[test]
-    fn depth_revisit_does_not_open_a_new_level() {
-        // Hybrid interleaving revisits depths: a revisit extends the window
-        // instead of counting as a fresh level.
-        let zigzag: Vec<Candidate> = [1, 2, 1].iter().map(|&d| cand(d)).collect();
-        assert_eq!(depth_window_len(&zigzag, 2, 64), 3, "revisit of depth 1 is free");
-        assert_eq!(depth_window_len(&zigzag, 1, 64), 1, "depth 2 still opens level 2");
-        // Two interleaved sources walking depths together.
-        let fused: Vec<Candidate> = [1, 1, 2, 2, 1, 3, 3].iter().map(|&d| cand(d)).collect();
-        assert_eq!(depth_window_len(&fused, 2, 64), 5, "stops at first depth-3");
-        assert_eq!(depth_window_len(&fused, 3, 64), fused.len());
-        // The candidate cap still binds regardless of revisits.
-        assert_eq!(depth_window_len(&fused, 3, 4), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_window_rejected() {
-        depth_window_len(&[], 0, 64);
     }
 
     #[test]

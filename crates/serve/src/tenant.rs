@@ -48,30 +48,9 @@ impl TenantState {
         Ok(t)
     }
 
-    /// Serves one request: scores and records the candidates in order
-    /// (`PpfFilter::score_and_record`), then applies the piggybacked
-    /// feedback. Decisions are identical to scoring one candidate at a
-    /// time (pinned by `batched_scoring_matches_sequential`).
+    /// Serves one request: infers and records each candidate in order
+    /// (paper Fig. 5 steps 1-2), then applies the piggybacked feedback.
     pub fn process(&mut self, req: &ScoreRequest) -> Vec<Decision> {
-        self.seen += 1;
-        self.since_checkpoint += 1;
-        let mut decisions = Vec::with_capacity(req.candidates.len());
-        self.filter.score_and_record(req.candidates.iter().map(|c| (c.target, c.inputs)), |_, d| {
-            decisions.push(d)
-        });
-        for &addr in &req.demands {
-            self.filter.train_on_demand(addr);
-        }
-        for &addr in &req.evictions {
-            self.filter.train_on_eviction(addr, false);
-        }
-        decisions
-    }
-
-    /// The pre-batching scoring loop, kept as the differential oracle for
-    /// `batched_scoring_matches_sequential`.
-    #[cfg(test)]
-    fn process_sequential(&mut self, req: &ScoreRequest) -> Vec<Decision> {
         self.seen += 1;
         self.since_checkpoint += 1;
         let mut decisions = Vec::with_capacity(req.candidates.len());
@@ -104,7 +83,7 @@ impl TenantState {
 mod tests {
     use super::*;
     use crate::protocol::Candidate;
-    use ppf::{FeatureInputs, MAX_BATCH};
+    use ppf::FeatureInputs;
 
     fn req(tag: u64, n: u64) -> ScoreRequest {
         let candidates = (0..n)
@@ -159,29 +138,5 @@ mod tests {
     #[test]
     fn warm_start_rejects_wrong_geometry() {
         assert!(TenantState::warm("t", 1, &[0u8; 3]).is_err());
-    }
-
-    #[test]
-    fn batched_scoring_matches_sequential() {
-        let mut batched = TenantState::fresh("t000-x");
-        let mut sequential = TenantState::fresh("t000-x");
-        // Mixed batch sizes, including empty and > MAX_BATCH (forces the
-        // chunked path), with feedback interleaved so the weights keep
-        // moving between and within requests.
-        let sizes = [0u64, 1, 3, 4, 7, MAX_BATCH as u64, MAX_BATCH as u64 + 17, 5, 64, 2];
-        for (i, &n) in sizes.iter().cycle().take(60).enumerate() {
-            let r = req(i as u64, n);
-            assert_eq!(
-                batched.process(&r),
-                sequential.process_sequential(&r),
-                "request {i} (batch of {n}) diverged"
-            );
-        }
-        assert_eq!(
-            batched.filter.weights_digest(),
-            sequential.filter.weights_digest(),
-            "training state diverged"
-        );
-        assert_eq!(batched.filter.stats.inferences, sequential.filter.stats.inferences);
     }
 }

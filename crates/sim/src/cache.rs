@@ -155,7 +155,7 @@ impl Cache {
         debug_assert_ne!(block, INVALID_TAG, "block number collides with the invalid sentinel");
         let range = self.set_range(block);
         let start = range.start;
-        crate::simd::find_u64(&self.tags[range], block).map(|i| start + i)
+        self.tags[range].iter().position(|&t| t == block).map(|i| start + i)
     }
 
     /// Marks a hit on way `i`: LRU stamp, RRPV reset, dirty/used bits.
@@ -245,7 +245,7 @@ impl Cache {
         // walk the packed per-set tag / stamp / RRPV slices.
         let range = self.set_range(block);
         let start = range.start;
-        let victim_idx = match crate::simd::find_u64(&self.tags[range.clone()], INVALID_TAG) {
+        let victim_idx = match self.tags[range.clone()].iter().position(|&t| t == INVALID_TAG) {
             Some(i) => start + i,
             None => match self.policy {
                 ReplacementPolicy::Lru => {
@@ -346,9 +346,7 @@ impl Cache {
                         "block {tag:#x} stored in set {set} but indexes to set {home}"
                     ));
                 }
-                if crate::simd::find_u64(&self.tags[base + way + 1..base + self.ways], tag)
-                    .is_some()
-                {
+                if self.tags[base + way + 1..base + self.ways].contains(&tag) {
                     return Err(format!("block {tag:#x} duplicated within set {set}"));
                 }
                 if self.rrpvs[i] > 3 {

@@ -80,9 +80,10 @@ pub struct FilterCounters {
     pub false_negative_recoveries: u64,
     /// Negative trainings triggered by metadata-table replacement.
     pub replacement_trains: u64,
-    /// Depth-window size used for batched inference (metadata, not a
-    /// counter: carried through [`FilterCounters::delta`] unchanged; PPF
-    /// reports its fixed window of 8).
+    /// Metadata, not a counter: carried through [`FilterCounters::delta`]
+    /// unchanged. PPF reports 8, the depth window it once scored by; the
+    /// field stays because perfbench's fig09 digest hashes it (ROADMAP
+    /// item 1).
     pub batch_window: u64,
 }
 

@@ -284,8 +284,7 @@ impl<S: LookaheadSource> Prefetcher for Ppf<S> {
             negative_trains: s.negative_trains,
             false_negative_recoveries: s.false_negative_recoveries,
             replacement_trains: s.replacement_trains,
-            // Fixed at 8, the depth window the wrapper once scored by:
-            // perfbench's fig09 digest still hashes it (ROADMAP item 1).
+            // A constant 8 that perfbench's fig09 digest still hashes (ROADMAP item 1).
             batch_window: 8,
         }
     }

@@ -49,8 +49,6 @@ pub use ampm::{AmpmConfig, DaAmpm};
 pub use baselines::{NextLine, StridePrefetcher};
 pub use bop::{Bop, BopConfig};
 pub use hybrid::Hybrid;
-pub use lookahead::{
-    Candidate, CandidateMeta, Feedback, LookaheadSource, SourceId, MAX_SOURCES,
-};
+pub use lookahead::{Candidate, CandidateMeta, Feedback, LookaheadSource, SourceId, MAX_SOURCES};
 pub use spp::{update_signature, Spp, SppConfig, SppStats};
 pub use vldp::{Vldp, VldpConfig};

@@ -2,7 +2,7 @@
 //! (`infer_indexed` + `record_indexed`, and the one-pass feature index into
 //! the byte arena), one unthrottled SPP lookahead and one whole PPF trigger,
 //! the struct-of-arrays cache tag scan (`probe` / `demand_access` /
-//! `fill`), and the simulator's base tick.
+//! `fill`), the simulator's base tick, and building one workload's trace.
 //!
 //! These isolate the data-layout work from whole-simulator noise: the
 //! `perceptron` bench measures the legacy `infer` API, this one measures
@@ -275,12 +275,33 @@ fn bench_tick(c: &mut Criterion) {
     g.finish();
 }
 
+/// Building 605.mcf_s's trace at full footprint (seed 42), whose 2^19-node
+/// pointer chase is most of the cost: `miss` right after a build of
+/// 620.omnetpp_s, whose own chase evicts mcf's from the one-entry cycle
+/// cache, so the cycle is shuffled anew; `hit` right after another build of
+/// mcf, so the chase shares the cached cycle. A fig09 sweep builds each
+/// chase workload once per scheme, one miss then four hits.
+fn bench_trace_build(c: &mut Criterion) {
+    let mcf = Workload::by_name("605.mcf_s").expect("workload");
+    let other = Workload::by_name("620.omnetpp_s").expect("workload");
+    let build = |w: &Workload| TraceBuilder::new(w.clone()).seed(42).build();
+    let mut g = c.benchmark_group("trace_build");
+    g.bench_function("mcf_miss", |b| {
+        b.iter_batched(|| drop(build(&other)), |()| build(&mcf), BatchSize::PerIteration);
+    });
+    g.bench_function("mcf_hit", |b| {
+        b.iter_batched(|| drop(build(&mcf)), |()| build(&mcf), BatchSize::PerIteration);
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_filter_fast_path,
     bench_index,
     bench_lookahead,
     bench_cache_tag_scan,
-    bench_tick
+    bench_tick,
+    bench_trace_build
 );
 criterion_main!(benches);

@@ -20,7 +20,11 @@
 //! `worse` only when the medians differ by more than the base IQR, in the
 //! direction `BENCHMARK.json` gives for the metric; otherwise it is `within
 //! spread`. Fewer than five records on either side print `insufficient (n)`
-//! instead. Traced records (`--trace 1`) carry perfbench's per-layer metrics
+//! instead. Each row also counts the pairs the head won: the i-th base record
+//! of a block is paired with its i-th head record, in log order, and a tie
+//! counts for neither side. A metric with a `bound` in `BENCHMARK.json` is
+//! flagged `beyond bound` when the head median is worse than the base median
+//! by more than that share of it. Traced records (`--trace 1`) carry perfbench's per-layer metrics
 //! and form their own block, printed after the workload's end-to-end block.
 //! Records of older schemas (v1–v4) stay in the file as history and are
 //! skipped and counted, as are lines that do not decode and runs perfbench
@@ -337,9 +341,18 @@ fn read_log(bytes: &[u8]) -> (Vec<Record>, Skipped) {
     (records, skipped)
 }
 
-/// Metric name to "higher is better", from `BENCHMARK.json`'s `end_to_end`
-/// and `per_layer` lists.
-fn directions(bench: &Json) -> BTreeMap<String, bool> {
+/// What `BENCHMARK.json` says of one metric: its direction, and for an
+/// end-to-end metric the share of the base median by which the head may be
+/// worse.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Rule {
+    higher_is_better: bool,
+    bound: Option<f64>,
+}
+
+/// Metric name to its [`Rule`], from `BENCHMARK.json`'s `end_to_end` and
+/// `per_layer` lists.
+fn rules(bench: &Json) -> BTreeMap<String, Rule> {
     ["end_to_end", "per_layer"]
         .into_iter()
         .filter_map(|list| match bench.get(list) {
@@ -349,7 +362,11 @@ fn directions(bench: &Json) -> BTreeMap<String, bool> {
         .flatten()
         .filter_map(|m| {
             let name = m.get("name")?.as_str()?;
-            Some((name.to_string(), m.get("better")?.as_str()? == "higher"))
+            let rule = Rule {
+                higher_is_better: m.get("better")?.as_str()? == "higher",
+                bound: m.get("bound").and_then(Json::as_f64),
+            };
+            Some((name.to_string(), rule))
         })
         .collect()
 }
@@ -407,14 +424,32 @@ fn verdict(base: &[f64], head: &[f64], higher_is_better: Option<bool>) -> Verdic
     }
 }
 
+/// The pairs the head won and the pairs counted, over `(base, head)` pairs.
+fn pairs_won(pairs: &[(f64, f64)], higher_is_better: bool) -> (usize, usize) {
+    let won = pairs.iter().filter(|&&(b, h)| if higher_is_better { h > b } else { h < b }).count();
+    (won, pairs.len())
+}
+
+/// Whether the head median is worse than the base median by more than the
+/// rule's bound, a share of the base median.
+fn beyond_bound(base_median: f64, head_median: f64, rule: Rule) -> bool {
+    let Some(bound) = rule.bound else { return false };
+    let worse_by =
+        if rule.higher_is_better { base_median - head_median } else { head_median - base_median };
+    worse_by > bound * base_median.abs()
+}
+
 /// One metric of a [`Block`]: each side's quartiles (absent when that side
-/// has no value for it) and the verdict.
+/// has no value for it), the verdict, the pairs the head won (for a metric
+/// with a direction) and whether the head median is beyond the bound.
 #[derive(Debug)]
 struct Row {
     metric: String,
     base: Option<[f64; 3]>,
     head: Option<[f64; 3]>,
     verdict: Verdict,
+    won: Option<(usize, usize)>,
+    beyond_bound: bool,
 }
 
 /// The comparison of one workload's untraced or traced records at one seed.
@@ -432,7 +467,7 @@ fn compare(
     records: &[Record],
     base: &str,
     head: &str,
-    dirs: &BTreeMap<String, bool>,
+    rules: &BTreeMap<String, Rule>,
 ) -> Vec<Block> {
     type Sides<'a> = (Vec<&'a Record>, Vec<&'a Record>);
     let mut groups: BTreeMap<(&str, u64, bool), Sides<'_>> = BTreeMap::new();
@@ -457,20 +492,36 @@ fn compare(
                     names.push(name);
                 }
             }
+            let value = |r: &Record, name: &str| {
+                r.metrics.iter().find(|(n, _)| n == name).map(|m| m.1)
+            };
             let values = |side: &[&Record], name: &str| -> Vec<f64> {
-                side.iter()
-                    .filter_map(|r| r.metrics.iter().find(|(n, _)| n == name).map(|m| m.1))
-                    .collect()
+                side.iter().filter_map(|r| value(r, name)).collect()
             };
             let rows = names
                 .into_iter()
                 .map(|name| {
                     let (bv, hv) = (values(&b, name), values(&h, name));
+                    let (base, head) = (
+                        (!bv.is_empty()).then(|| quartiles(&bv)),
+                        (!hv.is_empty()).then(|| quartiles(&hv)),
+                    );
+                    let rule = rules.get(name).copied();
+                    let pairs: Vec<(f64, f64)> = b
+                        .iter()
+                        .zip(&h)
+                        .filter_map(|(rb, rh)| Some((value(rb, name)?, value(rh, name)?)))
+                        .collect();
                     Row {
                         metric: name.to_string(),
-                        base: (!bv.is_empty()).then(|| quartiles(&bv)),
-                        head: (!hv.is_empty()).then(|| quartiles(&hv)),
-                        verdict: verdict(&bv, &hv, dirs.get(name).copied()),
+                        base,
+                        head,
+                        verdict: verdict(&bv, &hv, rule.map(|r| r.higher_is_better)),
+                        won: rule.map(|r| pairs_won(&pairs, r.higher_is_better)),
+                        beyond_bound: match (base, head, rule) {
+                            (Some(bq), Some(hq), Some(rule)) => beyond_bound(bq[1], hq[1], rule),
+                            _ => false,
+                        },
                     }
                 })
                 .collect();
@@ -504,8 +555,13 @@ fn render(blocks: &[Block], base: &str, head: &str) -> String {
             b.workload, b.base_runs, b.head_runs, b.seed
         );
         out += &format!(
-            "  {:<28} {:>32}  {:>32}  {:>8}  {:>8}  verdict\n",
-            "metric", "base q1 / median / q3", "head q1 / median / q3", "Δ median", "base IQR"
+            "  {:<28} {:>32}  {:>32}  {:>8}  {:>8}  {:>9}  verdict\n",
+            "metric",
+            "base q1 / median / q3",
+            "head q1 / median / q3",
+            "Δ median",
+            "base IQR",
+            "pairs won"
         );
         for r in &b.rows {
             let side = |q: Option<[f64; 3]>| {
@@ -518,8 +574,10 @@ fn render(blocks: &[Block], base: &str, head: &str) -> String {
                 ),
                 _ => ("-".into(), "-".into()),
             };
+            let won = r.won.map_or("-".into(), |(won, n)| format!("{won}/{n}"));
+            let flag = if r.beyond_bound { ", beyond bound" } else { "" };
             out += &format!(
-                "  {:<28} {:>32}  {:>32}  {delta:>8}  {iqr:>8}  {}\n",
+                "  {:<28} {:>32}  {:>32}  {delta:>8}  {iqr:>8}  {won:>9}  {}{flag}\n",
                 r.metric,
                 side(r.base),
                 side(r.head),
@@ -557,7 +615,7 @@ fn compare_main(log: &Path, base: &str, head: &str) -> Result<(), String> {
             n => return Err(format!("{rev} matches {n} revisions; give a longer prefix")),
         }
     }
-    print!("{}", render(&compare(&records, base, head, &directions(&bench)), base, head));
+    print!("{}", render(&compare(&records, base, head, &rules(&bench)), base, head));
     Ok(())
 }
 
@@ -606,18 +664,25 @@ mod tests {
         format!("[\n  {}\n]\n", lines.join(",\n  "))
     }
 
-    fn dirs() -> BTreeMap<String, bool> {
-        [("ops_per_cpu_s", true), ("op_p50_us", false), ("sim.ns_per_tick", false)]
+    fn dirs() -> BTreeMap<String, Rule> {
+        [("ops_per_cpu_s", true, Some(0.25)), ("op_p50_us", false, Some(0.25))]
             .into_iter()
-            .map(|(n, h)| (n.to_string(), h))
+            .chain([("sim.ns_per_tick", false, None)])
+            .map(|(n, higher_is_better, bound)| (n.to_string(), Rule { higher_is_better, bound }))
             .collect()
+    }
+
+    /// The row for `metric` of `workload`'s untraced block.
+    fn row_of(lines: &[String], metric: &str) -> Row {
+        let (records, _) = read_log(log_of(lines).as_bytes());
+        let mut blocks = compare(&records, "base", "head", &dirs());
+        let at = blocks[0].rows.iter().position(|r| r.metric == metric).unwrap();
+        blocks.swap_remove(0).rows.swap_remove(at)
     }
 
     /// The verdict for `metric` of `workload`'s untraced block.
     fn verdict_of(lines: &[String], metric: &str) -> Verdict {
-        let (records, _) = read_log(log_of(lines).as_bytes());
-        let blocks = compare(&records, "base", "head", &dirs());
-        blocks[0].rows.iter().find(|r| r.metric == metric).unwrap().verdict
+        row_of(lines, metric).verdict
     }
 
     fn runs(rev: &str, metric: &str, values: &[f64]) -> Vec<String> {
@@ -790,12 +855,58 @@ mod tests {
         let mut lines = runs("base", "ops_per_cpu_s", &[20.0, 20.4, 19.8, 20.2, 20.1]);
         lines.extend(runs("head", "ops_per_cpu_s", &[20.6, 20.9, 20.5, 21.0, 16.0]));
         assert_eq!(verdict_of(&lines, "ops_per_cpu_s"), Verdict::Better);
+        assert_eq!(row_of(&lines, "ops_per_cpu_s").won, Some((4, 5)));
+        let text = {
+            let (records, _) = read_log(log_of(&lines).as_bytes());
+            render(&compare(&records, "base", "head", &dirs()), "base", "head")
+        };
+        assert!(text.contains("      4/5  better\n"), "{text}");
         // Interleaved parent/change order does not matter either.
         let mut mixed = runs("base", "ops_per_cpu_s", &[20.0, 20.4]);
         mixed.extend(runs("head", "ops_per_cpu_s", &[20.6, 20.9]));
         mixed.extend(runs("base", "ops_per_cpu_s", &[19.8, 20.2, 20.1]));
         mixed.extend(runs("head", "ops_per_cpu_s", &[20.5, 21.0, 16.0]));
         assert_ne!(verdict_of(&mixed, "ops_per_cpu_s"), Verdict::Worse);
+        assert_eq!(row_of(&mixed, "ops_per_cpu_s").won, Some((4, 5)));
+    }
+
+    #[test]
+    fn pairs_follow_log_order_and_ties_count_for_neither() {
+        // Lower is better: the head wins pairs 1 and 4, ties pair 2 and
+        // loses pair 3; its sixth run has no base partner.
+        let mut lines = runs("base", "op_p50_us", &[30.0, 30.0, 30.0, 31.0, 29.0]);
+        lines.extend(runs("head", "op_p50_us", &[29.0, 30.0, 32.0, 30.5, 29.0, 1.0]));
+        assert_eq!(row_of(&lines, "op_p50_us").won, Some((2, 5)));
+        // A metric with no direction counts no pairs.
+        let mut l = runs("base", "unlisted", &[1.0; 5]);
+        l.extend(runs("head", "unlisted", &[2.0; 5]));
+        assert_eq!(row_of(&l, "unlisted").won, None);
+    }
+
+    #[test]
+    fn a_head_median_past_the_bound_is_flagged() {
+        let base = [100.0, 102.0, 98.0, 101.0, 99.0];
+        let flagged = |metric: &str, head: &[f64]| {
+            let mut l = runs("base", metric, &base);
+            l.extend(runs("head", metric, head));
+            row_of(&l, metric).beyond_bound
+        };
+        // Bound 25%: a higher-is-better median of 74 is past it, 76 is not,
+        // and a gain of any size never is.
+        assert!(flagged("ops_per_cpu_s", &[74.0; 5]));
+        assert!(!flagged("ops_per_cpu_s", &[76.0; 5]));
+        assert!(!flagged("ops_per_cpu_s", &[1000.0; 5]));
+        // Lower is better: 126 is past it, 124 is not.
+        assert!(flagged("op_p50_us", &[126.0; 5]));
+        assert!(!flagged("op_p50_us", &[124.0; 5]));
+        assert!(!flagged("op_p50_us", &[1.0; 5]));
+        // A per-layer metric has no bound.
+        assert!(!flagged("sim.ns_per_tick", &[1000.0; 5]));
+        let mut l = runs("base", "op_p50_us", &base);
+        l.extend(runs("head", "op_p50_us", &[126.0; 5]));
+        let (records, _) = read_log(log_of(&l).as_bytes());
+        let text = render(&compare(&records, "base", "head", &dirs()), "base", "head");
+        assert!(text.contains("      0/5  worse, beyond bound\n"), "{text}");
     }
 
     #[test]
@@ -878,13 +989,16 @@ mod tests {
     #[test]
     fn directions_come_from_the_benchmark_file() {
         let bench = json::parse(
-            "{\"end_to_end\":[{\"name\":\"ops_per_cpu_s\",\"better\":\"higher\"},{\"name\":\"op_p50_us\",\"better\":\"lower\"}],\
+            "{\"end_to_end\":[{\"name\":\"ops_per_cpu_s\",\"better\":\"higher\",\"bound\":0.25},{\"name\":\"op_p50_us\",\"better\":\"lower\",\"bound\":0.1}],\
              \"per_layer\":[{\"name\":\"pf.accuracy\",\"better\":\"higher\"}]}",
         )
         .unwrap();
-        let d = directions(&bench);
-        assert_eq!(d.len(), 3);
-        assert_eq!((d["ops_per_cpu_s"], d["op_p50_us"], d["pf.accuracy"]), (true, false, true));
+        let r = rules(&bench);
+        assert_eq!(r.len(), 3);
+        let rule = |higher_is_better, bound| Rule { higher_is_better, bound };
+        assert_eq!(r["ops_per_cpu_s"], rule(true, Some(0.25)));
+        assert_eq!(r["op_p50_us"], rule(false, Some(0.1)));
+        assert_eq!(r["pf.accuracy"], rule(true, None));
     }
 
     #[test]

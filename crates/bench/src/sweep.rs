@@ -2,7 +2,7 @@
 //!
 //! [`Sweep`] is the driver every `fig*`/`ablation*` binary runs its job grid
 //! through. It layers three things on top of the fault-isolating
-//! [`runner`](crate::runner):
+//! [`crate::runner`]:
 //!
 //! 1. **Incremental checkpoints.** Each completed job appends one JSONL
 //!    record to `results/checkpoints/<experiment>.jsonl` (override the

@@ -6,9 +6,10 @@
 //! - **Sharding** ([`daemon`]): tenants hash across worker threads; each
 //!   shard owns its tenants outright, so the hot path takes no cross-shard
 //!   locks and a fault's blast radius is bounded by construction.
-//! - **Overload shedding** ([`shard`]): bounded queues shed oldest-first
-//!   with per-tenant fair quotas; shed work is answered immediately with a
-//!   degraded accept-all reply — fail open, never stall the caller.
+//! - **Overload shedding** (the private `shard` module): bounded queues
+//!   shed oldest-first with per-tenant fair quotas; shed work is answered
+//!   immediately with a degraded accept-all reply — fail open, never stall
+//!   the caller.
 //! - **Fault isolation**: a panic while scoring quarantines only that
 //!   tenant, which is rebuilt from its last checkpoint barrier; a stalled
 //!   shard heartbeat gets the whole shard replaced by the supervisor.

@@ -92,7 +92,7 @@ impl CacheStats {
 /// A set-associative, write-back, LRU cache.
 ///
 /// Line state is stored struct-of-arrays: the tags of a set are contiguous
-/// `u64`s (with [`INVALID_TAG`] marking empty ways), so the hit scans in
+/// `u64`s (with `u64::MAX` marking empty ways), so the hit scans in
 /// [`Cache::probe`] / [`Cache::demand_hit`] / [`Cache::fill`] walk a packed
 /// tag slice instead of striding over full line structs. Stamps, flag bits
 /// and RRPVs live in parallel arrays touched only after a way is chosen.

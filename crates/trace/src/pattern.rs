@@ -18,6 +18,7 @@
 
 use crate::prng::SplitMix64;
 use crate::record::{AccessKind, TraceRecord};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Cache block size assumed by the pattern library (matches the simulator).
 pub const BLOCK_SIZE: u64 = 64;
@@ -189,11 +190,20 @@ impl AccessPattern for Stencil3d {
 /// Every access depends on the previous one (the loaded value *is* the next
 /// address), so the stream is marked [`TraceRecord::dependent`] and the core
 /// model serializes it — the latency-bound behaviour of `mcf`-like codes.
+///
+/// The cycle is the shuffled node order itself: the chase starts at node 0
+/// and walks that order forward, wrapping, so each record is a sequential
+/// read of the order rather than a random read of a successor table. The
+/// order is shared: [`PointerChase::new`] keeps the last `(nodes, seed)` it
+/// shuffled in a one-entry cache, because a sweep builds each workload once
+/// per scheme (five cells in a row for fig09) and every such build would
+/// otherwise shuffle the same cycle again. The cache keeps at most one order
+/// alive after its last chase is dropped (2 MiB for mcf's 2^19 nodes).
 #[derive(Debug, Clone)]
 pub struct PointerChase {
     base: u64,
-    next: Vec<u32>,
-    cur: u32,
+    order: Arc<[u32]>,
+    pos: usize,
     node_bytes: u64,
     pc: u64,
     work: u8,
@@ -209,23 +219,57 @@ impl PointerChase {
     pub fn new(base: u64, nodes: u32, node_bytes: u64, pc: u64, work: u8, seed: u64) -> Self {
         assert!(nodes >= 2, "need at least two nodes to chase");
         assert!(node_bytes > 0, "node size must be positive");
-        let mut order: Vec<u32> = (0..nodes).collect();
-        let mut rng = SplitMix64::new(seed);
-        rng.shuffle(&mut order);
-        // Sattolo-style single cycle: order[i] -> order[i+1] -> ... -> order[0].
-        let mut next = vec![0u32; nodes as usize];
-        for i in 0..nodes as usize {
-            next[order[i] as usize] = order[(i + 1) % nodes as usize];
-        }
-        Self { base, next, cur: 0, node_bytes, pc, work }
+        let (order, pos) = LAST_CYCLE.get(nodes, seed);
+        Self { base, order, pos, node_bytes, pc, work }
     }
 }
 
 impl AccessPattern for PointerChase {
     fn next_record(&mut self) -> TraceRecord {
-        let addr = self.base + u64::from(self.cur) * self.node_bytes;
-        self.cur = self.next[self.cur as usize];
+        let addr = self.base + u64::from(self.order[self.pos]) * self.node_bytes;
+        self.pos += 1;
+        if self.pos == self.order.len() {
+            self.pos = 0;
+        }
         TraceRecord::load(self.pc, addr, self.work).with_dependency()
+    }
+}
+
+/// The cycle [`PointerChase::new`] shuffled last.
+static LAST_CYCLE: CycleCache = CycleCache::new();
+
+/// A one-entry cache of shuffled node orders, keyed by `(nodes, seed)`.
+struct CycleCache(Mutex<Option<Cycle>>);
+
+/// The node order of one shuffled cycle and the position of node 0 in it.
+struct Cycle {
+    nodes: u32,
+    seed: u64,
+    order: Arc<[u32]>,
+    start: usize,
+}
+
+impl CycleCache {
+    const fn new() -> Self {
+        Self(Mutex::new(None))
+    }
+
+    /// The node order of the cycle over `nodes` nodes drawn from `seed`, and
+    /// the position of node 0 in it. A key other than the last one drops the
+    /// cached order before it shuffles anew, so the cache never holds two
+    /// orders; the lock is held meanwhile, so threads that build one key
+    /// together shuffle it once.
+    fn get(&self, nodes: u32, seed: u64) -> (Arc<[u32]>, usize) {
+        let mut last = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(c) = last.as_ref().filter(|c| (c.nodes, c.seed) == (nodes, seed)) {
+            return (Arc::clone(&c.order), c.start);
+        }
+        *last = None;
+        let mut order: Arc<[u32]> = (0..nodes).collect();
+        SplitMix64::new(seed).shuffle(Arc::get_mut(&mut order).expect("a new order is unshared"));
+        let start = order.iter().position(|&n| n == 0).expect("node 0 is in the cycle");
+        *last = Some(Cycle { nodes, seed, order: Arc::clone(&order), start });
+        (order, start)
     }
 }
 
@@ -523,6 +567,83 @@ mod tests {
         let mut b = PointerChase::new(0, 128, 64, 0, 0, 9);
         for _ in 0..256 {
             assert_eq!(a.next_record(), b.next_record());
+        }
+    }
+
+    /// The successor table the chase once built and walked: `next[n]` is
+    /// the node after `n` in the shuffled cycle. Kept as the reference for
+    /// the in-order walk.
+    fn next_array(nodes: u32, seed: u64) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..nodes).collect();
+        SplitMix64::new(seed).shuffle(&mut order);
+        let mut next = vec![0u32; nodes as usize];
+        for i in 0..nodes as usize {
+            next[order[i] as usize] = order[(i + 1) % nodes as usize];
+        }
+        next
+    }
+
+    proptest::proptest! {
+        /// Walking the shuffled order from node 0's position yields exactly
+        /// the records of walking the successor table from node 0.
+        #[test]
+        fn in_order_walk_matches_next_array_walk(nodes in 2u32..=5000, seed in proptest::prelude::any::<u64>()) {
+            let (base, node_bytes, pc, work) = (0x4000_0000, 96, 0x400300, 17);
+            let next = next_array(nodes, seed);
+            let mut chase = PointerChase::new(base, nodes, node_bytes, pc, work, seed);
+            let mut cur = 0u32;
+            for _ in 0..3 * nodes {
+                let r = chase.next_record();
+                proptest::prop_assert_eq!(r.addr, base + u64::from(cur) * node_bytes);
+                proptest::prop_assert_eq!(r.pc, pc);
+                proptest::prop_assert_eq!(r.work, work);
+                proptest::prop_assert!(r.dependent);
+                cur = next[cur as usize];
+            }
+        }
+    }
+
+    /// A chase over the cycle `cache` returns for `(nodes, seed)`.
+    fn chase_from(cache: &CycleCache, nodes: u32, seed: u64) -> PointerChase {
+        let (order, pos) = cache.get(nodes, seed);
+        PointerChase { base: 0, order, pos, node_bytes: 64, pc: 0x400200, work: 3 }
+    }
+
+    fn stream(mut p: PointerChase, n: usize) -> Vec<TraceRecord> {
+        (0..n).map(|_| p.next_record()).collect()
+    }
+
+    #[test]
+    fn same_key_builds_share_one_cycle() {
+        let (nodes, seed) = (1000, 77);
+        let len = 3 * nodes as usize;
+        let cache = CycleCache::new();
+        let a = chase_from(&cache, nodes, seed);
+        let b = chase_from(&cache, nodes, seed);
+        assert!(Arc::ptr_eq(&a.order, &b.order), "one key, one table");
+        let reference = stream(PointerChase::new(0, nodes, 64, 0x400200, 3, seed), len);
+        assert_eq!(stream(a.clone(), len), reference);
+        assert_eq!(stream(b, len), reference);
+
+        // Another key evicts the first, which then shuffles anew.
+        let other = chase_from(&cache, nodes, seed + 1);
+        assert!(!Arc::ptr_eq(&a.order, &other.order));
+        assert_ne!(stream(other, len), reference);
+        let rebuilt = chase_from(&cache, nodes, seed);
+        assert!(!Arc::ptr_eq(&a.order, &rebuilt.order), "the evicted key rebuilds");
+        assert_eq!(stream(rebuilt, len), reference);
+
+        // Threads building one key together get one table and one stream.
+        let cache = CycleCache::new();
+        let built: Vec<PointerChase> = std::thread::scope(|s| {
+            let handles: Vec<_> =
+                (0..4).map(|_| s.spawn(|| chase_from(&cache, nodes, seed))).collect();
+            handles.into_iter().map(|h| h.join().expect("builder thread")).collect()
+        });
+        let (shared, _) = cache.get(nodes, seed);
+        for p in built {
+            assert!(Arc::ptr_eq(&p.order, &shared), "one shuffle for all four threads");
+            assert_eq!(stream(p, len), reference);
         }
     }
 

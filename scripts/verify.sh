@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
-# Tier-1 verification gate: release build + clippy (deny warnings) + full
-# test suite + fault-tolerance drill.
+# Tier-1 verification gate: release build + clippy (deny warnings) + docs
+# (deny rustdoc warnings, so a dead intra-doc link fails) + full test suite
+# + fault-tolerance drill.
 #
-#   scripts/verify.sh             # build + clippy + tests + fault drill
+#   scripts/verify.sh             # build + clippy + docs + tests + fault drill
 #                                 #   + horizon gate, layering check,
 #                                 #   ledger check, serve and hybrid
 #                                 #   gates + observe gate
@@ -325,6 +326,9 @@ cargo build --release
 
 echo "== cargo clippy --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc --no-deps --workspace (rustdoc warnings denied) =="
+RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace
 
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace

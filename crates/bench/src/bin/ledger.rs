@@ -24,8 +24,9 @@
 //! of a block is paired with its i-th head record, in log order, and a tie
 //! counts for neither side. A metric with a `bound` in `BENCHMARK.json` is
 //! flagged `beyond bound` when the head median is worse than the base median
-//! by more than that share of it. Traced records (`--trace 1`) carry perfbench's per-layer metrics
-//! and form their own block, printed after the workload's end-to-end block.
+//! by more than that share of it. Traced records (`--trace 1`) carry
+//! perfbench's per-layer metrics and form their own block, printed after the
+//! workload's end-to-end block.
 //! Records of older schemas (v1–v4) stay in the file as history and are
 //! skipped and counted, as are lines that do not decode and runs perfbench
 //! did not report correct.
@@ -665,14 +666,17 @@ mod tests {
     }
 
     fn dirs() -> BTreeMap<String, Rule> {
-        [("ops_per_cpu_s", true, Some(0.25)), ("op_p50_us", false, Some(0.25))]
-            .into_iter()
-            .chain([("sim.ns_per_tick", false, None)])
-            .map(|(n, higher_is_better, bound)| (n.to_string(), Rule { higher_is_better, bound }))
-            .collect()
+        [
+            ("ops_per_cpu_s", true, Some(0.25)),
+            ("op_p50_us", false, Some(0.25)),
+            ("sim.ns_per_tick", false, None),
+        ]
+        .into_iter()
+        .map(|(n, higher_is_better, bound)| (n.to_string(), Rule { higher_is_better, bound }))
+        .collect()
     }
 
-    /// The row for `metric` of `workload`'s untraced block.
+    /// The row for `metric` of the first block.
     fn row_of(lines: &[String], metric: &str) -> Row {
         let (records, _) = read_log(log_of(lines).as_bytes());
         let mut blocks = compare(&records, "base", "head", &dirs());

@@ -504,6 +504,7 @@ impl AccessPattern for PhaseAlternate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashSet;
 
     #[test]
@@ -583,21 +584,21 @@ mod tests {
         next
     }
 
-    proptest::proptest! {
+    proptest! {
         /// Walking the shuffled order from node 0's position yields exactly
         /// the records of walking the successor table from node 0.
         #[test]
-        fn in_order_walk_matches_next_array_walk(nodes in 2u32..=5000, seed in proptest::prelude::any::<u64>()) {
+        fn in_order_walk_matches_next_array_walk(nodes in 2u32..=5000, seed in any::<u64>()) {
             let (base, node_bytes, pc, work) = (0x4000_0000, 96, 0x400300, 17);
             let next = next_array(nodes, seed);
             let mut chase = PointerChase::new(base, nodes, node_bytes, pc, work, seed);
             let mut cur = 0u32;
             for _ in 0..3 * nodes {
                 let r = chase.next_record();
-                proptest::prop_assert_eq!(r.addr, base + u64::from(cur) * node_bytes);
-                proptest::prop_assert_eq!(r.pc, pc);
-                proptest::prop_assert_eq!(r.work, work);
-                proptest::prop_assert!(r.dependent);
+                prop_assert_eq!(r.addr, base + u64::from(cur) * node_bytes);
+                prop_assert_eq!(r.pc, pc);
+                prop_assert_eq!(r.work, work);
+                prop_assert!(r.dependent);
                 cur = next[cur as usize];
             }
         }

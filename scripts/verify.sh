@@ -10,7 +10,7 @@
 #   scripts/verify.sh --quick     # ... + fig09 smoke run
 #   scripts/verify.sh --bench     # ... + hot-path micro-benchmarks (filter
 #                                 #       scoring, SPP lookahead, PPF trigger,
-#                                 #       cache probe, tick) and a ledger
+#                                 #       cache probe, tick, trace build) and a ledger
 #                                 #       record/compare round trip
 #   scripts/verify.sh --faults    # fault drill only (assumes a release build)
 #   scripts/verify.sh --horizon   # horizon gate only: fig09 --quick stdout

@@ -5,18 +5,20 @@
 use ppf::{FeatureKind, Ppf, PpfConfig};
 use ppf_analysis::{geometric_mean, TextTable};
 use ppf_bench::sweep::Sweep;
-use ppf_bench::{run_single, runner, sweep_scalars, RunScale, Scheme};
+use ppf_bench::{run_cell, run_single, runner, sweep_scalars, RunScale, Scheme};
 use ppf_prefetchers::Spp;
-use ppf_sim::{Prefetcher, Simulation, SystemConfig};
-use ppf_trace::{Suite, TraceBuilder, Workload};
+use ppf_sim::SystemConfig;
+use ppf_trace::{Suite, Workload};
 
-fn run_with_features(w: &Workload, features: Vec<FeatureKind>, scale: RunScale) -> f64 {
+fn run_with_features(
+    w: &Workload,
+    label: &str,
+    features: Vec<FeatureKind>,
+    scale: RunScale,
+) -> f64 {
     let cfg = PpfConfig { features, ..PpfConfig::default() };
-    let pf: Box<dyn Prefetcher> = Box::new(Ppf::with_config(Spp::default(), cfg));
-    let trace = Box::new(TraceBuilder::new(w.clone()).seed(42).build());
-    let mut sim = Simulation::new(SystemConfig::single_core());
-    sim.add_core(w.name(), trace, pf);
-    sim.run(scale.warmup, scale.measure).ipc()
+    let pf = Box::new(Ppf::with_config(Spp::default(), cfg));
+    run_cell(SystemConfig::single_core(), w, label, pf, scale).0.ipc()
 }
 
 fn main() {
@@ -52,8 +54,9 @@ fn main() {
                 let key = format!("{label}/{}", w.name());
                 let w = w.clone();
                 let features = features.clone();
+                let label = label.clone();
                 let job: runner::BoxedJob<f64> =
-                    Box::new(move || run_with_features(&w, features, scale) / b);
+                    Box::new(move || run_with_features(&w, &label, features, scale) / b);
                 Some((key, job))
             })
             .collect();

@@ -5,7 +5,7 @@
 
 use ppf_analysis::{geometric_mean, TextTable};
 use ppf_bench::sweep::Sweep;
-use ppf_bench::{run_single, runner, sweep_scalars, RunScale, Scheme};
+use ppf_bench::{run_cell, runner, sweep_scalars, RunScale, Scheme};
 use ppf_sim::{ReplacementPolicy, SystemConfig};
 use ppf_trace::{Suite, Workload};
 
@@ -33,8 +33,10 @@ fn main() {
                     let key = format!("{:?}/{}/{}", policy, scheme.label(), w.name());
                     let w = w.clone();
                     let job: runner::BoxedJob<f64> = Box::new(move || {
-                        let base = run_single(cfg_with(policy), &w, Scheme::Baseline, scale);
-                        let r = run_single(cfg_with(policy), &w, scheme, scale);
+                        let [base, r] = [Scheme::Baseline, scheme].map(|s| {
+                            let label = format!("{}-{policy:?}", s.label());
+                            run_cell(cfg_with(policy), &w, &label, s.build(), scale).0
+                        });
                         r.ipc() / base.ipc()
                     });
                     (key, job)

@@ -4,10 +4,10 @@
 use ppf::{Ppf, PpfConfig};
 use ppf_analysis::{geometric_mean, TextTable};
 use ppf_bench::sweep::Sweep;
-use ppf_bench::{run_single, runner, sweep_scalars, RunScale, Scheme};
+use ppf_bench::{run_cell, run_single, runner, sweep_scalars, RunScale, Scheme};
 use ppf_prefetchers::Spp;
-use ppf_sim::{Prefetcher, Simulation, SystemConfig};
-use ppf_trace::{Suite, TraceBuilder, Workload};
+use ppf_sim::SystemConfig;
+use ppf_trace::{Suite, Workload};
 
 fn geomean_speedup(
     sweep: &Sweep,
@@ -25,12 +25,10 @@ fn geomean_speedup(
             let key = format!("{tag}/{}", w.name());
             let w = w.clone();
             let cfg = cfg.clone();
+            let tag = tag.to_string();
             let job: runner::BoxedJob<f64> = Box::new(move || {
-                let pf: Box<dyn Prefetcher> = Box::new(Ppf::with_config(Spp::default(), cfg));
-                let trace = Box::new(TraceBuilder::new(w.clone()).seed(42).build());
-                let mut sim = Simulation::new(SystemConfig::single_core());
-                sim.add_core(w.name(), trace, pf);
-                sim.run(scale.warmup, scale.measure).ipc() / b
+                let pf = Box::new(Ppf::with_config(Spp::default(), cfg));
+                run_cell(SystemConfig::single_core(), &w, &tag, pf, scale).0.ipc() / b
             });
             Some((key, job))
         })

@@ -5,14 +5,11 @@
 //! cargo run --release -p ppf-bench --bin compare_schemes [app...]
 //! ```
 
-use ppf::Ppf;
-use ppf_prefetchers::{Bop, DaAmpm, Spp};
-use ppf_sim::{run_single_core, NoPrefetcher, Prefetcher, SystemConfig};
-use ppf_trace::{TraceBuilder, Workload};
+use ppf_bench::{run_single, RunScale, Scheme};
+use ppf_sim::SystemConfig;
+use ppf_trace::Workload;
 
 fn main() {
-    let warm = 200_000u64;
-    let meas = 1_000_000u64;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let default = ["603.bwaves_s", "605.mcf_s", "623.xalancbmk_s", "619.lbm_s", "607.cactuBSSN_s", "649.fotonik3d_s"];
     let apps: Vec<&str> = if args.is_empty() { default.to_vec() } else { args.iter().map(|s| s.as_str()).collect() };
@@ -21,18 +18,10 @@ fn main() {
         let app: &str = app;
         let mut row = format!("{:<18}", app);
         let mut base_ipc = 0.0;
-        for which in 0..5 {
-            let w = Workload::by_name(app).unwrap();
-            let trace = Box::new(TraceBuilder::new(w).seed(42).build());
-            let pf: Box<dyn Prefetcher> = match which {
-                0 => Box::new(NoPrefetcher),
-                1 => Box::new(Bop::default()),
-                2 => Box::new(DaAmpm::default()),
-                3 => Box::new(Spp::default()),
-                _ => Box::new(Ppf::new(Spp::default())),
-            };
+        let w = Workload::by_name(app).unwrap();
+        for (which, scheme) in Scheme::all().into_iter().enumerate() {
             let t0 = std::time::Instant::now();
-            let r = run_single_core(SystemConfig::single_core(), app, trace, pf, warm, meas);
+            let r = run_single(SystemConfig::single_core(), &w, scheme, RunScale::default_scale());
             let ipc = r.ipc();
             if which == 0 { base_ipc = ipc; }
             let c = &r.cores[0];

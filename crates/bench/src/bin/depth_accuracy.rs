@@ -3,8 +3,11 @@
 //! PPF's per-depth accept rate shows the filter compensating.
 
 use ppf::wrapper::DEPTH_BUCKETS;
+use ppf::Ppf;
 use ppf_analysis::TextTable;
-use ppf_bench::{run_ppf_instrumented, RunScale};
+use ppf_bench::{run_cell, RunScale, Scheme};
+use ppf_prefetchers::Spp;
+use ppf_sim::SystemConfig;
 use ppf_trace::{Suite, Workload};
 
 fn main() {
@@ -13,8 +16,8 @@ fn main() {
     let mut rejected = [0u64; DEPTH_BUCKETS];
     let mut useful = [0u64; DEPTH_BUCKETS];
     for w in Workload::memory_intensive(Suite::Spec2017) {
-        let (_, handle) = run_ppf_instrumented(&w, scale, 0);
-        let s = handle.borrow().stats;
+        let (_, sim) = run_cell(SystemConfig::single_core(), &w, "PPF", Scheme::Ppf.build(), scale);
+        let s = sim.prefetcher::<Ppf<Spp>>(0).expect("PPF cell").stats;
         for d in 0..DEPTH_BUCKETS {
             accepted[d] += s.accepted_by_depth[d];
             rejected[d] += s.rejected_by_depth[d];

@@ -4,10 +4,10 @@
 //! All three series are normalized to depth 7, as in the paper.
 
 use ppf_analysis::TextTable;
-use ppf_bench::{RunScale, Scheme};
+use ppf_bench::{run_cell, RunScale};
 use ppf_prefetchers::{Spp, SppConfig};
-use ppf_sim::{Simulation, SystemConfig};
-use ppf_trace::{TraceBuilder, Workload};
+use ppf_sim::SystemConfig;
+use ppf_trace::Workload;
 
 fn main() {
     let scale = RunScale::from_args();
@@ -24,10 +24,9 @@ fn main() {
             max_candidates: 2 * depth as usize,
             ..SppConfig::default()
         };
-        let trace = Box::new(TraceBuilder::new(w.clone()).seed(42).build());
-        let mut sim = Simulation::new(SystemConfig::single_core());
-        sim.add_core(w.name(), trace, Box::new(Spp::new(cfg)));
-        let r = sim.run(scale.warmup, scale.measure);
+        let label = format!("SPP-depth{depth}");
+        let pf = Box::new(Spp::new(cfg));
+        let (r, _) = run_cell(SystemConfig::single_core(), &w, &label, pf, scale);
         let c = &r.cores[0];
         // TOTAL_PF follows the paper's definition: prefetches *issued by the
         // prefetcher* (before redundancy filtering); GOOD_PF are the useful
@@ -42,7 +41,6 @@ fn main() {
         rows.push((depth, r.ipc(), c.prefetch.emitted, c.prefetch.useful_total()));
     }
     let base = rows[0];
-    let _ = Scheme::Baseline; // scheme enum is unused here by design
 
     println!("Figure 1 — impact of aggressive prefetching on 603.bwaves_s");
     println!("(all series normalized to lookahead depth 7)\n");

@@ -4,10 +4,10 @@
 
 use ppf::{FeatureKind, Ppf, PpfConfig};
 use ppf_analysis::WeightHistogram;
-use ppf_bench::{RunScale, Shared};
+use ppf_bench::{run_cell, RunScale};
 use ppf_prefetchers::Spp;
-use ppf_sim::{Simulation, SystemConfig};
-use ppf_trace::{Suite, TraceBuilder, Workload};
+use ppf_sim::SystemConfig;
+use ppf_trace::{Suite, Workload};
 
 fn main() {
     let scale = RunScale::from_args();
@@ -23,13 +23,9 @@ fn main() {
     let mut weak: Option<WeightHistogram> = None;
     for w in Workload::memory_intensive(Suite::Spec2017) {
         let cfg = PpfConfig { features: features.clone(), ..PpfConfig::default() };
-        let (wrapper, handle) = Shared::new(Ppf::with_config(Spp::default(), cfg));
-        let trace = Box::new(TraceBuilder::new(w.clone()).seed(42).build());
-        let mut sim = Simulation::new(SystemConfig::single_core());
-        sim.add_core(w.name(), trace, Box::new(wrapper));
-        sim.run(scale.warmup, scale.measure);
-        let ppf = handle.borrow();
-        let p = ppf.filter().perceptron();
+        let pf = Box::new(Ppf::with_config(Spp::default(), cfg));
+        let (_, sim) = run_cell(SystemConfig::single_core(), &w, "PPF+last-sig", pf, scale);
+        let p = sim.prefetcher::<Ppf<Spp>>(0).expect("PPF cell").filter().perceptron();
         eprintln!("  {} done", w.name());
         let hs = WeightHistogram::of(p.feature_weights(strong_idx));
         let hw = WeightHistogram::of(p.feature_weights(weak_idx));

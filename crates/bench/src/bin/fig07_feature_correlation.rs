@@ -1,8 +1,11 @@
 //! Figure 7 — global Pearson correlation of each of the nine retained
 //! features with the prefetch outcome, in ascending order.
 
+use ppf::{Ppf, PpfConfig};
 use ppf_analysis::{feature_correlations, TextTable};
-use ppf_bench::{run_ppf_instrumented, RunScale};
+use ppf_bench::{run_cell, RunScale};
+use ppf_prefetchers::Spp;
+use ppf_sim::SystemConfig;
 use ppf_trace::{Suite, Workload};
 
 fn main() {
@@ -11,8 +14,10 @@ fn main() {
     let mut all_events = Vec::new();
     let mut features = None;
     for w in Workload::memory_intensive(Suite::Spec2017) {
-        let (_, handle) = run_ppf_instrumented(&w, scale, 50_000);
-        let ppf = handle.borrow();
+        let cfg = PpfConfig { event_log_capacity: 50_000, ..PpfConfig::default() };
+        let pf = Box::new(Ppf::with_config(Spp::default(), cfg));
+        let (_, sim) = run_cell(SystemConfig::single_core(), &w, "PPF", pf, scale);
+        let ppf = sim.prefetcher::<Ppf<Spp>>(0).expect("PPF cell");
         features.get_or_insert_with(|| ppf.filter().features().to_vec());
         all_events.extend(ppf.filter().training_events().iter().cloned());
         eprintln!("  {}: {} events", w.name(), ppf.filter().training_events().len());

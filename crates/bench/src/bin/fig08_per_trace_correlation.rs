@@ -3,9 +3,11 @@
 //! PC^Depth): even globally weak features help on a good fraction of
 //! individual traces, which is why they were retained.
 
-use ppf::FeatureKind;
+use ppf::{FeatureKind, Ppf, PpfConfig};
 use ppf_analysis::{feature_correlations, sorted_series};
-use ppf_bench::{run_ppf_instrumented, RunScale};
+use ppf_bench::{run_cell, RunScale};
+use ppf_prefetchers::Spp;
+use ppf_sim::SystemConfig;
 use ppf_trace::Workload;
 
 fn main() {
@@ -16,8 +18,10 @@ fn main() {
         focus.iter().map(|&f| (f, Vec::new())).collect();
 
     for w in Workload::spec2017() {
-        let (_, handle) = run_ppf_instrumented(&w, scale, 50_000);
-        let ppf = handle.borrow();
+        let cfg = PpfConfig { event_log_capacity: 50_000, ..PpfConfig::default() };
+        let pf = Box::new(Ppf::with_config(Spp::default(), cfg));
+        let (_, sim) = run_cell(SystemConfig::single_core(), &w, "PPF", pf, scale);
+        let ppf = sim.prefetcher::<Ppf<Spp>>(0).expect("PPF cell");
         let cs = feature_correlations(ppf.filter().features(), ppf.filter().training_events());
         for (f, acc) in &mut per_feature {
             if let Some(c) = cs.iter().find(|c| c.feature == *f) {

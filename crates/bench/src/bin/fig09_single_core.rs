@@ -5,8 +5,10 @@
 //! With `--verbose`, also prints the paper's Sec 6.1 statistics: average
 //! lookahead depths (SPP vs PPF) and the xalancbmk prefetch-count ratios.
 
+use ppf::Ppf;
 use ppf_analysis::{geometric_mean, percent_gain, TextTable};
-use ppf_bench::{run_ppf_instrumented, run_spp_instrumented, run_suite, runner, RunScale, Scheme};
+use ppf_bench::{run_cell, run_suite, runner, RunScale, Scheme};
+use ppf_prefetchers::Spp;
 use ppf_sim::SystemConfig;
 use ppf_trace::Workload;
 
@@ -77,11 +79,15 @@ fn main() {
         println!("\nSec 6.1 statistics (lookahead depth and xalancbmk ratios):");
         let mut spp_depths = Vec::new();
         let mut ppf_depths = Vec::new();
+        let cell = |w: &Workload, s: Scheme| {
+            run_cell(SystemConfig::single_core(), w, s.label(), s.build(), scale)
+        };
         for w in &workloads {
-            let (_, spp) = run_spp_instrumented(w, scale);
-            let (_, ppf) = run_ppf_instrumented(w, scale, 0);
-            let sd = spp.borrow().stats.average_depth();
-            let pd = ppf.borrow().stats.average_accepted_depth();
+            let (spp_r, spp_sim) = cell(w, Scheme::Spp);
+            let (ppf_r, ppf_sim) = cell(w, Scheme::Ppf);
+            let sd = spp_sim.prefetcher::<Spp>(0).expect("SPP cell").stats.average_depth();
+            let ppf = ppf_sim.prefetcher::<Ppf<Spp>>(0).expect("PPF cell");
+            let pd = ppf.stats.average_accepted_depth();
             if sd > 0.0 {
                 spp_depths.push(sd);
             }
@@ -89,12 +95,8 @@ fn main() {
                 ppf_depths.push(pd);
             }
             if w.name() == "623.xalancbmk_s" {
-                let (spp_r, spp_h) = run_spp_instrumented(w, scale);
-                let (ppf_r, ppf_h) = run_ppf_instrumented(w, scale, 0);
                 println!(
-                    "  xalancbmk: SPP depth {:.2}, PPF depth {:.2}; total prefetches {:.2}x, useful {:.2}x (paper: 2.1 / 3.3 / 1.61x / 2.53x)",
-                    spp_h.borrow().stats.average_depth(),
-                    ppf_h.borrow().stats.average_accepted_depth(),
+                    "  xalancbmk: SPP depth {sd:.2}, PPF depth {pd:.2}; total prefetches {:.2}x, useful {:.2}x (paper: 2.1 / 3.3 / 1.61x / 2.53x)",
                     ppf_r.cores[0].prefetch.issued as f64
                         / spp_r.cores[0].prefetch.issued.max(1) as f64,
                     ppf_r.cores[0].prefetch.useful_total() as f64

@@ -16,7 +16,7 @@
 
 use ppf::Ppf;
 use ppf_analysis::observe::parse_document;
-use ppf_bench::{telemetry, RunScale, Scheme, Shared};
+use ppf_bench::{telemetry, RunScale, Scheme};
 use ppf_prefetchers::Spp;
 use ppf_sim::{observe, IntervalSnapshot, SimReport, Simulation, SystemConfig, TelemetryConfig};
 use ppf_trace::{TraceBuilder, Workload};
@@ -85,8 +85,7 @@ fn run_one(
             // PPF_OBSERVE (the simulator side is forced on below).
             let mut ppf = Ppf::new(Spp::default());
             ppf.filter_mut().set_telemetry_enabled(true);
-            let (wrapper, _handle) = Shared::new(ppf);
-            sim.add_core(workload.name(), trace, Box::new(wrapper));
+            sim.add_core(workload.name(), trace, Box::new(ppf));
         }
         s => {
             sim.add_core(workload.name(), trace, s.build());

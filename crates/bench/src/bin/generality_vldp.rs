@@ -4,17 +4,10 @@
 
 use ppf::Ppf;
 use ppf_analysis::{geometric_mean, percent_gain, TextTable};
-use ppf_bench::{run_single, RunScale, Scheme};
+use ppf_bench::{run_cell, run_single, RunScale, Scheme};
 use ppf_prefetchers::{Spp, Vldp};
-use ppf_sim::{Prefetcher, Simulation, SystemConfig};
-use ppf_trace::{Suite, TraceBuilder, Workload};
-
-fn run_with(w: &Workload, pf: Box<dyn Prefetcher>, scale: RunScale) -> f64 {
-    let trace = Box::new(TraceBuilder::new(w.clone()).seed(42).build());
-    let mut sim = Simulation::new(SystemConfig::single_core());
-    sim.add_core(w.name(), trace, pf);
-    sim.run(scale.warmup, scale.measure).ipc()
-}
+use ppf_sim::{Prefetcher, SystemConfig};
+use ppf_trace::{Suite, Workload};
 
 fn main() {
     let scale = RunScale::from_args();
@@ -34,7 +27,8 @@ fn main() {
             (3, Box::new(Ppf::new(Spp::default()))),
         ];
         for (i, pf) in runs {
-            rows[i].1.push(run_with(w, pf, scale) / base);
+            let (r, _) = run_cell(SystemConfig::single_core(), w, rows[i].0, pf, scale);
+            rows[i].1.push(r.ipc() / base);
         }
         eprintln!("  {} done", w.name());
     }

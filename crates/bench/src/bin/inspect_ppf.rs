@@ -5,51 +5,34 @@
 //! cargo run --release -p ppf-bench --bin inspect_ppf [workload]
 //! ```
 
-use ppf::{Ppf, FeatureKind};
+use ppf::Ppf;
+use ppf_bench::{run_cell, RunScale, Scheme};
 use ppf_prefetchers::Spp;
-use ppf_sim::{Simulation, SystemConfig, Prefetcher, AccessContext, PrefetchRequest, EvictionInfo, FillLevel};
-use ppf_trace::{TraceBuilder, Workload};
-
-/// Wrapper exposing PPF internals after a run via Drop.
-struct Spy(Ppf<Spp>);
-impl Prefetcher for Spy {
-    fn on_demand_access(&mut self, ctx: &AccessContext, out: &mut Vec<PrefetchRequest>) {
-        self.0.on_demand_access(ctx, out)
-    }
-    fn on_useful_prefetch(&mut self, a: u64) { self.0.on_useful_prefetch(a) }
-    fn on_eviction(&mut self, i: &EvictionInfo) { self.0.on_eviction(i) }
-    fn on_llc_eviction(&mut self, i: &EvictionInfo) { self.0.on_llc_eviction(i) }
-    fn on_prefetch_fill(&mut self, a: u64, l: FillLevel) { self.0.on_prefetch_fill(a, l) }
-    fn name(&self) -> &'static str { "ppf-spy" }
-}
-impl Drop for Spy {
-    fn drop(&mut self) {
-        let f = self.0.filter();
-        println!("filter stats: {:?}", f.stats);
-        println!("ppf stats: {:?} avg_depth={:.2}", self.0.stats, self.0.stats.average_accepted_depth());
-        println!("spp stats: {:?} avg_depth={:.2}", self.0.source().stats, self.0.source().stats.average_depth());
-        println!("spp alpha: {}", self.0.source().alpha_percent());
-        for (i, k) in f.features().iter().enumerate() {
-            let w = f.perceptron().feature_weights(i);
-            let nonzero = w.iter().filter(|&&x| x != 0).count();
-            let sum: i64 = w.iter().map(|&x| x as i64).sum();
-            let min = w.iter().min().unwrap();
-            let max = w.iter().max().unwrap();
-            println!("  {:<20} nonzero={:<6} mean={:>7.3} min={} max={}", k.label(), nonzero, sum as f64 / nonzero.max(1) as f64, min, max);
-        }
-        let _ = FeatureKind::default_set();
-    }
-}
+use ppf_sim::SystemConfig;
+use ppf_trace::Workload;
 
 fn main() {
     let app = std::env::args().nth(1).unwrap_or("623.xalancbmk_s".into());
     let w = Workload::by_name(&app).unwrap();
-    let trace = Box::new(TraceBuilder::new(w).seed(42).build());
-    let mut sim = Simulation::new(SystemConfig::single_core());
-    sim.add_core(&app, trace, Box::new(Spy(Ppf::new(Spp::default()))));
-    let r = sim.run(200_000, 1_000_000);
+    let scale = RunScale::default_scale();
+    let (r, sim) = run_cell(SystemConfig::single_core(), &w, "PPF", Scheme::Ppf.build(), scale);
     let c = &r.cores[0];
     println!("ipc={:.3} l2miss={} llcmiss={} pf[em={} iss={} useful={} redundant={} q={}]",
         c.ipc(), c.l2.demand_misses(), r.llc.demand_misses(),
         c.prefetch.emitted, c.prefetch.issued, c.prefetch.useful_total(), c.prefetch.dropped_redundant, c.prefetch.dropped_queue);
+
+    let ppf = sim.prefetcher::<Ppf<Spp>>(0).expect("PPF cell");
+    let f = ppf.filter();
+    println!("filter stats: {:?}", f.stats);
+    println!("ppf stats: {:?} avg_depth={:.2}", ppf.stats, ppf.stats.average_accepted_depth());
+    println!("spp stats: {:?} avg_depth={:.2}", ppf.source().stats, ppf.source().stats.average_depth());
+    println!("spp alpha: {}", ppf.source().alpha_percent());
+    for (i, k) in f.features().iter().enumerate() {
+        let w = f.perceptron().feature_weights(i);
+        let nonzero = w.iter().filter(|&&x| x != 0).count();
+        let sum: i64 = w.iter().map(|&x| x as i64).sum();
+        let min = w.iter().min().unwrap();
+        let max = w.iter().max().unwrap();
+        println!("  {:<20} nonzero={:<6} mean={:>7.3} min={} max={}", k.label(), nonzero, sum as f64 / nonzero.max(1) as f64, min, max);
+    }
 }

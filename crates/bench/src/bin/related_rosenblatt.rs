@@ -5,17 +5,10 @@
 
 use ppf::{Ppf, RosenblattFilter};
 use ppf_analysis::{geometric_mean, mean, TextTable};
-use ppf_bench::{coverage, run_single, RunScale, Scheme};
+use ppf_bench::{coverage, run_cell, run_single, RunScale, Scheme};
 use ppf_prefetchers::Spp;
-use ppf_sim::{Prefetcher, Simulation, SystemConfig};
-use ppf_trace::{Suite, TraceBuilder, Workload};
-
-fn run_with(w: &Workload, pf: Box<dyn Prefetcher>, scale: RunScale) -> ppf_sim::SimReport {
-    let trace = Box::new(TraceBuilder::new(w.clone()).seed(42).build());
-    let mut sim = Simulation::new(SystemConfig::single_core());
-    sim.add_core(w.name(), trace, pf);
-    sim.run(scale.warmup, scale.measure)
-}
+use ppf_sim::{Prefetcher, SystemConfig};
+use ppf_trace::{Suite, Workload};
 
 fn main() {
     let scale = RunScale::from_args();
@@ -36,7 +29,7 @@ fn main() {
             (2, Box::new(Ppf::new(Spp::default()))),
         ];
         for (i, pf) in runs {
-            let r = run_with(w, pf, scale);
+            let (r, _) = run_cell(SystemConfig::single_core(), w, speedups[i].0, pf, scale);
             speedups[i].1.push(r.ipc() / base.ipc());
             if r.cores[0].prefetch.issued > 100 {
                 accuracies[i].1.push(r.cores[0].prefetch.accuracy());

@@ -9,11 +9,11 @@
 //! one perceptron filter and let a source-id feature learn per-scheme
 //! trust, with useful/fill credit routed back to the issuing scheme.
 
-use crate::{RunScale, Shared};
+use crate::{run_cell, RunScale};
 use ppf::{Ppf, PpfConfig};
 use ppf_prefetchers::{Bop, DaAmpm, Hybrid, LookaheadSource, Spp, MAX_SOURCES};
-use ppf_sim::{NoPrefetcher, Simulation, SystemConfig};
-use ppf_trace::{TraceBuilder, Workload};
+use ppf_sim::{NoPrefetcher, SystemConfig};
+use ppf_trace::Workload;
 
 /// The fusion ablation's schemes: the no-prefetch baseline, each member
 /// filtered alone (single-member hybrids, so the comparison isolates the
@@ -150,12 +150,10 @@ impl FusionCell {
 /// default nine so they measure each scheme exactly as the main figures
 /// would filter it.
 pub fn run_fusion(workload: &Workload, fusion: Fusion, scale: RunScale) -> FusionCell {
-    let trace = Box::new(TraceBuilder::new(workload.clone()).seed(42).build());
-    let mut sim = Simulation::new(SystemConfig::single_core());
     let members = fusion.members();
+    let cfg = SystemConfig::single_core();
     if members.is_empty() {
-        sim.add_core(workload.name(), trace, Box::new(NoPrefetcher));
-        let report = sim.run(scale.warmup, scale.measure);
+        let (report, _) = run_cell(cfg, workload, fusion.label(), Box::new(NoPrefetcher), scale);
         return FusionCell {
             ipc: report.cores[0].ipc(),
             accepted: [0; MAX_SOURCES],
@@ -164,12 +162,10 @@ pub fn run_fusion(workload: &Workload, fusion: Fusion, scale: RunScale) -> Fusio
             unattributed: 0,
         };
     }
-    let cfg = if fusion.is_fused() { PpfConfig::hybrid() } else { PpfConfig::default() };
-    let ppf = Ppf::with_config(Hybrid::new(members), cfg);
-    let (wrapper, handle) = Shared::new(ppf);
-    sim.add_core(workload.name(), trace, Box::new(wrapper));
-    let report = sim.run(scale.warmup, scale.measure);
-    let ppf = handle.borrow();
+    let ppf_cfg = if fusion.is_fused() { PpfConfig::hybrid() } else { PpfConfig::default() };
+    let pf = Box::new(Ppf::with_config(Hybrid::new(members), ppf_cfg));
+    let (report, sim) = run_cell(cfg, workload, fusion.label(), pf, scale);
+    let ppf = sim.prefetcher::<Ppf<Hybrid>>(0).expect("core 0 runs PPF over the fusion");
     let fs = ppf.filter_stats();
     FusionCell {
         ipc: report.cores[0].ipc(),

@@ -14,15 +14,10 @@ pub mod runner;
 pub mod sweep;
 pub mod telemetry;
 
-use ppf::{Ppf, PpfConfig};
-use ppf_prefetchers::{Bop, DaAmpm, Spp, SppConfig};
-use ppf_sim::{
-    AccessContext, EvictionInfo, FillLevel, NoPrefetcher, Prefetcher, PrefetchRequest,
-    SimReport, Simulation, SystemConfig,
-};
+use ppf::Ppf;
+use ppf_prefetchers::{Bop, DaAmpm, Spp};
+use ppf_sim::{NoPrefetcher, Prefetcher, SimReport, Simulation, SystemConfig};
 use ppf_trace::{TraceBuilder, Workload, WorkloadMix};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// The prefetching schemes the paper evaluates (Sec 5.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,17 +102,32 @@ impl RunScale {
     }
 }
 
-/// Runs one workload on a single-core system under `scheme`. When interval
-/// telemetry is active (the `observe` feature + `PPF_OBSERVE=intervals`),
-/// the run's snapshots are exported as `<workload>__<scheme>` JSONL/CSV
-/// under the export directory (see [`telemetry::export_simulation`]).
-pub fn run_single(cfg: SystemConfig, workload: &Workload, scheme: Scheme, scale: RunScale) -> SimReport {
+/// Runs one single-core cell: `workload`'s seed-42 trace on a `cfg` system
+/// with `prefetcher` on its L2. Returns the report and the finished
+/// simulation, so the caller can read the prefetcher back with
+/// [`Simulation::prefetcher`]. When interval telemetry is active (the
+/// `observe` feature + `PPF_OBSERVE=intervals`), the run's snapshots are
+/// exported as `<workload>__<label>` JSONL/CSV under the export directory
+/// (see [`telemetry::export_simulation`]).
+pub fn run_cell(
+    cfg: SystemConfig,
+    workload: &Workload,
+    label: &str,
+    prefetcher: Box<dyn Prefetcher>,
+    scale: RunScale,
+) -> (SimReport, Simulation) {
     let trace = Box::new(TraceBuilder::new(workload.clone()).seed(42).build());
     let mut sim = Simulation::new(cfg);
-    sim.add_core(workload.name(), trace, scheme.build());
+    sim.add_core(workload.name(), trace, prefetcher);
     let report = sim.run(scale.warmup, scale.measure);
-    telemetry::export_simulation(&format!("{}__{}", workload.name(), scheme.label()), &sim);
-    report
+    telemetry::export_simulation(&format!("{}__{label}", workload.name()), &sim);
+    (report, sim)
+}
+
+/// Runs one workload on a single-core system under `scheme` (a
+/// [`run_cell`] labelled with the scheme).
+pub fn run_single(cfg: SystemConfig, workload: &Workload, scheme: Scheme, scale: RunScale) -> SimReport {
+    run_cell(cfg, workload, scheme.label(), scheme.build(), scale).0
 }
 
 /// Runs a multi-programmed mix on an `n`-core system under `scheme`.
@@ -141,84 +151,6 @@ pub fn isolated_ipc(workload: &Workload, cores: usize, scale: RunScale) -> f64 {
     cfg.llc.size_bytes = 2 * 1024 * 1024 * cores as u64;
     cfg.llc.mshrs = 64 * cores;
     run_single(cfg, workload, Scheme::Baseline, scale).ipc()
-}
-
-/// A prefetcher wrapper that keeps a shared handle to its inner prefetcher,
-/// so experiment code can inspect internal state (weights, event logs,
-/// depth statistics) after a simulation completes.
-#[derive(Debug)]
-pub struct Shared<P>(pub Rc<RefCell<P>>);
-
-impl<P> Shared<P> {
-    /// Wraps `inner`, returning the wrapper and a handle kept by the caller.
-    pub fn new(inner: P) -> (Self, Rc<RefCell<P>>) {
-        let rc = Rc::new(RefCell::new(inner));
-        (Self(rc.clone()), rc)
-    }
-}
-
-impl<P: Prefetcher> Prefetcher for Shared<P> {
-    fn on_demand_access(&mut self, ctx: &AccessContext, out: &mut Vec<PrefetchRequest>) {
-        self.0.borrow_mut().on_demand_access(ctx, out)
-    }
-
-    fn on_useful_prefetch(&mut self, addr: u64) {
-        self.0.borrow_mut().on_useful_prefetch(addr)
-    }
-
-    fn on_eviction(&mut self, info: &EvictionInfo) {
-        self.0.borrow_mut().on_eviction(info)
-    }
-
-    fn on_llc_eviction(&mut self, info: &EvictionInfo) {
-        self.0.borrow_mut().on_llc_eviction(info)
-    }
-
-    fn on_prefetch_fill(&mut self, addr: u64, level: FillLevel) {
-        self.0.borrow_mut().on_prefetch_fill(addr, level)
-    }
-
-    fn name(&self) -> &'static str {
-        "shared"
-    }
-
-    fn filter_counters(&self) -> ppf_sim::FilterCounters {
-        self.0.borrow().filter_counters()
-    }
-
-    fn telemetry_dump(&self) -> String {
-        self.0.borrow().telemetry_dump()
-    }
-}
-
-/// Runs `workload` under PPF with an event log enabled and returns the
-/// report plus a handle to the PPF instance for post-run analysis.
-pub fn run_ppf_instrumented(
-    workload: &Workload,
-    scale: RunScale,
-    event_log_capacity: usize,
-) -> (SimReport, Rc<RefCell<Ppf<Spp>>>) {
-    let cfg = PpfConfig { event_log_capacity, ..PpfConfig::default() };
-    let ppf = Ppf::with_config(Spp::new(SppConfig::default()), cfg);
-    let (wrapper, handle) = Shared::new(ppf);
-    let trace = Box::new(TraceBuilder::new(workload.clone()).seed(42).build());
-    let mut sim = Simulation::new(SystemConfig::single_core());
-    sim.add_core(workload.name(), trace, Box::new(wrapper));
-    let report = sim.run(scale.warmup, scale.measure);
-    (report, handle)
-}
-
-/// Runs `workload` under a shared-handle SPP (for depth statistics).
-pub fn run_spp_instrumented(
-    workload: &Workload,
-    scale: RunScale,
-) -> (SimReport, Rc<RefCell<Spp>>) {
-    let (wrapper, handle) = Shared::new(Spp::default());
-    let trace = Box::new(TraceBuilder::new(workload.clone()).seed(42).build());
-    let mut sim = Simulation::new(SystemConfig::single_core());
-    sim.add_core(workload.name(), trace, Box::new(wrapper));
-    let report = sim.run(scale.warmup, scale.measure);
-    (report, handle)
 }
 
 /// Results of running one workload under every scheme.
@@ -564,10 +496,13 @@ mod tests {
     #[test]
     fn instrumented_ppf_exposes_state() {
         let w = Workload::by_name("603.bwaves_s").unwrap();
-        let (r, handle) = run_ppf_instrumented(&w, tiny(), 1024);
+        let cfg = ppf::PpfConfig { event_log_capacity: 1024, ..ppf::PpfConfig::default() };
+        let pf = Box::new(Ppf::with_config(Spp::default(), cfg));
+        let (r, sim) = run_cell(SystemConfig::single_core(), &w, "PPF", pf, tiny());
         assert!(r.ipc() > 0.0);
-        let ppf = handle.borrow();
+        let ppf = sim.prefetcher::<Ppf<Spp>>(0).expect("core 0 runs PPF over SPP");
         assert!(ppf.filter().stats.inferences > 0, "PPF saw no candidates");
+        assert!(!ppf.filter().training_events().is_empty(), "event log stayed empty");
     }
 
     #[test]

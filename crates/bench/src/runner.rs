@@ -4,7 +4,7 @@
 //! Experiments are embarrassingly parallel grids of independent simulations
 //! (workload × scheme, mix × scheme). Each job is deterministic and owns all
 //! of its state, so the only requirement for reproducibility is that results
-//! land in the same order as a sequential run. [`run_indexed`] guarantees
+//! land in the same order as a sequential run. [`run_watched`] guarantees
 //! that: jobs are pulled from a shared queue by `N` scoped worker threads
 //! and each result is written to its job's original index, so output is
 //! bit-identical to sequential execution regardless of scheduling.
@@ -19,7 +19,7 @@
 //! poison-recovering locks, so a panic inside one worker can never
 //! cascade-poison the shared state of the others.
 //!
-//! [`run_watched`] additionally arms a per-job watchdog (`--job-timeout N`
+//! [`run_watched`] can also arm a per-job watchdog (`--job-timeout N`
 //! seconds or `PPF_JOB_TIMEOUT=N`, default off): a job that exceeds the
 //! limit is marked [`FailReason::TimedOut`] and the sweep moves on. The hung
 //! job's thread is abandoned (Rust cannot kill a thread) and dies with the
@@ -77,10 +77,6 @@ pub type Outcome<T> = Result<T, JobError>;
 /// from the worker that finished the job (used for incremental
 /// checkpointing).
 pub type CompleteFn<'a, T> = &'a (dyn Fn(usize, &str, Duration, &Outcome<T>) + Sync);
-
-fn no_complete<T>() -> impl Fn(usize, &str, Duration, &Outcome<T>) + Sync {
-    |_, _, _, _| {}
-}
 
 /// Resolves the worker-thread count for experiment sweeps.
 ///
@@ -234,42 +230,6 @@ where
         .collect()
 }
 
-/// Runs every job with panic isolation and returns the outcomes in job
-/// order.
-///
-/// With `threads <= 1` (or a single job) the jobs run sequentially on the
-/// calling thread — the zero-risk fallback. Otherwise `min(threads, jobs)`
-/// scoped workers drain a shared queue; a worker that finishes a long job
-/// late still writes its result to the job's own slot, so the returned
-/// vector is identical to what the sequential path produces.
-///
-/// A panicking job becomes `Err(JobError)` in its own slot; all other slots
-/// are unaffected. Jobs are labelled `job N` — use [`run_labeled`] to attach
-/// meaningful labels.
-pub fn run_indexed<T, F>(jobs: Vec<F>, threads: usize) -> Vec<Outcome<T>>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let labeled =
-        jobs.into_iter().enumerate().map(|(i, f)| (format!("job {i}"), f)).collect();
-    run_labeled(labeled, threads)
-}
-
-/// [`run_indexed`] with a label per job (carried into each [`JobError`]).
-pub fn run_labeled<T, F>(jobs: Vec<(String, F)>, threads: usize) -> Vec<Outcome<T>>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let hook = no_complete();
-    drive(
-        jobs.into_iter().map(|(label, f)| (label, move |l: &str| guard(l, f))).collect(),
-        threads,
-        &hook,
-    )
-}
-
 /// A heap-allocated sweep job (the `'static` bound is what lets the
 /// watchdog hand the job to an abandonable thread).
 pub type BoxedJob<T> = Box<dyn FnOnce() -> T + Send + 'static>;
@@ -317,7 +277,15 @@ fn run_with_deadline<T: Send + 'static>(
 }
 
 /// Runs boxed jobs with panic isolation, an optional per-job watchdog, and a
-/// per-completion hook — the engine under the sweep driver.
+/// per-completion hook — the engine under the sweep driver. Outcomes come
+/// back in job order.
+///
+/// With `threads <= 1` (or a single job) the jobs run sequentially on the
+/// calling thread. Otherwise `min(threads, jobs)` scoped workers drain a
+/// shared queue; a worker that finishes a long job late still writes its
+/// result to the job's own slot, so the returned vector is identical to what
+/// the sequential path produces. A panicking job becomes `Err(JobError)` in
+/// its own slot; all other slots are unaffected.
 ///
 /// With `timeout: Some(limit)`, each job runs on its own disposable thread;
 /// a job still running after `limit` is reported as
@@ -347,69 +315,67 @@ pub fn run_watched<T: Send + 'static>(
     }
 }
 
-/// Unwraps a vector of outcomes where no failure is expected (tests and
-/// infallible local sweeps).
-///
-/// # Panics
-///
-/// Panics on the first `Err`, with its job label and reason.
-pub fn expect_all<T>(outcomes: Vec<Outcome<T>>) -> Vec<T> {
-    outcomes
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(e) => panic!("sweep job failed: {e}"),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Labels job `i` as `job i` and runs the jobs with no watchdog.
+    fn run<T: Send + 'static>(jobs: Vec<BoxedJob<T>>, threads: usize) -> Vec<Outcome<T>> {
+        let labeled = jobs.into_iter().enumerate().map(|(i, f)| (format!("job {i}"), f)).collect();
+        run_watched(labeled, threads, None, &|_, _, _, _| {})
+    }
+
+    /// Unwraps outcomes where no failure is expected.
+    fn expect_all<T>(outcomes: Vec<Outcome<T>>) -> Vec<T> {
+        outcomes
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|e| panic!("sweep job failed: {e}")))
+            .collect()
+    }
+
     #[test]
     fn preserves_job_order() {
-        let jobs: Vec<_> = (0..37)
+        let jobs: Vec<BoxedJob<i32>> = (0..37)
             .map(|i| {
-                move || {
+                Box::new(move || {
                     // Stagger finish times so fast jobs overtake slow ones.
                     if i % 5 == 0 {
                         std::thread::sleep(std::time::Duration::from_millis(2));
                     }
                     i * 10
-                }
+                }) as BoxedJob<i32>
             })
             .collect();
-        let got = expect_all(run_indexed(jobs, 4));
+        let got = expect_all(run(jobs, 4));
         let want: Vec<i32> = (0..37).map(|i| i * 10).collect();
         assert_eq!(got, want);
     }
 
     #[test]
     fn sequential_fallback_matches() {
-        let mk = || (0..16).map(|i| move || i * i).collect::<Vec<_>>();
-        assert_eq!(expect_all(run_indexed(mk(), 1)), expect_all(run_indexed(mk(), 8)));
+        let mk = || (0..16).map(|i| Box::new(move || i * i) as BoxedJob<i32>).collect::<Vec<_>>();
+        assert_eq!(expect_all(run(mk(), 1)), expect_all(run(mk(), 8)));
     }
 
     #[test]
     fn empty_and_single() {
-        let empty: Vec<fn() -> u8> = Vec::new();
-        assert!(run_indexed(empty, 4).is_empty());
-        assert_eq!(expect_all(run_indexed(vec![|| 7u8], 4)), vec![7]);
+        assert!(run(Vec::<BoxedJob<u8>>::new(), 4).is_empty());
+        assert_eq!(expect_all(run(vec![Box::new(|| 7u8) as BoxedJob<u8>], 4)), vec![7]);
     }
 
     #[test]
     fn more_threads_than_jobs() {
-        assert_eq!(expect_all(run_indexed(vec![|| 1, || 2], 64)), vec![1, 2]);
+        let jobs: Vec<BoxedJob<i32>> = vec![Box::new(|| 1), Box::new(|| 2)];
+        assert_eq!(expect_all(run(jobs, 64)), vec![1, 2]);
     }
 
     #[test]
     fn panicking_job_is_isolated() {
         for threads in [1, 4] {
-            let jobs: Vec<Box<dyn FnOnce() -> i32 + Send>> = (0..12)
+            let jobs: Vec<BoxedJob<i32>> = (0..12)
                 .map(|i| {
-                    let f: Box<dyn FnOnce() -> i32 + Send> = if i == 5 {
+                    let f: BoxedJob<i32> = if i == 5 {
                         Box::new(|| panic!("boom {}", 5))
                     } else {
                         Box::new(move || i * 2)
@@ -417,7 +383,7 @@ mod tests {
                     f
                 })
                 .collect();
-            let got = run_indexed(jobs, threads);
+            let got = run(jobs, threads);
             assert_eq!(got.len(), 12);
             for (i, r) in got.iter().enumerate() {
                 if i == 5 {
@@ -435,9 +401,9 @@ mod tests {
     fn panic_does_not_cascade_poison() {
         // Many panicking jobs interleaved with good ones: every good result
         // must still land, even though workers observe panics constantly.
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..40)
+        let jobs: Vec<BoxedJob<usize>> = (0..40)
             .map(|i| {
-                let f: Box<dyn FnOnce() -> usize + Send> = if i % 3 == 0 {
+                let f: BoxedJob<usize> = if i % 3 == 0 {
                     Box::new(move || panic!("injected {i}"))
                 } else {
                     Box::new(move || i)
@@ -445,7 +411,7 @@ mod tests {
                 f
             })
             .collect();
-        let got = run_indexed(jobs, 6);
+        let got = run(jobs, 6);
         for (i, r) in got.iter().enumerate() {
             if i % 3 == 0 {
                 assert!(r.is_err());
@@ -468,8 +434,7 @@ mod tests {
             ),
             ("also-fast".into(), Box::new(|| 3)),
         ];
-        let hook = no_complete();
-        let got = run_watched(jobs, 2, Some(Duration::from_millis(50)), &hook);
+        let got = run_watched(jobs, 2, Some(Duration::from_millis(50)), &|_, _, _, _| {});
         assert_eq!(*got[0].as_ref().unwrap(), 1);
         let e = got[1].as_ref().expect_err("hung job times out");
         assert_eq!(e.label, "hung");
@@ -483,8 +448,7 @@ mod tests {
             ("ok".into(), Box::new(|| 7)),
             ("bad".into(), Box::new(|| panic!("watched panic"))),
         ];
-        let hook = no_complete();
-        let got = run_watched(jobs, 2, Some(Duration::from_secs(30)), &hook);
+        let got = run_watched(jobs, 2, Some(Duration::from_secs(30)), &|_, _, _, _| {});
         assert_eq!(*got[0].as_ref().unwrap(), 7);
         let e = got[1].as_ref().expect_err("panic surfaces through watchdog");
         assert_eq!(e.reason, FailReason::Panicked("watched panic".into()));

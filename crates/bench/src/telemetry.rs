@@ -1,12 +1,12 @@
 //! Interval-telemetry export: writes a simulation's interval snapshots as
 //! JSONL (full schema) and CSV (headline columns) files.
 //!
-//! Every [`crate::run_single`] / [`crate::run_mix`] call funnels through
+//! Every [`crate::run_cell`] / [`crate::run_mix`] call funnels through
 //! [`export_simulation`] after the run completes. With telemetry off (the
 //! default) that is a single integer compare; with telemetry on, one
 //! `<run-label>.jsonl` and one `<run-label>.csv` land under
 //! [`observe::export_dir`], so a checkpointed sweep accumulates one pair of
-//! files per (workload, scheme) cell alongside its checkpoint records.
+//! files per cell alongside its checkpoint records.
 
 use ppf_sim::observe::{self, sanitize};
 use ppf_sim::{IntervalSnapshot, Simulation};

@@ -159,7 +159,7 @@ impl<S: LookaheadSource> RosenblattFilter<S> {
     }
 }
 
-impl<S: LookaheadSource> Prefetcher for RosenblattFilter<S> {
+impl<S: LookaheadSource + 'static> Prefetcher for RosenblattFilter<S> {
     fn on_demand_access(&mut self, ctx: &AccessContext, out: &mut Vec<PrefetchRequest>) {
         // A demand access to a tracked candidate resolves it as useful.
         self.resolve(ctx.addr, true);

@@ -183,7 +183,7 @@ impl<S: LookaheadSource> Ppf<S> {
     }
 }
 
-impl<S: LookaheadSource> Prefetcher for Ppf<S> {
+impl<S: LookaheadSource + 'static> Prefetcher for Ppf<S> {
     fn on_demand_access(&mut self, ctx: &AccessContext, out: &mut Vec<PrefetchRequest>) {
         // Feedback first (paper Fig. 5 step 3): the demand address may match
         // a recorded prefetch or a rejected candidate.

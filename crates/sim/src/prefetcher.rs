@@ -7,6 +7,7 @@
 
 use crate::addr;
 use crate::telemetry::FilterCounters;
+use std::any::Any;
 
 /// Where a prefetch fill is directed (paper: high-confidence prefetches go
 /// to L2, low-confidence ones to the larger LLC).
@@ -74,7 +75,10 @@ pub struct EvictionInfo {
 /// Implementations must be deterministic. The simulator calls the hooks in
 /// this order each cycle: evictions first, then demand accesses (which also
 /// collect new prefetch requests), then fill notifications.
-pub trait Prefetcher {
+///
+/// `Any` is a supertrait so a finished run can hand a prefetcher back by its
+/// concrete type (see [`crate::Simulation::prefetcher`]).
+pub trait Prefetcher: Any {
     /// Called on every demand access to the L2 (the trigger point). Push any
     /// prefetch requests into `out`; the simulator applies queue limits,
     /// redundancy and MSHR checks afterwards.

@@ -42,6 +42,7 @@ use crate::telemetry::{
     DEFAULT_RING_CAPACITY, EVENT_RING_CAPACITY,
 };
 use ppf_trace::{AccessKind, AccessPattern, TraceRecord};
+use std::any::Any;
 use std::collections::VecDeque;
 
 /// Outcome of attempting to start a demand access.
@@ -308,6 +309,15 @@ impl Simulation {
     /// track nothing).
     pub fn prefetcher_dump(&self, i: usize) -> String {
         self.cores[i].prefetcher.telemetry_dump()
+    }
+
+    /// Core `core`'s prefetcher as the concrete type `P` it was attached as,
+    /// so a finished run's filter state (weights, event log, depth
+    /// statistics) can be read back. `None` when `core` is out of range or
+    /// its prefetcher is not a `P`.
+    pub fn prefetcher<P: Prefetcher>(&self, core: usize) -> Option<&P> {
+        let p: &dyn Any = &*self.cores.get(core)?.prefetcher;
+        p.downcast_ref()
     }
 
     /// Attaches a core running `trace` with `prefetcher` on its L2.
@@ -1477,6 +1487,51 @@ mod tests {
         fn name(&self) -> &'static str {
             "stream-ahead-test"
         }
+    }
+
+    /// Counts its triggers, so a test can read its state back after a run.
+    #[derive(Default)]
+    struct Counting {
+        triggers: u64,
+    }
+    impl Prefetcher for Counting {
+        fn on_demand_access(&mut self, _ctx: &AccessContext, _out: &mut Vec<PrefetchRequest>) {
+            self.triggers += 1;
+        }
+        fn name(&self) -> &'static str {
+            "counting-test"
+        }
+    }
+
+    #[test]
+    fn prefetcher_reads_the_attached_type_back_after_run() {
+        let mut sim = Simulation::new(small_cfg());
+        let trace = Box::new(SequentialStream::new(0x100_0000, 1 << 14, 0x400000, 2));
+        sim.add_core("seq", trace, Box::new(Counting::default()));
+        assert_eq!(sim.prefetcher::<Counting>(0).map(|c| c.triggers), Some(0));
+        let r = sim.run(5_000, 40_000);
+        let c = sim.prefetcher::<Counting>(0).expect("core 0 runs a Counting");
+        // Warmup triggers count too, so the total covers the measured region.
+        assert!(c.triggers > 0 && c.triggers >= r.cores[0].l2.demand_accesses);
+    }
+
+    #[test]
+    fn prefetcher_is_none_for_another_type_or_core() {
+        let mut sim = Simulation::new(SystemConfig::multi_core(2));
+        assert!(sim.prefetcher::<NoPrefetcher>(0).is_none(), "no core attached yet");
+        let pfs: [Box<dyn Prefetcher>; 2] = [Box::new(NoPrefetcher), Box::new(Counting::default())];
+        for (i, pf) in pfs.into_iter().enumerate() {
+            let trace = Box::new(SequentialStream::new(0x100_0000, 1 << 12, 0x400000, 2));
+            sim.add_core(format!("seq{i}"), trace, pf);
+        }
+        assert!(sim.prefetcher::<NoPrefetcher>(0).is_some());
+        assert!(sim.prefetcher::<Counting>(0).is_none(), "core 0 runs no Counting");
+        assert!(sim.prefetcher::<Counting>(1).is_some());
+        assert!(sim.prefetcher::<StreamAhead>(1).is_none());
+        // The box is storage, not the attached type.
+        assert!(sim.prefetcher::<Box<dyn Prefetcher>>(1).is_none());
+        assert!(sim.prefetcher::<Counting>(2).is_none(), "out-of-range core");
+        assert!(sim.prefetcher::<Counting>(usize::MAX).is_none());
     }
 
     #[test]

@@ -9,38 +9,8 @@
 use ppf_repro::analysis::{feature_correlations, redundant_pairs, WeightHistogram};
 use ppf_repro::filter::{FeatureKind, Ppf, PpfConfig};
 use ppf_repro::prefetchers::Spp;
-use ppf_repro::sim::{Prefetcher, Simulation, SystemConfig};
+use ppf_repro::sim::{Simulation, SystemConfig};
 use ppf_repro::trace::{TraceBuilder, Workload};
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// Minimal shared-handle wrapper so we can inspect the filter after the run.
-struct Handle(Rc<RefCell<Ppf<Spp>>>);
-
-impl Prefetcher for Handle {
-    fn on_demand_access(
-        &mut self,
-        ctx: &ppf_repro::sim::AccessContext,
-        out: &mut Vec<ppf_repro::sim::PrefetchRequest>,
-    ) {
-        self.0.borrow_mut().on_demand_access(ctx, out)
-    }
-    fn on_useful_prefetch(&mut self, addr: u64) {
-        self.0.borrow_mut().on_useful_prefetch(addr)
-    }
-    fn on_eviction(&mut self, info: &ppf_repro::sim::EvictionInfo) {
-        self.0.borrow_mut().on_eviction(info)
-    }
-    fn on_llc_eviction(&mut self, info: &ppf_repro::sim::EvictionInfo) {
-        self.0.borrow_mut().on_llc_eviction(info)
-    }
-    fn on_prefetch_fill(&mut self, addr: u64, level: ppf_repro::sim::FillLevel) {
-        self.0.borrow_mut().on_prefetch_fill(addr, level)
-    }
-    fn name(&self) -> &'static str {
-        "ppf-inspected"
-    }
-}
 
 fn main() {
     let workload = Workload::by_name("623.xalancbmk_s").expect("known workload");
@@ -49,14 +19,13 @@ fn main() {
     features.push(FeatureKind::LastSignature);
     let cfg = PpfConfig { features, event_log_capacity: 40_000, ..PpfConfig::default() };
 
-    let ppf = Rc::new(RefCell::new(Ppf::with_config(Spp::default(), cfg)));
     let trace = Box::new(TraceBuilder::new(workload.clone()).seed(42).build());
     let mut sim = Simulation::new(SystemConfig::single_core());
-    sim.add_core(workload.name(), trace, Box::new(Handle(ppf.clone())));
+    sim.add_core(workload.name(), trace, Box::new(Ppf::with_config(Spp::default(), cfg)));
     sim.run(100_000, 600_000);
 
-    let ppf = ppf.borrow();
-    let filter = ppf.filter();
+    // The simulation hands the trained filter back by its concrete type.
+    let filter = sim.prefetcher::<Ppf<Spp>>(0).expect("core 0 runs PPF over SPP").filter();
     println!(
         "workload {}: {} inferences, {} positive / {} negative trainings\n",
         workload.name(),

@@ -8,49 +8,20 @@
 
 use ppf_repro::filter::{Ppf, PpfConfig};
 use ppf_repro::prefetchers::Spp;
-use ppf_repro::sim::{Prefetcher, Simulation, SystemConfig};
+use ppf_repro::sim::{Simulation, SystemConfig};
 use ppf_repro::trace::{TraceBuilder, Workload};
-use std::cell::RefCell;
-use std::rc::Rc;
-
-struct Handle(Rc<RefCell<Ppf<Spp>>>);
-
-impl Prefetcher for Handle {
-    fn on_demand_access(
-        &mut self,
-        ctx: &ppf_repro::sim::AccessContext,
-        out: &mut Vec<ppf_repro::sim::PrefetchRequest>,
-    ) {
-        self.0.borrow_mut().on_demand_access(ctx, out)
-    }
-    fn on_useful_prefetch(&mut self, a: u64) {
-        self.0.borrow_mut().on_useful_prefetch(a)
-    }
-    fn on_eviction(&mut self, i: &ppf_repro::sim::EvictionInfo) {
-        self.0.borrow_mut().on_eviction(i)
-    }
-    fn on_llc_eviction(&mut self, i: &ppf_repro::sim::EvictionInfo) {
-        self.0.borrow_mut().on_llc_eviction(i)
-    }
-    fn on_prefetch_fill(&mut self, a: u64, l: ppf_repro::sim::FillLevel) {
-        self.0.borrow_mut().on_prefetch_fill(a, l)
-    }
-    fn name(&self) -> &'static str {
-        "ppf-handle"
-    }
-}
 
 fn run(workload: &Workload, weights: Option<&[u8]>, measure: u64) -> (f64, u64, Vec<u8>) {
     let mut ppf = Ppf::with_config(Spp::default(), PpfConfig::default());
     if let Some(w) = weights {
         ppf.filter_mut().load_weights(w).expect("snapshot matches feature set");
     }
-    let ppf = Rc::new(RefCell::new(ppf));
     let trace = Box::new(TraceBuilder::new(workload.clone()).seed(42).build());
     let mut sim = Simulation::new(SystemConfig::single_core());
-    sim.add_core(workload.name(), trace, Box::new(Handle(ppf.clone())));
+    sim.add_core(workload.name(), trace, Box::new(ppf));
     let r = sim.run(50_000, measure);
-    let ppf = ppf.borrow();
+    // Read the trained filter back by its concrete type.
+    let ppf = sim.prefetcher::<Ppf<Spp>>(0).expect("core 0 runs PPF over SPP");
     (r.ipc(), ppf.filter_stats().rejected, ppf.filter().save_weights())
 }
 

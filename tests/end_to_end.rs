@@ -86,39 +86,12 @@ fn simulation_is_deterministic_end_to_end() {
 fn ppf_filters_on_irregular_workloads() {
     // On an irregular workload the filter must actually reject a meaningful
     // share of the unthrottled candidate stream.
-    use ppf_repro::sim::{AccessContext, EvictionInfo, FillLevel, PrefetchRequest};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    struct Probe(Rc<RefCell<Ppf<Spp>>>);
-    impl Prefetcher for Probe {
-        fn on_demand_access(&mut self, ctx: &AccessContext, out: &mut Vec<PrefetchRequest>) {
-            self.0.borrow_mut().on_demand_access(ctx, out)
-        }
-        fn on_useful_prefetch(&mut self, a: u64) {
-            self.0.borrow_mut().on_useful_prefetch(a)
-        }
-        fn on_eviction(&mut self, i: &EvictionInfo) {
-            self.0.borrow_mut().on_eviction(i)
-        }
-        fn on_llc_eviction(&mut self, i: &EvictionInfo) {
-            self.0.borrow_mut().on_llc_eviction(i)
-        }
-        fn on_prefetch_fill(&mut self, a: u64, l: FillLevel) {
-            self.0.borrow_mut().on_prefetch_fill(a, l)
-        }
-        fn name(&self) -> &'static str {
-            "probe"
-        }
-    }
-
-    let ppf = Rc::new(RefCell::new(Ppf::new(Spp::default())));
     let w = Workload::by_name("623.xalancbmk_s").unwrap();
     let trace = Box::new(TraceBuilder::new(w.clone()).seed(42).build());
     let mut sim = Simulation::new(SystemConfig::single_core());
-    sim.add_core(w.name(), trace, Box::new(Probe(ppf.clone())));
+    sim.add_core(w.name(), trace, Box::new(Ppf::new(Spp::default())));
     sim.run(WARMUP, MEASURE);
-    let ppf = ppf.borrow();
+    let ppf = sim.prefetcher::<Ppf<Spp>>(0).expect("core 0 runs PPF over SPP");
     let stats = ppf.filter_stats();
     assert!(stats.inferences > 1000, "filter saw too few candidates");
     assert!(

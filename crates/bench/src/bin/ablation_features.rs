@@ -2,74 +2,32 @@
 //! geomean speedup on the memory-intensive subset (quantifies each
 //! feature's contribution, complementing the paper's Sec 5.5 analysis).
 
-use ppf::{FeatureKind, Ppf, PpfConfig};
+use ppf::{FeatureKind, PpfConfig};
 use ppf_analysis::{geometric_mean, TextTable};
 use ppf_bench::sweep::Sweep;
-use ppf_bench::{run_cell, run_single, runner, sweep_scalars, RunScale, Scheme};
-use ppf_prefetchers::Spp;
+use ppf_bench::{run_suite, RunScale, Scheme, Variant};
 use ppf_sim::SystemConfig;
 use ppf_trace::{Suite, Workload};
-
-fn run_with_features(
-    w: &Workload,
-    label: &str,
-    features: Vec<FeatureKind>,
-    scale: RunScale,
-) -> f64 {
-    let cfg = PpfConfig { features, ..PpfConfig::default() };
-    let pf = Box::new(Ppf::with_config(Spp::default(), cfg));
-    run_cell(SystemConfig::single_core(), w, label, pf, scale).0.ipc()
-}
 
 fn main() {
     let scale = RunScale::from_args();
     let workloads = Workload::memory_intensive(Suite::Spec2017);
     let full = FeatureKind::default_set();
-    let sweep = Sweep::from_args("ablation_features");
-
-    // Baselines per workload.
-    let base_jobs: Vec<(String, runner::BoxedJob<f64>)> = workloads
-        .iter()
-        .map(|w| {
-            let key = format!("baseline/{}", w.name());
-            let w = w.clone();
-            let job: runner::BoxedJob<f64> = Box::new(move || {
-                let ipc =
-                    run_single(SystemConfig::single_core(), &w, Scheme::Baseline, scale).ipc();
-                eprintln!("  baseline {} done", w.name());
-                ipc
-            });
-            (key, job)
-        })
-        .collect();
-    let base = sweep_scalars(&sweep, base_jobs);
-
-    let mut t = TextTable::new(vec!["configuration", "geomean speedup"]);
-    let eval = |label: String, features: Vec<FeatureKind>, t: &mut TextTable| {
-        let jobs: Vec<(String, runner::BoxedJob<f64>)> = workloads
-            .iter()
-            .zip(&base)
-            .filter_map(|(w, b)| {
-                let b = (*b)?;
-                let key = format!("{label}/{}", w.name());
-                let w = w.clone();
-                let features = features.clone();
-                let label = label.clone();
-                let job: runner::BoxedJob<f64> =
-                    Box::new(move || run_with_features(&w, &label, features, scale) / b);
-                Some((key, job))
-            })
-            .collect();
-        let xs: Vec<f64> = sweep_scalars(&sweep, jobs).into_iter().flatten().collect();
-        let g = geometric_mean(&xs);
-        eprintln!("  {label}: {g:.3}");
-        t.row(vec![label, format!("{g:.3}")]);
+    let with = |label: String, features: Vec<FeatureKind>| {
+        Variant::ppf(label, PpfConfig { features, ..PpfConfig::default() })
     };
-
-    eval("all nine features".to_string(), full.clone(), &mut t);
+    let mut variants = vec![Scheme::Baseline.into(), with("all nine features".into(), full.clone())];
     for skip in &full {
         let subset: Vec<FeatureKind> = full.iter().copied().filter(|f| f != skip).collect();
-        eval(format!("without {}", skip.label()), subset, &mut t);
+        variants.push(with(format!("without {}", skip.label()), subset));
+    }
+    let sweep = Sweep::from_args("ablation_features");
+    let rows = run_suite(&sweep, SystemConfig::single_core(), &workloads, &variants, scale).rows;
+
+    let mut t = TextTable::new(vec!["configuration", "geomean speedup"]);
+    for v in &variants[1..] {
+        let xs: Vec<f64> = rows.iter().map(|r| r.speedup(v.label())).collect();
+        t.row(vec![v.label().to_string(), format!("{:.3}", geometric_mean(&xs))]);
     }
     println!("\nFeature ablation — PPF geomean speedup, memory-intensive subset\n");
     print!("{}", t.render());

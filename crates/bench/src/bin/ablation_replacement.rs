@@ -5,7 +5,7 @@
 
 use ppf_analysis::{geometric_mean, TextTable};
 use ppf_bench::sweep::Sweep;
-use ppf_bench::{run_cell, runner, sweep_scalars, RunScale, Scheme};
+use ppf_bench::{run_suite, RunScale, Scheme, Variant};
 use ppf_sim::{ReplacementPolicy, SystemConfig};
 use ppf_trace::{Suite, Workload};
 
@@ -25,25 +25,13 @@ fn main() {
     for (label, policy) in
         [("LRU (paper)", ReplacementPolicy::Lru), ("SRRIP", ReplacementPolicy::Srrip)]
     {
+        let tag = format!("{policy:?}");
+        let variants = [Scheme::Baseline, Scheme::Spp, Scheme::Ppf]
+            .map(|s| Variant::from(s).tagged(&tag));
+        let rows = run_suite(&sweep, cfg_with(policy), &workloads, &variants, scale).rows;
         let mut cells = vec![label.to_string()];
-        for scheme in [Scheme::Spp, Scheme::Ppf] {
-            let jobs: Vec<(String, runner::BoxedJob<f64>)> = workloads
-                .iter()
-                .map(|w| {
-                    let key = format!("{:?}/{}/{}", policy, scheme.label(), w.name());
-                    let w = w.clone();
-                    let job: runner::BoxedJob<f64> = Box::new(move || {
-                        let [base, r] = [Scheme::Baseline, scheme].map(|s| {
-                            let label = format!("{}-{policy:?}", s.label());
-                            run_cell(cfg_with(policy), &w, &label, s.build(), scale).0
-                        });
-                        r.ipc() / base.ipc()
-                    });
-                    (key, job)
-                })
-                .collect();
-            let xs: Vec<f64> = sweep_scalars(&sweep, jobs).into_iter().flatten().collect();
-            eprintln!("  {label}/{}: done", scheme.label());
+        for v in &variants[1..] {
+            let xs: Vec<f64> = rows.iter().map(|r| r.speedup(v.label())).collect();
             cells.push(format!("{:.3}", geometric_mean(&xs)));
         }
         t.row(cells);

@@ -7,7 +7,8 @@
 
 use ppf::Ppf;
 use ppf_analysis::{geometric_mean, percent_gain, TextTable};
-use ppf_bench::{run_cell, run_suite, runner, RunScale, Scheme};
+use ppf_bench::sweep::Sweep;
+use ppf_bench::{run_cell, run_suite, RunScale, Scheme, Variant};
 use ppf_prefetchers::Spp;
 use ppf_sim::SystemConfig;
 use ppf_trace::Workload;
@@ -16,14 +17,15 @@ fn main() {
     let scale = RunScale::from_args();
     let verbose = std::env::args().any(|a| a == "--verbose");
     let workloads = Workload::spec2017();
-    let threads = runner::thread_count();
+    let sweep = Sweep::from_args("fig09_single_core");
     eprintln!(
         "Figure 9: {} workloads x {} schemes on {} thread(s)...",
         workloads.len(),
         Scheme::all().len(),
-        threads
+        sweep.threads()
     );
-    let rows = run_suite("fig09_single_core", &workloads, SystemConfig::single_core, scale).rows;
+    let variants = Scheme::all().map(Variant::from);
+    let rows = run_suite(&sweep, SystemConfig::single_core(), &workloads, &variants, scale).rows;
 
     let mut table = TextTable::new(vec!["app", "BOP", "DA-AMPM", "SPP", "PPF"]);
     for row in &rows {

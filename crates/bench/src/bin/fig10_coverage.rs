@@ -2,20 +2,22 @@
 //! prefetcher on the SPEC CPU 2017 models.
 
 use ppf_analysis::{mean, TextTable};
-use ppf_bench::{coverage, run_suite, runner, RunScale, Scheme};
+use ppf_bench::sweep::Sweep;
+use ppf_bench::{coverage, run_suite, RunScale, Scheme, Variant};
 use ppf_sim::SystemConfig;
 use ppf_trace::Workload;
 
 fn main() {
     let scale = RunScale::from_args();
     let workloads = Workload::spec2017();
-    let threads = runner::thread_count();
+    let sweep = Sweep::from_args("fig10_coverage");
     eprintln!(
         "Figure 10: running {} workloads x 5 schemes on {} thread(s)...",
         workloads.len(),
-        threads
+        sweep.threads()
     );
-    let rows = run_suite("fig10_coverage", &workloads, SystemConfig::single_core, scale).rows;
+    let variants = Scheme::all().map(Variant::from);
+    let rows = run_suite(&sweep, SystemConfig::single_core(), &workloads, &variants, scale).rows;
 
     let mut t = TextTable::new(vec!["scheme", "L2 coverage", "LLC coverage"]);
     for s in Scheme::prefetchers() {

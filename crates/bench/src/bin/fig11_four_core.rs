@@ -3,14 +3,15 @@
 //! the fully-random-mix geomeans the paper quotes in the text.
 
 use ppf_analysis::{geometric_mean, percent_gain, sorted_series};
-use ppf_bench::{run_mix_suite, runner, RunScale, Scheme};
+use ppf_bench::sweep::Sweep;
+use ppf_bench::{run_mix_suite, RunScale, Scheme};
 use ppf_trace::{MixGenerator, Suite, Workload, WorkloadMix};
 
 fn run_batch(label: &str, experiment: &str, mixes: &[WorkloadMix], scale: RunScale) {
     let cores = mixes[0].cores();
-    let threads = runner::thread_count();
-    eprintln!("{label}: {} mixes x 5 schemes on {threads} thread(s)...", mixes.len());
-    let runs = run_mix_suite(experiment, mixes, cores, scale).runs;
+    let sweep = Sweep::from_args(experiment);
+    eprintln!("{label}: {} mixes x 5 schemes on {} thread(s)...", mixes.len(), sweep.threads());
+    let runs = run_mix_suite(&sweep, mixes, cores, scale).runs;
 
     let per_scheme: Vec<(Scheme, Vec<f64>)> = Scheme::prefetchers()
         .into_iter()

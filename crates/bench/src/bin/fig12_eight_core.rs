@@ -2,7 +2,8 @@
 //! mixes (the paper runs a shorter region at 8 cores; so do we).
 
 use ppf_analysis::{geometric_mean, percent_gain, sorted_series};
-use ppf_bench::{run_mix_suite, runner, RunScale, Scheme};
+use ppf_bench::sweep::Sweep;
+use ppf_bench::{run_mix_suite, RunScale, Scheme};
 use ppf_trace::{MixGenerator, Suite, Workload};
 
 fn main() {
@@ -13,9 +14,9 @@ fn main() {
     let intensive = Workload::memory_intensive(Suite::Spec2017);
     let mixes = MixGenerator::new(intensive, 3).draw(scale.mixes, 8);
 
-    let threads = runner::thread_count();
-    eprintln!("Figure 12: {} mixes x 5 schemes on {threads} thread(s)...", mixes.len());
-    let runs = run_mix_suite("fig12_eight_core", &mixes, 8, scale).runs;
+    let sweep = Sweep::from_args("fig12_eight_core");
+    eprintln!("Figure 12: {} mixes x 5 schemes on {} thread(s)...", mixes.len(), sweep.threads());
+    let runs = run_mix_suite(&sweep, &mixes, 8, scale).runs;
     let per_scheme: Vec<(Scheme, Vec<f64>)> = Scheme::prefetchers()
         .into_iter()
         .enumerate()

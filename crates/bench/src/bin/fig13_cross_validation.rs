@@ -3,13 +3,13 @@
 //! single-core models (memory-intensive subset and full set).
 
 use ppf_analysis::{geometric_mean, percent_gain, TextTable};
-use ppf_bench::{run_mix_suite, run_suite, runner, RunScale, Scheme};
+use ppf_bench::sweep::Sweep;
+use ppf_bench::{run_mix_suite, run_suite, RunScale, Scheme, Variant};
 use ppf_sim::SystemConfig;
 use ppf_trace::{Suite, Workload, WorkloadMix};
 
 fn main() {
     let scale = RunScale::from_args();
-    let threads = runner::thread_count();
 
     // (a) CloudSuite: each server app runs in 4-core rate mode.
     println!("Figure 13(a) — CloudSuite-like 4-core applications\n");
@@ -18,8 +18,9 @@ fn main() {
         .iter()
         .map(|w| WorkloadMix { id: 0, workloads: vec![w.clone(); 4] })
         .collect();
-    eprintln!("Figure 13(a): {} apps x 5 schemes on {threads} thread(s)...", cloud.len());
-    let runs = run_mix_suite("fig13_cloudsuite", &mixes, 4, scale).runs;
+    let sweep = Sweep::from_args("fig13_cloudsuite");
+    eprintln!("Figure 13(a): {} apps x 5 schemes on {} thread(s)...", cloud.len(), sweep.threads());
+    let runs = run_mix_suite(&sweep, &mixes, 4, scale).runs;
 
     let mut t = TextTable::new(vec!["app", "BOP", "DA-AMPM", "SPP", "PPF"]);
     // Match runs back to apps by mix label (a failed app drops out of
@@ -50,7 +51,9 @@ fn main() {
     // (b) SPEC CPU 2006.
     println!("Figure 13(b) — SPEC CPU 2006-like single-core models\n");
     let workloads = Workload::suite_all(Suite::Spec2006);
-    let rows = run_suite("fig13_spec2006", &workloads, SystemConfig::single_core, scale).rows;
+    let sweep = Sweep::from_args("fig13_spec2006");
+    let variants = Scheme::all().map(Variant::from);
+    let rows = run_suite(&sweep, SystemConfig::single_core(), &workloads, &variants, scale).rows;
     let mut t = TextTable::new(vec!["set", "BOP", "DA-AMPM", "SPP", "PPF"]);
     for (label, intensive) in [("mem-intensive", true), ("full set", false)] {
         let mut cells = vec![label.to_string()];

@@ -115,9 +115,12 @@ fn main() {
         eprintln!("unknown workload {name:?}");
         std::process::exit(2);
     });
-    let interval: u64 = arg_value("--interval")
-        .map(|v| v.parse().expect("--interval takes an integer"))
-        .unwrap_or(scale.measure / 20);
+    let interval: u64 = arg_value("--interval").map_or(scale.measure / 20, |v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("--interval takes an integer, got {v:?}");
+            std::process::exit(2);
+        })
+    });
 
     println!(
         "Interval telemetry — {} ({} warmup / {} measured, interval {})\n",

@@ -4,42 +4,34 @@
 
 use ppf::Ppf;
 use ppf_analysis::{geometric_mean, percent_gain, TextTable};
-use ppf_bench::{run_cell, run_single, RunScale, Scheme};
+use ppf_bench::sweep::Sweep;
+use ppf_bench::{run_suite, RunScale, Scheme, Variant};
 use ppf_prefetchers::{Spp, Vldp};
-use ppf_sim::{Prefetcher, SystemConfig};
+use ppf_sim::SystemConfig;
 use ppf_trace::{Suite, Workload};
 
 fn main() {
     let scale = RunScale::from_args();
     let workloads = Workload::memory_intensive(Suite::Spec2017);
-    let mut rows: Vec<(&str, Vec<f64>)> = vec![
-        ("VLDP", vec![]),
-        ("PPF over VLDP", vec![]),
-        ("SPP", vec![]),
-        ("PPF over SPP", vec![]),
+    let variants = [
+        Scheme::Baseline.into(),
+        Variant::new("VLDP", || Box::new(Vldp::default())),
+        Variant::new("PPF over VLDP", || Box::new(Ppf::new(Vldp::default()))),
+        Variant::new("SPP", || Box::new(Spp::default())),
+        Variant::new("PPF over SPP", || Box::new(Ppf::new(Spp::default()))),
     ];
-    for w in &workloads {
-        let base = run_single(SystemConfig::single_core(), w, Scheme::Baseline, scale).ipc();
-        let runs: Vec<(usize, Box<dyn Prefetcher>)> = vec![
-            (0, Box::new(Vldp::default())),
-            (1, Box::new(Ppf::new(Vldp::default()))),
-            (2, Box::new(Spp::default())),
-            (3, Box::new(Ppf::new(Spp::default()))),
-        ];
-        for (i, pf) in runs {
-            let (r, _) = run_cell(SystemConfig::single_core(), w, rows[i].0, pf, scale);
-            rows[i].1.push(r.ipc() / base);
-        }
-        eprintln!("  {} done", w.name());
-    }
+    let sweep = Sweep::from_args("generality_vldp");
+    let rows = run_suite(&sweep, SystemConfig::single_core(), &workloads, &variants, scale).rows;
+
     println!("PPF generality — same filter over two lookahead prefetchers");
     println!("(memory-intensive SPEC CPU 2017 subset)\n");
     let mut t = TextTable::new(vec!["scheme", "geomean speedup"]);
     let mut geo = Vec::new();
-    for (label, xs) in &rows {
-        let g = geometric_mean(xs);
+    for v in &variants[1..] {
+        let xs: Vec<f64> = rows.iter().map(|r| r.speedup(v.label())).collect();
+        let g = geometric_mean(&xs);
         geo.push(g);
-        t.row(vec![label.to_string(), format!("{g:.3}")]);
+        t.row(vec![v.label().to_string(), format!("{g:.3}")]);
     }
     print!("{}", t.render());
     println!(

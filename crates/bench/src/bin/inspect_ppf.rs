@@ -13,7 +13,10 @@ use ppf_trace::Workload;
 
 fn main() {
     let app = std::env::args().nth(1).unwrap_or("623.xalancbmk_s".into());
-    let w = Workload::by_name(&app).unwrap();
+    let w = Workload::by_name(&app).unwrap_or_else(|| {
+        eprintln!("unknown workload {app}");
+        std::process::exit(2);
+    });
     let scale = RunScale::default_scale();
     let (r, sim) = run_cell(SystemConfig::single_core(), &w, "PPF", Scheme::Ppf.build(), scale);
     let c = &r.cores[0];

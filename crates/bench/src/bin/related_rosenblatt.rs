@@ -3,55 +3,46 @@
 //! the Rosenblatt design raises accuracy over the plain baseline but loses
 //! coverage, so its performance impact is small — PPF gets both.
 
-use ppf::{Ppf, RosenblattFilter};
+use ppf::RosenblattFilter;
 use ppf_analysis::{geometric_mean, mean, TextTable};
-use ppf_bench::{coverage, run_cell, run_single, RunScale, Scheme};
+use ppf_bench::sweep::Sweep;
+use ppf_bench::{coverage, run_suite, RunScale, Scheme, Variant};
 use ppf_prefetchers::Spp;
-use ppf_sim::{Prefetcher, SystemConfig};
+use ppf_sim::SystemConfig;
 use ppf_trace::{Suite, Workload};
 
 fn main() {
     let scale = RunScale::from_args();
     let workloads = Workload::memory_intensive(Suite::Spec2017);
-
-    let mut speedups: Vec<(&str, Vec<f64>)> =
-        vec![("SPP", vec![]), ("SPP+Rosenblatt", vec![]), ("PPF", vec![])];
-    let mut accuracies: Vec<(&str, Vec<f64>)> =
-        vec![("SPP", vec![]), ("SPP+Rosenblatt", vec![]), ("PPF", vec![])];
-    let mut coverages: Vec<(&str, Vec<f64>)> =
-        vec![("SPP", vec![]), ("SPP+Rosenblatt", vec![]), ("PPF", vec![])];
-
-    for w in &workloads {
-        let base = run_single(SystemConfig::single_core(), w, Scheme::Baseline, scale);
-        let runs: Vec<(usize, Box<dyn Prefetcher>)> = vec![
-            (0, Box::new(Spp::default())),
-            (1, Box::new(RosenblattFilter::new(Spp::default()))),
-            (2, Box::new(Ppf::new(Spp::default()))),
-        ];
-        for (i, pf) in runs {
-            let (r, _) = run_cell(SystemConfig::single_core(), w, speedups[i].0, pf, scale);
-            speedups[i].1.push(r.ipc() / base.ipc());
-            if r.cores[0].prefetch.issued > 100 {
-                accuracies[i].1.push(r.cores[0].prefetch.accuracy());
-            }
-            if base.cores[0].l2.demand_misses() > 500 {
-                coverages[i].1.push(coverage(
-                    base.cores[0].l2.demand_misses(),
-                    r.cores[0].l2.demand_misses(),
-                ));
-            }
-        }
-        eprintln!("  {} done", w.name());
-    }
+    let variants = [
+        Scheme::Baseline.into(),
+        Scheme::Spp.into(),
+        Variant::new("SPP+Rosenblatt", || Box::new(RosenblattFilter::new(Spp::default()))),
+        Scheme::Ppf.into(),
+    ];
+    let sweep = Sweep::from_args("related_rosenblatt");
+    let rows = run_suite(&sweep, SystemConfig::single_core(), &workloads, &variants, scale).rows;
 
     println!("Related work — Rosenblatt filter vs PPF (memory-intensive subset)\n");
     let mut t = TextTable::new(vec!["scheme", "geomean speedup", "mean accuracy", "mean L2 coverage"]);
-    for i in 0..3 {
+    for v in &variants[1..] {
+        let speedups: Vec<f64> = rows.iter().map(|r| r.speedup(v.label())).collect();
+        let mut accuracies = Vec::new();
+        let mut coverages = Vec::new();
+        for row in &rows {
+            let (base, r) = (&row.reports[0].1.cores[0], &row.report(v.label()).cores[0]);
+            if r.prefetch.issued > 100 {
+                accuracies.push(r.prefetch.accuracy());
+            }
+            if base.l2.demand_misses() > 500 {
+                coverages.push(coverage(base.l2.demand_misses(), r.l2.demand_misses()));
+            }
+        }
         t.row(vec![
-            speedups[i].0.to_string(),
-            format!("{:.3}", geometric_mean(&speedups[i].1)),
-            format!("{:.1}%", 100.0 * mean(&accuracies[i].1)),
-            format!("{:.1}%", 100.0 * mean(&coverages[i].1)),
+            v.label().to_string(),
+            format!("{:.3}", geometric_mean(&speedups)),
+            format!("{:.1}%", 100.0 * mean(&accuracies)),
+            format!("{:.1}%", 100.0 * mean(&coverages)),
         ]);
     }
     print!("{}", t.render());

@@ -2,12 +2,13 @@
 //! (3.2 GB/s) and a small (512 KB) LLC, on the memory-intensive subset.
 
 use ppf_analysis::{geometric_mean, TextTable};
-use ppf_bench::{run_suite, RunScale, Scheme};
+use ppf_bench::sweep::Sweep;
+use ppf_bench::{run_suite, RunScale, Scheme, Variant};
 use ppf_sim::SystemConfig;
+use ppf_trace::{Suite, Workload};
 
 /// A named configuration constructor.
 type ConfigFn = fn() -> SystemConfig;
-use ppf_trace::{Suite, Workload};
 
 fn main() {
     let scale = RunScale::from_args();
@@ -15,16 +16,20 @@ fn main() {
     println!("Section 6.3 — memory-constrained configurations, mem-intensive subset\n");
     let mut t = TextTable::new(vec!["config", "BOP", "DA-AMPM", "SPP", "PPF"]);
     let configs: [(&str, &str, ConfigFn); 3] = [
-        ("default", "sec63_default", SystemConfig::single_core),
-        ("low bandwidth (3.2 GB/s)", "sec63_low_bandwidth", SystemConfig::low_bandwidth),
-        ("small LLC (512 KB)", "sec63_small_llc", SystemConfig::small_llc),
+        ("default", "default", SystemConfig::single_core),
+        ("low bandwidth (3.2 GB/s)", "low_bandwidth", SystemConfig::low_bandwidth),
+        ("small LLC (512 KB)", "small_llc", SystemConfig::small_llc),
     ];
-    for (label, experiment, cfg) in configs {
+    for (label, tag, cfg) in configs {
         eprintln!("config: {label}");
-        let rows = run_suite(experiment, &workloads, cfg, scale).rows;
+        // Each configuration's cells carry its tag, so their checkpoint
+        // keys and telemetry exports never collide with another's.
+        let variants = Scheme::all().map(|s| Variant::from(s).tagged(tag));
+        let sweep = Sweep::from_args(&format!("sec63_{tag}"));
+        let rows = run_suite(&sweep, cfg(), &workloads, &variants, scale).rows;
         let mut cells = vec![label.to_string()];
-        for s in Scheme::prefetchers() {
-            let xs: Vec<f64> = rows.iter().map(|r| r.speedup(s)).collect();
+        for v in &variants[1..] {
+            let xs: Vec<f64> = rows.iter().map(|r| r.speedup(v.label())).collect();
             cells.push(format!("{:.3}", geometric_mean(&xs)));
         }
         t.row(cells);

@@ -14,10 +14,11 @@ pub mod runner;
 pub mod sweep;
 pub mod telemetry;
 
-use ppf::Ppf;
+use ppf::{Ppf, PpfConfig};
 use ppf_prefetchers::{Bop, DaAmpm, Spp};
 use ppf_sim::{NoPrefetcher, Prefetcher, SimReport, Simulation, SystemConfig};
 use ppf_trace::{TraceBuilder, Workload, WorkloadMix};
+use std::sync::Arc;
 
 /// The prefetching schemes the paper evaluates (Sec 5.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,43 +154,104 @@ pub fn isolated_ipc(workload: &Workload, cores: usize, scale: RunScale) -> f64 {
     run_single(cfg, workload, Scheme::Baseline, scale).ipc()
 }
 
-/// Results of running one workload under every scheme.
+/// One column of a single-core grid: a label and a builder for the
+/// prefetcher each of its cells runs. [`Scheme`] converts into one.
+///
+/// The label keys the cell's checkpoint record (`<workload>/<label>`) and
+/// its telemetry export (`<workload>__<label>`), so labels must be unique
+/// within a sweep and free of `"` and `\`.
+#[derive(Clone)]
+pub struct Variant {
+    label: String,
+    build: Arc<dyn Fn() -> Box<dyn Prefetcher> + Send + Sync>,
+}
+
+impl Variant {
+    /// A variant labelled `label` whose cells run the prefetcher `build`
+    /// returns (called once per cell, on the worker that runs it).
+    pub fn new(
+        label: impl Into<String>,
+        build: impl Fn() -> Box<dyn Prefetcher> + Send + Sync + 'static,
+    ) -> Self {
+        Self { label: label.into(), build: Arc::new(build) }
+    }
+
+    /// PPF over a default SPP, configured by `cfg`.
+    pub fn ppf(label: impl Into<String>, cfg: PpfConfig) -> Self {
+        Self::new(label, move || Box::new(Ppf::with_config(Spp::default(), cfg.clone())))
+    }
+
+    /// The same prefetcher labelled `<label>-<tag>`, so a second system
+    /// configuration's cells get their own keys and exports.
+    pub fn tagged(self, tag: &str) -> Self {
+        Self { label: format!("{}-{tag}", self.label), ..self }
+    }
+
+    /// Display label.
+    pub fn label(&self) -> &str {
+        &self.label
+    }
+}
+
+impl std::fmt::Debug for Variant {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Variant").field("label", &self.label).finish_non_exhaustive()
+    }
+}
+
+impl From<Scheme> for Variant {
+    fn from(scheme: Scheme) -> Self {
+        Self::new(scheme.label(), move || scheme.build())
+    }
+}
+
+/// A scheme is looked up in a [`SuiteRow`] by its label.
+impl AsRef<str> for Scheme {
+    fn as_ref(&self) -> &str {
+        self.label()
+    }
+}
+
+/// Results of running one workload under every variant of a suite.
 #[derive(Debug)]
 pub struct SuiteRow {
     /// Workload name.
     pub app: String,
     /// Whether the workload is in the memory-intensive subset.
     pub mem_intensive: bool,
-    /// One report per scheme, in [`Scheme::all`] order.
-    pub reports: Vec<(Scheme, SimReport)>,
+    /// One report per variant, in the suite's variant order.
+    pub reports: Vec<(Variant, SimReport)>,
 }
 
 impl SuiteRow {
-    /// The report for a scheme.
+    /// The report of the variant labelled `variant` (a label or a
+    /// [`Scheme`]).
     ///
     /// # Panics
     ///
-    /// Panics if the scheme was not run.
-    pub fn report(&self, scheme: Scheme) -> &SimReport {
-        &self.reports.iter().find(|(s, _)| *s == scheme).expect("scheme was run").1
+    /// Panics if no such variant was run.
+    pub fn report(&self, variant: impl AsRef<str>) -> &SimReport {
+        let label = variant.as_ref();
+        &self.reports.iter().find(|(v, _)| v.label == label).expect("variant was run").1
     }
 
-    /// IPC speedup of a scheme over the baseline.
-    pub fn speedup(&self, scheme: Scheme) -> f64 {
-        self.report(scheme).ipc() / self.report(Scheme::Baseline).ipc()
+    /// IPC speedup of a variant over the suite's first variant (its
+    /// normalization baseline).
+    pub fn speedup(&self, variant: impl AsRef<str>) -> f64 {
+        self.report(variant).ipc() / self.reports[0].1.ipc()
     }
 }
 
 /// Results of a fault-tolerant suite sweep.
 ///
-/// A workload only yields a [`SuiteRow`] when all of its scheme runs
-/// succeeded — partial rows would silently skew cross-scheme comparisons,
+/// A workload only yields a [`SuiteRow`] when all of its variant runs
+/// succeeded — partial rows would silently skew cross-variant comparisons,
 /// so they are dropped (and named in `dropped`) instead.
 #[derive(Debug)]
 pub struct SuiteOutcome {
-    /// Complete rows (every scheme succeeded), in workload order.
+    /// Complete rows (every variant succeeded), in workload order.
     pub rows: Vec<SuiteRow>,
-    /// Workloads dropped because at least one scheme run failed.
+    /// Workloads dropped because at least one variant run failed.
     pub dropped: Vec<String>,
     /// Every failed job, in grid order.
     pub failures: Vec<runner::JobError>,
@@ -197,47 +259,36 @@ pub struct SuiteOutcome {
     pub resumed: usize,
 }
 
-/// Runs every workload under every scheme on `make_cfg()`-configured
-/// single-core systems, reporting progress and a sweep summary on stderr.
+/// Runs every workload under every variant on single-core `cfg` systems,
+/// one [`run_cell`] per (workload, variant), reporting progress and a sweep
+/// summary on stderr. The first variant is the rows' normalization
+/// baseline ([`SuiteRow::speedup`]).
 ///
-/// The (workload × scheme) grid goes through a checkpointed
-/// [`sweep::Sweep`] built from argv/env (`--threads`, `--job-timeout`,
-/// `--resume`, `PPF_*`): each job runs panic-isolated, successes are
-/// checkpointed under `experiment`, and a rerun with `--resume` skips
-/// completed jobs bit-exactly. Results are identical to a sequential run
-/// (every simulation is independent and results are collected by grid
-/// index).
-pub fn run_suite<F: Fn() -> SystemConfig>(
-    experiment: &str,
-    workloads: &[Workload],
-    make_cfg: F,
-    scale: RunScale,
-) -> SuiteOutcome {
-    run_suite_with(&sweep::Sweep::from_args(experiment), workloads, make_cfg, scale)
-}
-
-/// [`run_suite`] over an explicitly-configured [`sweep::Sweep`] (tests,
-/// embedding).
-pub fn run_suite_with<F: Fn() -> SystemConfig>(
+/// The grid goes through `sweep` (see [`sweep::Sweep::from_args`]): each
+/// cell runs panic-isolated, successes are checkpointed under the key
+/// `<workload>/<label>`, and a rerun with `--resume` skips completed cells
+/// bit-exactly. Results are identical to a sequential run (every
+/// simulation is independent and results are collected by grid index).
+pub fn run_suite(
     sweep: &sweep::Sweep,
+    cfg: SystemConfig,
     workloads: &[Workload],
-    make_cfg: F,
+    variants: &[Variant],
     scale: RunScale,
 ) -> SuiteOutcome {
     let jobs: Vec<(String, runner::BoxedJob<SimReport>)> = workloads
         .iter()
-        .flat_map(|w| Scheme::all().into_iter().map(move |s| (w, s)))
-        .map(|(w, s)| {
-            let key = format!("{}/{}", w.name(), s.label());
-            let w = w.clone();
-            let cfg = make_cfg();
+        .flat_map(|w| variants.iter().map(move |v| (w, v)))
+        .map(|(w, v)| {
+            let key = format!("{}/{}", w.name(), v.label);
+            let (w, v, cfg) = (w.clone(), v.clone(), cfg.clone());
             let job: runner::BoxedJob<SimReport> = Box::new(move || {
                 let t0 = std::time::Instant::now();
-                let r = run_single(cfg, &w, s, scale);
+                let r = run_cell(cfg, &w, &v.label, (v.build)(), scale).0;
                 eprintln!(
                     "  {} / {}: ipc {:.3} ({} ms)",
                     w.name(),
-                    s.label(),
+                    v.label,
                     r.ipc(),
                     t0.elapsed().as_millis()
                 );
@@ -256,17 +307,13 @@ pub fn run_suite_with<F: Fn() -> SystemConfig>(
     let mut failures = Vec::new();
     for w in workloads {
         let mut reports = Vec::new();
-        let mut complete = true;
-        for s in Scheme::all() {
+        for v in variants {
             match grid.next().expect("one outcome per grid cell").1 {
-                Ok(report) => reports.push((s, report)),
-                Err(e) => {
-                    complete = false;
-                    failures.push(e);
-                }
+                Ok(report) => reports.push((v.clone(), report)),
+                Err(e) => failures.push(e),
             }
         }
-        if complete {
+        if reports.len() == variants.len() {
             rows.push(SuiteRow {
                 app: w.name().to_string(),
                 mem_intensive: w.is_memory_intensive(),
@@ -311,21 +358,10 @@ pub struct MixSuiteOutcome {
 /// systems and computes weighted speedups against per-workload isolated
 /// IPCs.
 ///
-/// Both job grids (isolated IPCs, then mix × scheme) go through one
-/// checkpointed [`sweep::Sweep`] built from argv/env — see [`run_suite`]
-/// for the resume/fault-isolation semantics. Mix results come back in
-/// input order.
+/// Both job grids (isolated IPCs, then mix × scheme) go through `sweep` —
+/// see [`run_suite`] for the resume/fault-isolation semantics. Mix results
+/// come back in input order.
 pub fn run_mix_suite(
-    experiment: &str,
-    mixes: &[WorkloadMix],
-    cores: usize,
-    scale: RunScale,
-) -> MixSuiteOutcome {
-    run_mix_suite_with(&sweep::Sweep::from_args(experiment), mixes, cores, scale)
-}
-
-/// [`run_mix_suite`] over an explicitly-configured [`sweep::Sweep`].
-pub fn run_mix_suite_with(
     sweep: &sweep::Sweep,
     mixes: &[WorkloadMix],
     cores: usize,
@@ -437,19 +473,6 @@ pub fn run_mix_suite_with(
     }
 
     MixSuiteOutcome { runs, dropped, failures, resumed }
-}
-
-/// Runs one labelled grid of scalar jobs through `sweep`, reports the
-/// summary on stderr, and returns each job's value in input order (`None`
-/// for failed jobs) — the shared driver for the ablation binaries, whose
-/// grids produce per-workload speedup ratios rather than full reports.
-pub fn sweep_scalars(
-    sweep: &sweep::Sweep,
-    jobs: Vec<(String, runner::BoxedJob<f64>)>,
-) -> Vec<Option<f64>> {
-    let out = sweep.run(jobs);
-    out.report();
-    out.into_outcomes().into_iter().map(Result::ok).collect()
 }
 
 /// Coverage of a prefetching run versus a baseline run at one cache level:

@@ -11,8 +11,10 @@
 //!
 //! # Failure model
 //!
-//! A multi-hour 8-core sweep must not discard every finished result because
-//! one job misbehaves, so every job runs inside [`std::panic::catch_unwind`]
+//! A sweep must not discard every finished result because one job
+//! misbehaves (a default-scale `fig11_four_core` grid is about 45 s of wall
+//! time on 2 vCPUs, and larger scales grow with their instruction budgets),
+//! so every job runs inside [`std::panic::catch_unwind`]
 //! and the runner returns `Vec<Result<T, JobError>>` in job order: a
 //! panicking job yields `Err` in its own slot and every other slot is
 //! exactly what a clean run produces. The queue and result slots use

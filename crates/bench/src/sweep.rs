@@ -7,8 +7,8 @@
 //! 1. **Incremental checkpoints.** Each completed job appends one JSONL
 //!    record to `results/checkpoints/<experiment>.jsonl` (override the
 //!    directory with `PPF_CHECKPOINT_DIR`). Records are schema-versioned
-//!    (`"v":1`) and keyed by the job label, e.g. `619.lbm_s/PPF` or
-//!    `isolated/470.lbm`.
+//!    (`"v":2`), CRC-sealed ([`ckpt::seal`]) and keyed by the job label,
+//!    e.g. `619.lbm_s/PPF` or `isolated/470.lbm`.
 //! 2. **`--resume`.** A rerun with `--resume` loads the checkpoint file,
 //!    skips every job whose key decodes cleanly, and re-runs the rest. All
 //!    numeric payloads round-trip through `f64::to_bits` hex, so a resumed

@@ -5,7 +5,10 @@
 
 use ppf_bench::runner::{BoxedJob, FailReason};
 use ppf_bench::sweep::{Checkpoint, Sweep};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use ppf_bench::{run_suite, RunScale, Scheme, SuiteOutcome, Variant};
+use ppf_sim::SystemConfig;
+use ppf_trace::{Suite, Workload};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,6 +22,32 @@ const AWKWARD: f64 = std::f64::consts::PI / 3.0;
 
 fn job(v: f64) -> BoxedJob<f64> {
     Box::new(move || v)
+}
+
+/// A single-core suite of three memory-intensive workloads at a tiny scale.
+fn custom_suite(sweep: &Sweep, variants: &[Variant]) -> SuiteOutcome {
+    let workloads: Vec<Workload> =
+        Workload::memory_intensive(Suite::Spec2017).into_iter().take(3).collect();
+    let scale = RunScale { warmup: 2_000, measure: 10_000, mixes: 1 };
+    run_suite(sweep, SystemConfig::single_core(), &workloads, variants, scale)
+}
+
+/// The baseline and a PPF variant whose builder panics the first time it
+/// is called: on a one-thread sweep, the first workload's PPF cell.
+fn flaky_variants() -> [Variant; 2] {
+    let first = AtomicBool::new(true);
+    let flaky = Variant::new("ppf-flaky", move || {
+        if first.swap(false, Ordering::SeqCst) {
+            panic!("deliberate builder panic");
+        }
+        Scheme::Ppf.build()
+    });
+    [Scheme::Baseline.into(), flaky]
+}
+
+/// The workload names of a suite's complete rows.
+fn apps(out: &SuiteOutcome) -> Vec<&str> {
+    out.rows.iter().map(|r| r.app.as_str()).collect()
 }
 
 /// One job panics mid-sweep; the others complete, keep their input order,
@@ -46,6 +75,19 @@ fn panic_mid_sweep_leaves_other_results_intact() {
         FailReason::Panicked(msg) => assert!(msg.contains("deliberate test panic"), "{msg}"),
         other => panic!("expected a panic failure, got {other:?}"),
     }
+
+    // A suite cell whose prefetcher builder panics drops only its own
+    // workload's row.
+    let out = custom_suite(&Sweep::new("panic_builder", 1, None, false, dir.clone()), &flaky_variants());
+    let names: Vec<String> = Workload::memory_intensive(Suite::Spec2017)
+        .into_iter()
+        .take(3)
+        .map(|w| w.name().to_string())
+        .collect();
+    assert_eq!(apps(&out), [names[1].as_str(), names[2].as_str()]);
+    assert_eq!(out.dropped, [names[0].clone()]);
+    assert_eq!(out.failures.len(), 1);
+    assert_eq!(out.failures[0].label, format!("{}/ppf-flaky", names[0]));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -138,6 +180,20 @@ fn resume_skips_completed_jobs_and_is_bit_identical() {
         );
     }
     assert_eq!(second.results[3].1.as_ref().unwrap().to_bits(), 4.0f64.to_bits());
+
+    // A custom-variant suite resumes the same way: every cell that finished
+    // comes back from its record (builders that panic prove none re-runs),
+    // and only the cell that failed runs, and fails, again.
+    let experiment = "resume_custom_suite";
+    let first = custom_suite(&Sweep::new(experiment, 1, None, false, dir.clone()), &flaky_variants());
+    let panicking = ["no-pf", "ppf-flaky"]
+        .map(|label| Variant::new(label, || panic!("must come from the checkpoint")));
+    let second = custom_suite(&Sweep::new(experiment, 1, None, true, dir.clone()), &panicking);
+    assert_eq!(second.resumed, 5, "every finished cell restores");
+    assert_eq!(format!("{:?}", second.rows), format!("{:?}", first.rows));
+    assert_eq!(second.dropped, first.dropped);
+    let failed: Vec<&str> = second.failures.iter().map(|e| e.label.as_str()).collect();
+    assert_eq!(failed, [first.failures[0].label.as_str()]);
     std::fs::remove_dir_all(&dir).ok();
 }
 

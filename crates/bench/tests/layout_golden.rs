@@ -10,7 +10,7 @@
 //! single counter or IPC bit, the digest changes and this test fails.
 
 use ppf_bench::sweep::Sweep;
-use ppf_bench::{run_suite_with, RunScale, Scheme};
+use ppf_bench::{run_suite, RunScale, Scheme, Variant};
 use ppf_sim::SystemConfig;
 use ppf_trace::{Suite, Workload};
 
@@ -23,9 +23,9 @@ fn digest() -> String {
         .take(3)
         .collect();
     let scale = RunScale { warmup: 2_000, measure: 10_000, mixes: 1 };
-    let rows =
-        run_suite_with(&Sweep::ephemeral("layout_golden", 1), &workloads, SystemConfig::single_core, scale)
-            .rows;
+    let sweep = Sweep::ephemeral("layout_golden", 1);
+    let variants = Scheme::all().map(Variant::from);
+    let rows = run_suite(&sweep, SystemConfig::single_core(), &workloads, &variants, scale).rows;
     let mut out = String::new();
     for row in &rows {
         for (scheme, report) in &row.reports {

@@ -3,8 +3,9 @@
 //! run, in the same order. These tests compare `Debug` renderings of the
 //! full result structures, which cover every counter in every report.
 
+use ppf::PpfConfig;
 use ppf_bench::sweep::Sweep;
-use ppf_bench::{run_mix_suite_with, run_suite_with, RunScale};
+use ppf_bench::{run_mix_suite, run_suite, RunScale, Scheme, Variant};
 use ppf_sim::SystemConfig;
 use ppf_trace::{MixGenerator, Suite, Workload};
 
@@ -20,28 +21,41 @@ fn suite_parallel_matches_sequential() {
         .into_iter()
         .take(3)
         .collect();
-    let seq = run_suite_with(
-        &Sweep::ephemeral("det_suite_seq", 1),
-        &workloads,
-        SystemConfig::single_core,
-        tiny(),
-    );
-    let par = run_suite_with(
-        &Sweep::ephemeral("det_suite_par", 4),
-        &workloads,
-        SystemConfig::single_core,
-        tiny(),
-    );
-    assert!(seq.failures.is_empty() && par.failures.is_empty());
-    assert_eq!(format!("{:?}", seq.rows), format!("{:?}", par.rows));
+    // The paper's schemes, then a baseline and two PPF configurations.
+    let suites: [Vec<Variant>; 2] = [
+        Scheme::all().map(Variant::from).to_vec(),
+        vec![
+            Scheme::Baseline.into(),
+            Variant::ppf("tau0_-10", PpfConfig { tau_hi: 0, tau_lo: -10, ..PpfConfig::default() }),
+            Variant::ppf("reject1", PpfConfig { reject_table_entries: 1, ..PpfConfig::default() }),
+        ],
+    ];
+    for variants in &suites {
+        let seq = run_suite(
+            &Sweep::ephemeral("det_suite_seq", 1),
+            SystemConfig::single_core(),
+            &workloads,
+            variants,
+            tiny(),
+        );
+        let par = run_suite(
+            &Sweep::ephemeral("det_suite_par", 4),
+            SystemConfig::single_core(),
+            &workloads,
+            variants,
+            tiny(),
+        );
+        assert!(seq.failures.is_empty() && par.failures.is_empty());
+        assert_eq!(format!("{:?}", seq.rows), format!("{:?}", par.rows));
+    }
 }
 
 #[test]
 fn mix_suite_parallel_matches_sequential() {
     let pool = Workload::memory_intensive(Suite::Spec2017);
     let mixes = MixGenerator::new(pool, 7).draw(2, 2);
-    let seq = run_mix_suite_with(&Sweep::ephemeral("det_mix_seq", 1), &mixes, 2, tiny());
-    let par = run_mix_suite_with(&Sweep::ephemeral("det_mix_par", 4), &mixes, 2, tiny());
+    let seq = run_mix_suite(&Sweep::ephemeral("det_mix_seq", 1), &mixes, 2, tiny());
+    let par = run_mix_suite(&Sweep::ephemeral("det_mix_par", 4), &mixes, 2, tiny());
     assert!(seq.failures.is_empty() && par.failures.is_empty());
     assert_eq!(format!("{:?}", seq.runs), format!("{:?}", par.runs));
 }

@@ -7,7 +7,9 @@
 #                                 #   + horizon gate, layering check,
 #                                 #   ledger check, serve and hybrid
 #                                 #   gates + observe gate
-#   scripts/verify.sh --quick     # ... + fig09 smoke run
+#   scripts/verify.sh --quick     # ... + fig09 smoke run + default-scale
+#                                 #   ablation_reject_table and
+#                                 #   generality_vldp stdout vs results/
 #   scripts/verify.sh --bench     # ... + hot-path micro-benchmarks (filter
 #                                 #       scoring, SPP lookahead, PPF trigger,
 #                                 #       cache probe, tick, trace build) and a ledger
@@ -69,8 +71,20 @@ run_fault_drill() {
     grep -q "FAILED" "$drill_err" \
         || { echo "fault drill: injected failure was not reported"; \
              cat "$drill_err"; rm -rf "$drill_dir"; exit 1; }
+
+    echo "== injected-panic sweep drill (ablation_reject_table --quick, one PPF-variant cell) =="
+    PPF_FAULT_INJECT="panic:/reject1024" PPF_CHECKPOINT_DIR="$drill_dir" \
+        ./target/release/ablation_reject_table --quick >"$drill_dir/stdout" 2>"$drill_err" \
+        || { echo "fault drill: ablation sweep aborted instead of isolating the panic"; \
+             cat "$drill_err"; rm -rf "$drill_dir"; exit 1; }
+    grep -q "FAILED .*/reject1024" "$drill_err" \
+        || { echo "fault drill: injected PPF-variant failure was not reported by label"; \
+             cat "$drill_err"; rm -rf "$drill_dir"; exit 1; }
+    grep -q "1024-entry reject table (paper)" "$drill_dir/stdout" \
+        || { echo "fault drill: ablation table missing after the injected failure"; \
+             cat "$drill_dir/stdout"; rm -rf "$drill_dir"; exit 1; }
     rm -rf "$drill_dir"
-    echo "fault drill: OK (sweep completed, failure reported by label)"
+    echo "fault drill: OK (sweeps completed, failures reported by label)"
 }
 
 # Horizon gate: the event-horizon run loop must be observationally exact.
@@ -262,7 +276,7 @@ run_observe_gate() {
     cargo test -q -p ppf-sim --features observe
     cargo test -q -p ppf --features observe
     cargo test -q -p ppf-serve --features observe
-    cargo test -q -p ppf-bench --features observe --lib
+    cargo test -q -p ppf-bench --features observe --lib --test unknown_names
     echo "observe gate: OK (off byte-identical, exports valid, on within budget)"
 }
 
@@ -348,6 +362,23 @@ run_hybrid_gate
 if [ "$mode" = "--quick" ] || [ "$mode" = "--bench" ]; then
     echo "== fig09 smoke run (--quick) =="
     ./target/release/fig09_single_core --quick > /dev/null
+fi
+
+if [ "$mode" = "--quick" ]; then
+    # Two suite binaries at default scale (a few seconds each) must still
+    # print their committed results byte for byte.
+    echo "== default-scale stdout vs results/: ablation_reject_table, generality_vldp =="
+    cmp_dir="$(mktemp -d)"
+    for bin in ablation_reject_table generality_vldp; do
+        PPF_CHECKPOINT_DIR="$cmp_dir" ./target/release/$bin > "$cmp_dir/$bin.txt" 2>/dev/null \
+            || { echo "results check: $bin failed"; rm -rf "$cmp_dir"; exit 1; }
+        cmp -s "$cmp_dir/$bin.txt" "results/$bin.txt" \
+            || { echo "results check: $bin stdout differs from results/$bin.txt"; \
+                 diff "results/$bin.txt" "$cmp_dir/$bin.txt" | head -20; \
+                 rm -rf "$cmp_dir"; exit 1; }
+    done
+    rm -rf "$cmp_dir"
+    echo "results check: OK (default-scale stdout equals results/)"
 fi
 
 if [ "$mode" = "--bench" ]; then

@@ -73,10 +73,11 @@ impl Kind {
             Kind::Span => &["span", "calls", "wall_ns", "cycles", "stride"],
             Kind::Flight => &["at_ms", "event", "tenant", "detail", "accepted", "dur_us"],
             Kind::Serve => &[
-                "elapsed_ms", "requests", "candidates", "accepted", "rejected", "shed_overflow",
-                "shed_quota", "degraded_replies", "deadline_misses", "tenant_restarts",
-                "shard_replacements", "checkpoint_records", "checkpoint_bitflips",
-                "checkpoint_drops", "warm_started_tenants", "p50_us", "p99_us",
+                "elapsed_ms", "requests", "inline_scores", "candidates", "accepted", "rejected",
+                "shed_overflow", "shed_quota", "degraded_replies", "deadline_misses",
+                "tenant_restarts", "shard_replacements", "checkpoint_records",
+                "checkpoint_bitflips", "checkpoint_drops", "warm_started_tenants", "p50_us",
+                "p99_us",
             ],
             Kind::Drill => &[
                 "requests", "p50_us", "p99_us", "max_us", "stalled_callers", "degraded", "shed",

@@ -61,8 +61,8 @@ mod tests {
     use crate::observe::{parse_document, parse_line};
 
     const SNAPSHOT: &str = "{\"v\":2,\"kind\":\"serve\",\"elapsed_ms\":60,\"requests\":200,\
-        \"candidates\":800,\"accepted\":790,\"rejected\":10,\"shed_overflow\":2,\
-        \"shed_quota\":1,\"degraded_replies\":3,\"deadline_misses\":0,\
+        \"inline_scores\":150,\"candidates\":800,\"accepted\":790,\"rejected\":10,\
+        \"shed_overflow\":2,\"shed_quota\":1,\"degraded_replies\":3,\"deadline_misses\":0,\
         \"tenant_restarts\":1,\"shard_replacements\":0,\"checkpoint_records\":4,\
         \"checkpoint_bitflips\":0,\"checkpoint_drops\":0,\
         \"warm_started_tenants\":0,\"p50_us\":8,\"p99_us\":1024,\

@@ -16,8 +16,11 @@ pub const LATENCY_BUCKETS: usize = 32;
 /// Fleet-wide counters, shared by every shard and the caller-facing API.
 #[derive(Debug, Default)]
 pub struct Counters {
-    /// Score requests accepted into a shard queue.
+    /// Score requests submitted to a shard.
     pub requests: AtomicU64,
+    /// Score requests scored on the thread that submitted them (the
+    /// shard's queue was empty and its tenant lock free), waking no worker.
+    pub inline_scores: AtomicU64,
     /// Individual prefetch candidates scored.
     pub candidates: AtomicU64,
     /// Candidates accepted (either cache level).
@@ -93,7 +96,7 @@ impl Counters {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut line = format!(
             "{},\"elapsed_ms\":{elapsed_ms},\
-             \"requests\":{},\"candidates\":{},\"accepted\":{},\"rejected\":{},\
+             \"requests\":{},\"inline_scores\":{},\"candidates\":{},\"accepted\":{},\"rejected\":{},\
              \"shed_overflow\":{},\"shed_quota\":{},\"degraded_replies\":{},\
              \"deadline_misses\":{},\"tenant_restarts\":{},\
              \"shard_replacements\":{},\"checkpoint_records\":{},\
@@ -101,6 +104,7 @@ impl Counters {
              \"warm_started_tenants\":{},\"p50_us\":{},\"p99_us\":{}",
             envelope("serve"),
             g(&self.requests),
+            g(&self.inline_scores),
             g(&self.candidates),
             g(&self.accepted),
             g(&self.rejected),

@@ -4,7 +4,8 @@
 //! each tenant to a shard by name hash, enforces the caller deadline (a
 //! late shard produces a degraded accept-all reply — the caller is never
 //! stalled, whatever the fleet is doing), and runs a supervisor thread
-//! that watches shard heartbeats and replaces a stalled shard wholesale:
+//! that watches shard heartbeats and inline scores, and replaces a stalled
+//! shard wholesale:
 //! the stuck worker is *abandoned*, not joined (joining a hung thread
 //! would just move the hang into the supervisor), a fresh worker warm
 //! starts the shard's tenants from its checkpoint file, and the zombie —
@@ -16,8 +17,11 @@
 //!
 //! 1. queue pressure → shed oldest / per-tenant quota (degraded replies)
 //! 2. tenant panic → quarantine + rebuild from last checkpoint barrier
-//! 3. missed deadline → degraded reply from the waiting side (fail open)
-//! 4. stalled heartbeat → supervisor replaces the whole shard
+//! 3. missed deadline → degraded reply from the waiting side (fail open),
+//!    or from the supervisor when the request is being scored inline on
+//!    the thread that would wait
+//! 4. stalled heartbeat, or an inline score past its deadline →
+//!    supervisor replaces the whole shard
 //! 5. corrupt/torn checkpoint record → dropped by CRC, older gen wins
 
 use std::path::PathBuf;
@@ -139,6 +143,23 @@ impl Daemon {
                 .spawn(move || {
                     while !stop.load(Ordering::Acquire) {
                         std::thread::sleep(cfg.supervisor_poll);
+                        // An inline score past its deadline: answer its
+                        // slot degraded (rung 3), then retire the shard
+                        // whose submitter is stuck in it (rung 4).
+                        for (idx, slot) in slots.iter().enumerate() {
+                            let mut slot = lock_unpoisoned(slot);
+                            if let Some(overdue) = slot.inner.take_overdue_inline() {
+                                overdue.expire();
+                                Self::replace_shard(
+                                    &cfg,
+                                    &mut slot,
+                                    idx,
+                                    "inline score overran its deadline",
+                                    &counters,
+                                    &watchdog,
+                                );
+                            }
+                        }
                         for (name, _age) in watchdog.stalled() {
                             let Some(idx) = name
                                 .strip_prefix("shard-")
@@ -151,30 +172,14 @@ impl Daemon {
                             if slot.inner.name != name {
                                 continue;
                             }
-                            let incarnation = slot.inner.incarnation + 1;
-                            eprintln!(
-                                "[serve] supervisor: {name} heartbeat stalled; \
-                                 replacing (incarnation {incarnation})"
-                            );
-                            slot.inner.retire();
-                            // Post-mortem before the ring goes away with
-                            // the slot: the retiring shard's flight
-                            // recorder hits disk next to its checkpoints.
-                            Self::dump_black_box(&cfg.checkpoint_dir, &slot.inner);
-                            // Abandon the stuck worker: its JoinHandle is
-                            // dropped, the thread detaches, and the retired
-                            // flag reaps it if it ever wakes.
-                            slot.worker.take();
-                            *slot = Self::boot_shard(
+                            Self::replace_shard(
                                 &cfg,
+                                &mut slot,
                                 idx,
-                                incarnation,
+                                "heartbeat stalled",
                                 &counters,
                                 &watchdog,
                             );
-                            counters
-                                .shard_replacements
-                                .fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 })
@@ -191,6 +196,33 @@ impl Daemon {
             decode_prof: SharedSpanTable::new(),
             prof_on: ProfConfig::from_env().stride != 0,
         }
+    }
+
+    /// Retires the shard in `slot` and boots its replacement from the
+    /// shard's checkpoint file at the next incarnation.
+    fn replace_shard(
+        cfg: &ServeConfig,
+        slot: &mut ShardSlot,
+        idx: usize,
+        why: &str,
+        counters: &Arc<Counters>,
+        watchdog: &Arc<Watchdog>,
+    ) {
+        let incarnation = slot.inner.incarnation + 1;
+        eprintln!(
+            "[serve] supervisor: {} {why}; replacing (incarnation {incarnation})",
+            slot.inner.name
+        );
+        slot.inner.retire();
+        // Post-mortem before the ring goes away with the slot: the
+        // retiring shard's flight recorder hits disk next to its
+        // checkpoints.
+        Self::dump_black_box(&cfg.checkpoint_dir, &slot.inner);
+        // Abandon the stuck worker: its JoinHandle is dropped, the thread
+        // detaches, and the retired flag reaps it if it ever wakes.
+        slot.worker.take();
+        *slot = Self::boot_shard(cfg, idx, incarnation, counters, watchdog);
+        counters.shard_replacements.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Writes the retiring shard's flight-recorder ring (JSONL) and its
@@ -235,23 +267,9 @@ impl Daemon {
                 eprintln!("[serve] shard-{idx}: compaction failed: {e}");
             }
         }
-        let inner = Arc::new(ShardInner::new(
-            idx,
-            incarnation,
-            cfg.queue_capacity,
-            cfg.tenant_quota,
-        ));
+        let inner = Arc::new(ShardInner::new(idx, incarnation, cfg, counters, restored.tenants));
         let heartbeat = watchdog.register(&inner.name);
-        let worker = ShardWorker {
-            inner: Arc::clone(&inner),
-            store,
-            counters: Arc::clone(counters),
-            heartbeat,
-            faults: cfg.faults.clone(),
-            checkpoint_every: cfg.checkpoint_every.max(1),
-            restored: restored.tenants,
-        }
-        .spawn();
+        let worker = ShardWorker { inner: Arc::clone(&inner), store, heartbeat }.spawn();
         ShardSlot { inner, worker: Some(worker) }
     }
 
@@ -270,9 +288,13 @@ impl Daemon {
         (route_hash(tenant) % self.cfg.shards as u64) as usize
     }
 
-    /// Scores a batch, observing the caller deadline. Never blocks longer
-    /// than the deadline (plus scheduler noise); a missed deadline, shed,
-    /// or tenant panic all yield a degraded accept-all reply.
+    /// Scores a batch, observing the caller deadline; a missed deadline,
+    /// shed, or tenant panic all yield a degraded accept-all reply. When
+    /// the tenant's shard is idle the batch is scored on the calling
+    /// thread, and the call returns when the score does (a score that
+    /// overruns the deadline is answered degraded, and its shard
+    /// replaced). A queued batch is waited for at most the deadline (plus
+    /// scheduler noise).
     pub fn score(&self, req: ScoreRequest) -> ScoreReply {
         let slot = ReplySlot::for_caller(req.candidates.len(), self.cfg.deadline, &self.counters);
         self.submit(req, slot.clone());
@@ -300,7 +322,7 @@ impl Daemon {
             let slot = lock_unpoisoned(&self.slots[self.route(&req.tenant)]);
             Arc::clone(&slot.inner)
         };
-        inner.submit_score(req, slot, &self.counters);
+        inner.submit_score(req, slot);
     }
 
     /// The caller deadline.

@@ -3,9 +3,11 @@
 //! This crate turns the PPF filter into a long-running, multi-tenant
 //! service with an explicit failure model (DESIGN.md §10):
 //!
-//! - **Sharding** ([`daemon`]): tenants hash across worker threads; each
-//!   shard owns its tenants outright, so the hot path takes no cross-shard
-//!   locks and a fault's blast radius is bounded by construction.
+//! - **Sharding** ([`daemon`]): tenants hash across shards, each a worker
+//!   thread and one lock over its tenants; the hot path takes no
+//!   cross-shard locks and a fault's blast radius is bounded by
+//!   construction. A request is scored on the thread that submitted it
+//!   when its shard is idle, and by the shard's worker otherwise.
 //! - **Overload shedding** (the private `shard` module): bounded queues
 //!   shed oldest-first with per-tenant fair quotas; shed work is answered
 //!   immediately with a degraded accept-all reply — fail open, never stall

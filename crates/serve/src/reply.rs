@@ -1,8 +1,10 @@
 //! The reply slot: where a score request's one reply goes.
 //!
 //! A [`ReplySlot`] is answered exactly once, by whichever thread comes
-//! first: the shard that scored the request, a shed path in
-//! `ShardInner::submit_score`, a retiring shard's drain, or the deadline.
+//! first: the thread that scored the request (the shard worker, or the
+//! submitting thread itself when it scored inline), a shed path in
+//! `ShardInner::submit_score`, a retiring shard's drain, or the deadline
+//! (the waiting side, or the supervisor for an overrunning inline score).
 //! It has two sinks:
 //!
 //! - **An in-process caller** parked in [`crate::Daemon::score`], which
@@ -134,9 +136,14 @@ impl ReplySlot {
         self.answer(ScoreReply::degraded(self.0.n))
     }
 
+    /// Whether the deadline has passed with the slot still open.
+    pub(crate) fn overdue(&self) -> bool {
+        Instant::now() >= self.0.due && matches!(lock_unpoisoned(&self.0.state).phase, Phase::Open)
+    }
+
     /// Answers degraded at the deadline, counting the miss, unless the
     /// slot was answered meanwhile.
-    fn expire(&self) {
+    pub(crate) fn expire(&self) {
         if self.degrade() {
             let c = &self.0.counters;
             c.deadline_misses.fetch_add(1, std::sync::atomic::Ordering::Relaxed);

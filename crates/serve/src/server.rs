@@ -7,10 +7,12 @@
 //! so a closed connection does not keep its thread stack.
 //!
 //! A connection thread does not wait for its score replies. It decodes a
-//! request, submits it with the connection as the reply sink, and goes
-//! back to reading the socket; whichever thread answers the request (the
-//! shard, a shed path, the deadline) writes the reply frame itself (the
-//! crate's `reply` module). Before it handles the next frame of any opcode,
+//! request and submits it with the connection as the reply sink. When the
+//! request's shard is idle, the connection thread scores it and writes the
+//! reply frame itself, so the request wakes no other thread. Otherwise it
+//! goes back to reading the socket, and whichever thread answers the
+//! request (the shard worker, a shed path, the deadline) writes the reply
+//! frame (the crate's `reply` module). Before it handles the next frame of any opcode,
 //! the connection thread settles the pending reply, so a client that
 //! pipelines requests gets its replies in request order.
 //!

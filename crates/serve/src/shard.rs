@@ -1,9 +1,18 @@
-//! A shard: one worker thread owning a slice of the tenant fleet.
+//! A shard: one worker thread plus the tenant state it shares with the
+//! threads that submit to it.
 //!
-//! Tenants are sharded by name hash; each shard's worker thread *owns* its
-//! tenants outright (no cross-shard locking — the only shared state is the
-//! bounded job queue and the fleet counters). The queue is where overload
-//! policy lives:
+//! Tenants are sharded by name hash; each shard's tenants sit behind one
+//! lock in the shard (no cross-shard locking: the only fleet-wide shared
+//! state is the counters). A request is scored by one function,
+//! [`ShardInner::score_locked`], on one of two threads:
+//!
+//! - **Inline**, on the thread that submitted it (a socket connection
+//!   thread or an in-process `Daemon::score` caller), when the shard has
+//!   no score job queued, the tenant lock is free, and no `slow-shard`
+//!   fault targets the shard. The request then wakes no worker.
+//! - **Queued**, on the shard's worker thread, otherwise.
+//!
+//! The queue is where overload policy lives:
 //!
 //! - **Shed-oldest**: a full queue drops its oldest queued score job and
 //!   answers it degraded immediately — fresher requests carry fresher
@@ -12,25 +21,31 @@
 //!   number of queue slots; beyond that its requests are answered degraded
 //!   on arrival, so a runaway tenant cannot starve its neighbours.
 //!
+//! Checkpoint barriers are taken under the tenant lock, at the cadence,
+//! by whichever thread scored the request that reached it. The sealed
+//! append and its fsync are a job for the worker, queued under that lock
+//! so one tenant's generations reach the file in order, and behind every
+//! job queued before them.
+//!
 //! Fault isolation: `catch_unwind` wraps every score. A panic poisons at
 //! most the one tenant being scored — that tenant is discarded and rebuilt
 //! from its last checkpoint barrier (held in memory and on disk), the
 //! caller gets a degraded accept-all reply, and the shard keeps serving
 //! its other tenants without missing a beat.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 use ppf_sim::fault::{lock_unpoisoned, FaultSpec};
 use ppf_sim::{ProfConfig, SharedSpanTable, Span};
 
-use crate::counters::Counters;
 use crate::checkpoint::{RestoredTenant, ShardCheckpoint};
-use crate::daemon::route_hash;
+use crate::counters::Counters;
+use crate::daemon::{route_hash, ServeConfig};
 use crate::flight::{FlightKind, FlightRecorder};
 use crate::protocol::{ScoreReply, ScoreRequest};
 use crate::reply::ReplySlot;
@@ -52,6 +67,8 @@ pub(crate) enum Job {
         /// When the job entered the queue (feeds the queue-wait span).
         at: Instant,
     },
+    /// Append one checkpoint barrier's snapshot to the shard's file.
+    Append(Append),
     /// Checkpoint every dirty tenant now; replies with records written.
     Flush(SyncSender<u64>),
     /// Report `(tenant, gen, weights_digest)` for every live tenant.
@@ -60,20 +77,93 @@ pub(crate) enum Job {
     Stop,
 }
 
-/// Shared half of a shard: the queue callers submit into.
+/// One checkpoint barrier's snapshot, to be appended by the worker.
+pub(crate) struct Append {
+    tenant: String,
+    gen: u64,
+    weights: Vec<u8>,
+}
+
+/// The shard's job queue, with its score jobs counted.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// `Job::Score` entries in `jobs`.
+    scores: usize,
+}
+
+impl Queue {
+    fn push(&mut self, job: Job) {
+        self.scores += usize::from(matches!(job, Job::Score { .. }));
+        self.jobs.push_back(job);
+    }
+
+    fn pop(&mut self) -> Option<Job> {
+        let job = self.jobs.pop_front()?;
+        self.scores -= usize::from(matches!(job, Job::Score { .. }));
+        Some(job)
+    }
+}
+
+/// The tenant state a shard's scorers share, behind the shard's lock.
+struct ShardState {
+    tenants: HashMap<String, TenantState>,
+    /// Last-known-good snapshots: the in-process rebuild source after a
+    /// panic. Each barrier updates it with the snapshot it takes (the
+    /// intended bytes, whatever injected corruption the file then gets).
+    restored: HashMap<String, RestoredTenant>,
+}
+
+/// Takes a barrier on `tenant`: returns its append and makes the snapshot
+/// the tenant's rebuild source in `restored`.
+fn barrier(restored: &mut HashMap<String, RestoredTenant>, tenant: &mut TenantState) -> Append {
+    let (gen, weights) = tenant.barrier();
+    restored.insert(tenant.name.clone(), RestoredTenant { gen, weights: weights.clone() });
+    Append { tenant: tenant.name.clone(), gen, weights }
+}
+
+/// Builds `name` from its last snapshot in `restored`, or fresh.
+fn build_tenant(
+    restored: &HashMap<String, RestoredTenant>,
+    name: &str,
+    shard: &str,
+) -> TenantState {
+    match restored.get(name) {
+        Some(r) => TenantState::warm(name, r.gen, &r.weights).unwrap_or_else(|e| {
+            eprintln!("[serve] {shard}: checkpoint for {name} unusable ({e}); fresh start");
+            TenantState::fresh(name)
+        }),
+        None => TenantState::fresh(name),
+    }
+}
+
+/// Shared half of a shard: the queue callers submit into and the tenant
+/// state every scorer locks.
 pub(crate) struct ShardInner {
     /// Heartbeat/watchdog name, `shard-<idx>`.
     pub name: String,
     /// Shard index (stable across replacements).
     pub idx: usize,
     /// Replacement generation (0 = original). Injected faults that model a
-    /// *defective instance* (slow-shard) only apply to generation 0, so a
-    /// supervisor replacement actually cures them.
+    /// *defective instance* (slow-shard, tenant-panic) only apply to
+    /// generation 0, so a supervisor replacement actually cures them.
     pub incarnation: u64,
-    queue: Mutex<Vec<Job>>,
+    queue: Mutex<Queue>,
     cv: Condvar,
     capacity: usize,
     quota: usize,
+    /// The shard's tenants, locked by whichever thread scores.
+    state: Mutex<ShardState>,
+    /// The slot of the request being scored inline, if any, so the
+    /// supervisor can answer it when it overruns its deadline.
+    inline: Mutex<Option<ReplySlot>>,
+    /// Whether a submitter may score inline: false while a `slow-shard`
+    /// fault targets this instance, so the injected stall stays on the
+    /// worker.
+    inline_ok: bool,
+    faults: Vec<FaultSpec>,
+    checkpoint_every: u64,
+    counters: Arc<Counters>,
     /// Set by the supervisor (or shutdown); the worker drains and exits,
     /// and late submitters see their jobs answered degraded.
     pub retired: AtomicBool,
@@ -100,15 +190,32 @@ impl std::fmt::Debug for ShardInner {
 }
 
 impl ShardInner {
-    pub(crate) fn new(idx: usize, incarnation: u64, capacity: usize, quota: usize) -> Self {
+    pub(crate) fn new(
+        idx: usize,
+        incarnation: u64,
+        cfg: &ServeConfig,
+        counters: &Arc<Counters>,
+        restored: HashMap<String, RestoredTenant>,
+    ) -> Self {
+        let inline_ok = incarnation > 0
+            || !cfg
+                .faults
+                .iter()
+                .any(|f| matches!(f, FaultSpec::SlowShard { shard, .. } if *shard == idx));
         Self {
             name: format!("shard-{idx}"),
             idx,
             incarnation,
-            queue: Mutex::new(Vec::new()),
+            queue: Mutex::new(Queue::default()),
             cv: Condvar::new(),
-            capacity: capacity.max(1),
-            quota: quota.max(1),
+            capacity: cfg.queue_capacity.max(1),
+            quota: cfg.tenant_quota.max(1),
+            state: Mutex::new(ShardState { tenants: HashMap::new(), restored }),
+            inline: Mutex::new(None),
+            inline_ok,
+            faults: cfg.faults.clone(),
+            checkpoint_every: cfg.checkpoint_every.max(1),
+            counters: Arc::clone(counters),
             retired: AtomicBool::new(false),
             flight: FlightRecorder::new(),
             prof: SharedSpanTable::new(),
@@ -116,39 +223,53 @@ impl ShardInner {
         }
     }
 
-    /// Submits a score job, applying the shed policy. Every path answers
-    /// `reply` exactly once (possibly degraded, possibly later). A shed
-    /// answer may write to a socket, so it is given after the queue lock
-    /// is released.
-    pub(crate) fn submit_score(&self, req: ScoreRequest, reply: ReplySlot, counters: &Counters) {
-        let tenant_hash = route_hash(&req.tenant);
+    /// Submits a score request. With no score job queued and the tenant
+    /// lock free, the calling thread scores it and answers `reply` itself;
+    /// otherwise it is queued for the worker under the shed policy. Every
+    /// path answers `reply` exactly once (possibly degraded, possibly
+    /// later). An answer may write to a socket, so it is given after the
+    /// queue and tenant locks are released.
+    pub(crate) fn submit_score(&self, req: ScoreRequest, reply: ReplySlot) {
+        let counters = &*self.counters;
         let mut q = lock_unpoisoned(&self.queue);
         if self.retired.load(Ordering::Acquire) {
             // Raced with a replacement: fail open rather than enqueue into
             // a queue nobody will ever drain.
             drop(q);
-            counters.degraded_replies.fetch_add(1, Ordering::Relaxed);
-            self.flight.record(FlightKind::Degraded, tenant_hash, req.candidates.len() as u64, 0);
-            reply.degrade();
+            self.shed(&req, reply);
             return;
         }
-        let tenant_queued = q
-            .iter()
-            .filter(|j| matches!(j, Job::Score { req: r, .. } if r.tenant == req.tenant))
-            .count();
+        if q.scores == 0 && self.inline_ok {
+            let state = match self.state.try_lock() {
+                Ok(st) => Some(st),
+                Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+                Err(TryLockError::WouldBlock) => None,
+            };
+            if let Some(st) = state {
+                drop(q);
+                self.score_inline(st, req, reply);
+                return;
+            }
+        }
+        // One pass: the tenant's queued jobs and the oldest score job.
+        let (mut tenant_queued, mut oldest) = (0, None);
+        for (i, job) in q.jobs.iter().enumerate() {
+            if let Job::Score { req: r, .. } = job {
+                oldest = oldest.or(Some(i));
+                tenant_queued += usize::from(r.tenant == req.tenant);
+            }
+        }
         if tenant_queued >= self.quota {
             drop(q);
             counters.shed_quota.fetch_add(1, Ordering::Relaxed);
-            counters.degraded_replies.fetch_add(1, Ordering::Relaxed);
-            self.flight.record(FlightKind::Degraded, tenant_hash, req.candidates.len() as u64, 0);
-            reply.degrade();
+            self.shed(&req, reply);
             return;
         }
         let mut shed = None;
-        let scores_queued = q.iter().filter(|j| matches!(j, Job::Score { .. })).count();
-        if scores_queued >= self.capacity {
-            if let Some(oldest) = q.iter().position(|j| matches!(j, Job::Score { .. })) {
-                shed = Some(q.remove(oldest));
+        if q.scores >= self.capacity {
+            if let Some(i) = oldest {
+                shed = q.jobs.remove(i);
+                q.scores -= 1;
             }
         }
         q.push(Job::Score { req, reply, at: Instant::now() });
@@ -156,22 +277,132 @@ impl ShardInner {
         self.cv.notify_one();
         if let Some(Job::Score { req: old, reply: old_reply, .. }) = shed {
             counters.shed_overflow.fetch_add(1, Ordering::Relaxed);
-            counters.degraded_replies.fetch_add(1, Ordering::Relaxed);
-            self.flight.record(
-                FlightKind::Degraded,
-                route_hash(&old.tenant),
-                old.candidates.len() as u64,
-                0,
-            );
-            old_reply.degrade();
+            self.shed(&old, old_reply);
         }
     }
 
-    /// Submits a control job (flush / digests / stop), bypassing shed.
+    /// Answers `reply` degraded on arrival (retired shard or shed).
+    fn shed(&self, req: &ScoreRequest, reply: ReplySlot) {
+        self.counters.degraded_replies.fetch_add(1, Ordering::Relaxed);
+        self.flight.record(
+            FlightKind::Degraded,
+            route_hash(&req.tenant),
+            req.candidates.len() as u64,
+            0,
+        );
+        reply.degrade();
+    }
+
+    /// Scores `req` on the submitting thread, which holds the tenant lock.
+    /// The slot is parked in `inline` meanwhile, where the supervisor
+    /// finds it if the score overruns the deadline.
+    fn score_inline(&self, mut st: MutexGuard<'_, ShardState>, req: ScoreRequest, reply: ReplySlot) {
+        *lock_unpoisoned(&self.inline) = Some(reply);
+        let out = self.score_locked(&mut st, &req);
+        // Take the slot back before the tenant lock goes: the next inline
+        // scorer parks its own slot there.
+        let reply = lock_unpoisoned(&self.inline).take();
+        drop(st);
+        self.counters.inline_scores.fetch_add(1, Ordering::Relaxed);
+        if let Some(reply) = reply {
+            reply.answer(out);
+        }
+    }
+
+    /// The inline slot, if one is being scored past its deadline. The
+    /// supervisor takes it to answer it degraded.
+    pub(crate) fn take_overdue_inline(&self) -> Option<ReplySlot> {
+        let mut inline = lock_unpoisoned(&self.inline);
+        if inline.as_ref().is_some_and(ReplySlot::overdue) {
+            inline.take()
+        } else {
+            None
+        }
+    }
+
+    /// Scores `req` against the shard's tenants: the one scoring path,
+    /// run by the worker for a queued job and by a submitter inline. When
+    /// the tenant's checkpoint cadence comes due, takes the barrier and
+    /// queues its append for the worker (both under the tenant lock, so a
+    /// tenant's generations are appended in order).
+    fn score_locked(&self, st: &mut ShardState, req: &ScoreRequest) -> ScoreReply {
+        let name = req.tenant.as_str();
+        let tenant_hash = route_hash(name);
+        let tenant = match st.tenants.get_mut(name) {
+            Some(t) => t,
+            None => {
+                let t = build_tenant(&st.restored, name, &self.name);
+                st.tenants.entry(name.to_owned()).or_insert(t)
+            }
+        };
+        let inject = self.incarnation == 0
+            && self.faults.iter().any(|f| {
+                matches!(f, FaultSpec::TenantPanic { pat, nth }
+                    if name.contains(pat.as_str()) && *nth == tenant.seen + 1)
+            });
+        // The score is timed unconditionally: the flight recorder (always
+        // on) wants per-job durations; the span table additionally rolls
+        // them up when profiling is enabled.
+        let score_t0 = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if inject {
+                panic!("injected tenant fault: {name}");
+            }
+            tenant.process(req)
+        }));
+        let score_ns = score_t0.elapsed().as_nanos() as u64;
+        if self.prof_on {
+            self.prof.record_ns(Span::Score, score_ns);
+        }
+        let counters = &*self.counters;
+        match outcome {
+            Ok(decisions) => {
+                let accepted = decisions
+                    .iter()
+                    .filter(|d| !matches!(d, ppf::Decision::Reject))
+                    .count() as u64;
+                let rejected = decisions.len() as u64 - accepted;
+                counters.candidates.fetch_add(decisions.len() as u64, Ordering::Relaxed);
+                counters.accepted.fetch_add(accepted, Ordering::Relaxed);
+                counters.rejected.fetch_add(rejected, Ordering::Relaxed);
+                self.flight.record_score(
+                    tenant_hash,
+                    decisions.len() as u64,
+                    accepted,
+                    score_ns / 1_000,
+                );
+                // A retired shard's state is abandoned: its replacement
+                // owns the checkpoint file now.
+                if tenant.since_checkpoint >= self.checkpoint_every
+                    && !self.retired.load(Ordering::Acquire)
+                {
+                    let append = barrier(&mut st.restored, tenant);
+                    self.submit_control(Job::Append(append));
+                }
+                ScoreReply { degraded: false, decisions }
+            }
+            Err(_) => {
+                // The tenant's filter may be mid-mutation: discard it and
+                // rebuild from the last checkpoint barrier. Other tenants
+                // on this shard are untouched.
+                let restarts = counters.tenant_restarts.fetch_add(1, Ordering::Relaxed) + 1;
+                counters.degraded_replies.fetch_add(1, Ordering::Relaxed);
+                self.flight.record(FlightKind::Panic, tenant_hash, restarts, score_ns / 1_000);
+                let mut rebuilt = build_tenant(&st.restored, name, &self.name);
+                // Keep the fault trigger one-shot: the rebuilt tenant
+                // restarts its request count, so carry the poisoned
+                // tenant's count forward past the trigger.
+                rebuilt.seen = tenant.seen + 1;
+                *tenant = rebuilt;
+                ScoreReply::degraded(req.candidates.len())
+            }
+        }
+    }
+
+    /// Submits a control job (append / flush / digests / stop), bypassing
+    /// shed.
     pub(crate) fn submit_control(&self, job: Job) {
-        let mut q = lock_unpoisoned(&self.queue);
-        q.push(job);
-        drop(q);
+        lock_unpoisoned(&self.queue).push(job);
         self.cv.notify_one();
     }
 
@@ -188,9 +419,10 @@ impl ShardInner {
             if self.retired.load(Ordering::Acquire) {
                 // Drain: answer everything still queued, fail-open, after
                 // the lock is released (an answer may write to a socket).
+                // Queued appends are dropped: the replacement owns the file.
                 let drained = std::mem::take(&mut *q);
                 drop(q);
-                for job in drained {
+                for job in drained.jobs {
                     match job {
                         Job::Score { reply, .. } => {
                             reply.degrade();
@@ -201,13 +433,13 @@ impl ShardInner {
                         Job::Digests(reply) => {
                             let _ = reply.try_send(Vec::new());
                         }
-                        Job::Stop => {}
+                        Job::Append(_) | Job::Stop => {}
                     }
                 }
                 return None;
             }
-            if !q.is_empty() {
-                return Some(q.remove(0));
+            if let Some(job) = q.pop() {
+                return Some(job);
             }
             let (guard, _) = self
                 .cv
@@ -222,201 +454,120 @@ impl ShardInner {
 pub(crate) struct ShardWorker {
     pub inner: Arc<ShardInner>,
     pub store: ShardCheckpoint,
-    pub counters: Arc<Counters>,
     pub heartbeat: Heartbeat,
-    pub faults: Vec<FaultSpec>,
-    pub checkpoint_every: u64,
-    /// Last-known-good snapshots, kept current with the on-disk file (minus
-    /// injected corruption): the in-process rebuild source after a panic.
-    pub restored: HashMap<String, RestoredTenant>,
 }
 
 impl ShardWorker {
     /// Spawns the worker thread.
-    pub(crate) fn spawn(mut self) -> std::thread::JoinHandle<()> {
+    pub(crate) fn spawn(self) -> std::thread::JoinHandle<()> {
         std::thread::Builder::new()
             .name(self.inner.name.clone())
             .spawn(move || self.run())
             .expect("spawn shard worker")
     }
 
-    fn run(&mut self) {
-        let mut tenants: HashMap<String, TenantState> = HashMap::new();
+    fn run(&self) {
         loop {
             self.heartbeat.beat();
             let Some(job) = self.inner.next_job(&self.heartbeat) else { return };
             match job {
-                Job::Score { req, reply, at } => self.score(&mut tenants, req, reply, at),
+                Job::Score { req, reply, at } => self.score(req, reply, at),
+                Job::Append(append) => {
+                    // A zombie worker (replaced by the supervisor) must not
+                    // keep appending stale generations to a file its
+                    // replacement now owns.
+                    if !self.inner.retired.load(Ordering::Acquire) {
+                        self.append(&append);
+                    }
+                }
                 Job::Flush(done) => {
-                    let _ = done.try_send(self.flush(&mut tenants));
+                    let _ = done.try_send(self.flush());
                 }
                 Job::Digests(reply) => {
-                    let mut out: Vec<(String, u64, u64)> = tenants
+                    let st = lock_unpoisoned(&self.inner.state);
+                    let mut out: Vec<(String, u64, u64)> = st
+                        .tenants
                         .iter()
                         .map(|(n, t)| (n.clone(), t.gen, t.filter.weights_digest()))
                         .collect();
+                    drop(st);
                     out.sort();
                     let _ = reply.try_send(out);
                 }
                 Job::Stop => {
-                    self.flush(&mut tenants);
+                    self.flush();
                     return;
                 }
             }
         }
     }
 
-    fn build_tenant(&self, name: &str) -> TenantState {
-        match self.restored.get(name) {
-            Some(r) => TenantState::warm(name, r.gen, &r.weights).unwrap_or_else(|e| {
-                eprintln!("[serve] {}: checkpoint for {name} unusable ({e}); fresh start", self.inner.name);
-                TenantState::fresh(name)
-            }),
-            None => TenantState::fresh(name),
+    fn score(&self, req: ScoreRequest, reply: ReplySlot, queued_at: Instant) {
+        let inner = &*self.inner;
+        if inner.prof_on {
+            inner.prof.record_ns(Span::QueueWait, queued_at.elapsed().as_nanos() as u64);
         }
+        for f in &inner.faults {
+            if let FaultSpec::SlowShard { shard, millis } = f {
+                if *shard == inner.idx && inner.incarnation == 0 {
+                    inner.flight.record(FlightKind::SlowInject, 0, *millis, 0);
+                    std::thread::sleep(Duration::from_millis(*millis));
+                }
+            }
+        }
+        let out = inner.score_locked(&mut lock_unpoisoned(&inner.state), &req);
+        reply.answer(out);
     }
 
-    fn score(
-        &mut self,
-        tenants: &mut HashMap<String, TenantState>,
-        req: ScoreRequest,
-        reply: ReplySlot,
-        queued_at: Instant,
-    ) {
-        if self.inner.prof_on {
-            self.inner
-                .prof
-                .record_ns(Span::QueueWait, queued_at.elapsed().as_nanos() as u64);
-        }
-        let tenant_hash = route_hash(&req.tenant);
-        if self.inner.incarnation == 0 {
-            for f in &self.faults {
-                if let FaultSpec::SlowShard { shard, millis } = f {
-                    if *shard == self.inner.idx {
-                        self.inner.flight.record(FlightKind::SlowInject, 0, *millis, 0);
-                        std::thread::sleep(Duration::from_millis(*millis));
-                    }
-                }
-            }
-        }
-        let name = req.tenant.clone();
-        if !tenants.contains_key(&name) {
-            tenants.insert(name.clone(), self.build_tenant(&name));
-        }
-        let tenant = tenants.get_mut(&name).expect("just inserted");
-
-        let inject = self.inner.incarnation == 0
-            && self.faults.iter().any(|f| {
-                matches!(f, FaultSpec::TenantPanic { pat, nth }
-                    if name.contains(pat.as_str()) && *nth == tenant.seen + 1)
-            });
-        // The score is timed unconditionally: the flight recorder (always
-        // on) wants per-job durations; the span table additionally rolls
-        // them up when profiling is enabled.
-        let score_t0 = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if inject {
-                panic!("injected tenant fault: {name}");
-            }
-            tenant.process(&req)
-        }));
-        let score_ns = score_t0.elapsed().as_nanos() as u64;
-        if self.inner.prof_on {
-            self.inner.prof.record_ns(Span::Score, score_ns);
-        }
-        match outcome {
-            Ok(decisions) => {
-                let accepted = decisions
-                    .iter()
-                    .filter(|d| !matches!(d, ppf::Decision::Reject))
-                    .count() as u64;
-                let rejected = decisions.len() as u64 - accepted;
-                self.counters.candidates.fetch_add(decisions.len() as u64, Ordering::Relaxed);
-                self.counters.accepted.fetch_add(accepted, Ordering::Relaxed);
-                self.counters.rejected.fetch_add(rejected, Ordering::Relaxed);
-                self.inner.flight.record_score(
-                    tenant_hash,
-                    decisions.len() as u64,
-                    accepted,
-                    score_ns / 1_000,
-                );
-                reply.answer(ScoreReply { degraded: false, decisions });
-                // A zombie worker (replaced mid-job by the supervisor) must
-                // not keep appending stale generations to a file its
-                // replacement now owns.
-                if self.inner.retired.load(Ordering::Acquire) {
-                    return;
-                }
-                if tenant.since_checkpoint >= self.checkpoint_every {
-                    self.checkpoint_one(tenants.get_mut(&name).expect("still present"));
-                }
-            }
-            Err(_) => {
-                // The tenant's filter may be mid-mutation: discard it and
-                // rebuild from the last checkpoint barrier. Other tenants
-                // on this shard are untouched.
-                let restarts = self.counters.tenant_restarts.fetch_add(1, Ordering::Relaxed) + 1;
-                self.counters.degraded_replies.fetch_add(1, Ordering::Relaxed);
-                self.inner.flight.record(FlightKind::Panic, tenant_hash, restarts, score_ns / 1_000);
-                let mut rebuilt = self.build_tenant(&name);
-                // Keep the fault trigger one-shot: the rebuilt tenant
-                // restarts its request count, so carry the poisoned
-                // tenant's count forward past the trigger.
-                rebuilt.seen = tenants[&name].seen + 1;
-                tenants.insert(name.clone(), rebuilt);
-                reply.degrade();
-            }
-        }
-    }
-
-    fn checkpoint_one(&mut self, tenant: &mut TenantState) -> u64 {
-        let (gen, weights) = tenant.barrier();
-        let bitflip = self.faults.iter().any(|f| {
-            matches!(f, FaultSpec::CheckpointBitflip { pat } if tenant.name.contains(pat.as_str()))
+    /// Appends one sealed record; returns records written (0 or 1).
+    fn append(&self, append: &Append) -> u64 {
+        let (inner, tenant, gen) = (&*self.inner, append.tenant.as_str(), append.gen);
+        let bitflip = inner.faults.iter().any(|f| {
+            matches!(f, FaultSpec::CheckpointBitflip { pat } if tenant.contains(pat.as_str()))
         });
         let append_t0 = Instant::now();
-        match self.store.append(&tenant.name, gen, &weights, bitflip) {
+        match self.store.append(tenant, gen, &append.weights, bitflip) {
             Ok(()) => {
                 let append_ns = append_t0.elapsed().as_nanos() as u64;
-                if self.inner.prof_on {
-                    self.inner.prof.record_ns(Span::CheckpointAppend, append_ns);
+                if inner.prof_on {
+                    inner.prof.record_ns(Span::CheckpointAppend, append_ns);
                 }
-                self.inner.flight.record(
+                inner.flight.record(
                     FlightKind::Checkpoint,
-                    route_hash(&tenant.name),
+                    route_hash(tenant),
                     gen,
                     append_ns / 1_000,
                 );
-                self.counters.checkpoint_records.fetch_add(1, Ordering::Relaxed);
+                inner.counters.checkpoint_records.fetch_add(1, Ordering::Relaxed);
                 if bitflip {
-                    self.counters.checkpoint_bitflips.fetch_add(1, Ordering::Relaxed);
+                    inner.counters.checkpoint_bitflips.fetch_add(1, Ordering::Relaxed);
                 }
-                // The in-memory rebuild source holds the *intended* bytes;
-                // injected disk corruption is the CRC seal's problem.
-                self.restored
-                    .insert(tenant.name.clone(), RestoredTenant { gen, weights });
                 1
             }
             Err(e) => {
-                // Fail open: serving continues on the previous snapshot.
-                eprintln!("[serve] {}: checkpoint append failed: {e}", self.inner.name);
+                // Fail open: serving continues, and a restart falls back to
+                // the tenant's previous record on disk.
+                eprintln!("[serve] {}: checkpoint append failed: {e}", inner.name);
                 0
             }
         }
     }
 
-    fn flush(&mut self, tenants: &mut HashMap<String, TenantState>) -> u64 {
-        let mut names: Vec<String> = tenants
-            .iter()
-            .filter(|(_, t)| t.since_checkpoint > 0)
-            .map(|(n, _)| n.clone())
-            .collect();
-        names.sort();
-        let mut written = 0;
-        for name in names {
-            let tenant = tenants.get_mut(&name).expect("present");
-            written += self.checkpoint_one(tenant);
+    /// Takes a barrier on every dirty tenant, in name order, and appends
+    /// each. The barriers are taken under the tenant lock and appended
+    /// after it is released, before any job queued later.
+    fn flush(&self) -> u64 {
+        let mut appends = Vec::new();
+        {
+            let mut guard = lock_unpoisoned(&self.inner.state);
+            let st = &mut *guard;
+            let mut dirty: Vec<&mut TenantState> =
+                st.tenants.values_mut().filter(|t| t.since_checkpoint > 0).collect();
+            dirty.sort_by(|a, b| a.name.cmp(&b.name));
+            for tenant in dirty {
+                appends.push(barrier(&mut st.restored, tenant));
+            }
         }
-        written
+        appends.iter().map(|a| self.append(a)).sum()
     }
 }

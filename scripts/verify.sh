@@ -23,7 +23,9 @@
 #                                 #   (ppf-serve must not depend on
 #                                 #   ppf-bench or ppf-analysis), chaos
 #                                 #   drill (fault injection + 10x spike +
-#                                 #   warm restart) and the socket round trip
+#                                 #   warm restart; must shed), the socket
+#                                 #   round trip (must score inline) and
+#                                 #   the socket hung shard
 #   scripts/verify.sh --observe   # observe gate only: default build must
 #                                 #   ignore PPF_OBSERVE byte-for-byte;
 #                                 #   observe build must export valid
@@ -145,9 +147,12 @@ run_ledger_check() {
 # tenant, a hung shard, and a 10x load spike, then warm-restarts from the
 # checkpoints it wrote. The binary itself enforces the acceptance bar (zero
 # stalled callers, warm start clean) and exits nonzero otherwise; the gate
-# additionally proves the unix-socket front end round-trips and shuts down,
-# and that a hung shard behind the socket still answers every request
-# degraded within the deadline plus the drill's 200-ms stall margin.
+# also requires a tenant restart and at least one shed request. It
+# additionally proves the unix-socket front end round-trips and shuts down
+# with requests scored inline (the daemon's final counters line must show
+# `inline_scores` above 0), and that a hung shard behind the socket still
+# answers every request degraded within the deadline plus the drill's
+# 200-ms stall margin.
 run_serve_gate() {
     echo "== serve gate: chaos drill (tenant panic + bitflip + hung shard + 10x spike) =="
     serve_dir="$(mktemp -d)"
@@ -159,6 +164,9 @@ run_serve_gate() {
     grep "^drill:" "$serve_dir/drill.out"
     grep -q "tenant restarts 0" "$serve_dir/drill.out" \
         && { echo "serve gate: injected panic produced no restart"; \
+             rm -rf "$serve_dir"; exit 1; }
+    grep -q "(shed 0," "$serve_dir/drill.out" \
+        && { echo "serve gate: the spike and the hung shard shed nothing"; \
              rm -rf "$serve_dir"; exit 1; }
 
     echo "== serve gate: socket round trip =="
@@ -185,6 +193,9 @@ run_serve_gate() {
     grep -q "^warm-start:" "$serve_dir/serve.out" \
         || { echo "serve gate: no warm-start banner"; cat "$serve_dir/serve.out"; \
              rm -rf "$serve_dir"; exit 1; }
+    grep '^final:' "$serve_dir/serve.out" | grep -q '"inline_scores":[1-9]' \
+        || { echo "serve gate: no request was scored on its connection thread"; \
+             cat "$serve_dir/serve.out"; rm -rf "$serve_dir"; exit 1; }
 
     echo "== serve gate: socket hung shard (50-ms deadline, shard 0 stalls 1.5 s) =="
     PPF_FAULT_INJECT='slow-shard:0:1500' ./target/release/ppf_serve \

@@ -25,7 +25,8 @@
 //! by whichever thread scored the request that reached it. The sealed
 //! append and its fsync are a job for the worker, queued under that lock
 //! so one tenant's generations reach the file in order, and behind every
-//! job queued before them.
+//! job queued before them. A tenant's newer snapshot replaces its append
+//! still in the queue, so appends cannot pile up behind a slow disk.
 //!
 //! Fault isolation: `catch_unwind` wraps every score. A panic poisons at
 //! most the one tenant being scored — that tenant is discarded and rebuilt
@@ -93,7 +94,22 @@ struct Queue {
 }
 
 impl Queue {
+    /// Queues `job`. An append for a tenant that already has one queued
+    /// takes that one's place: a load keeps only a tenant's last record,
+    /// and the queue holds at most one append per tenant however far the
+    /// worker's fsyncs fall behind the barriers.
     fn push(&mut self, job: Job) {
+        if let Job::Append(new) = job {
+            let queued = self.jobs.iter_mut().find_map(|j| match j {
+                Job::Append(old) if old.tenant == new.tenant => Some(old),
+                _ => None,
+            });
+            match queued {
+                Some(old) => *old = new,
+                None => self.jobs.push_back(Job::Append(new)),
+            }
+            return;
+        }
         self.scores += usize::from(matches!(job, Job::Score { .. }));
         self.jobs.push_back(job);
     }
@@ -569,5 +585,33 @@ impl ShardWorker {
             }
         }
         appends.iter().map(|a| self.append(a)).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn append(tenant: &str, gen: u64) -> Job {
+        Job::Append(Append { tenant: tenant.into(), gen, weights: vec![gen as u8] })
+    }
+
+    #[test]
+    fn a_newer_append_replaces_the_queued_one_in_place() {
+        let mut q = Queue::default();
+        q.push(append("t000-a", 1));
+        q.push(append("t001-b", 1));
+        q.push(append("t000-a", 2));
+        let queued: Vec<(String, u64, Vec<u8>)> = std::iter::from_fn(|| q.pop())
+            .map(|j| match j {
+                Job::Append(a) => (a.tenant, a.gen, a.weights),
+                _ => unreachable!("only appends were queued"),
+            })
+            .collect();
+        assert_eq!(
+            queued,
+            [("t000-a".to_string(), 2, vec![2]), ("t001-b".to_string(), 1, vec![1])]
+        );
+        assert_eq!(q.scores, 0);
     }
 }

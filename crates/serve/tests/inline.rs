@@ -86,10 +86,13 @@ fn serve(dir: &Path, faults: Vec<FaultSpec>, reqs: &[ScoreRequest]) -> (Run, u64
         .map(|r| {
             let reply = daemon.score(r.clone());
             assert!(!reply.degraded, "a quiet fleet never degrades");
+            // `Digests` queues behind any append this request queued, so
+            // waiting for it keeps the next barrier from replacing that
+            // append (which it would if the disk fell a cadence behind).
+            daemon.tenant_digests();
             reply.decisions
         })
         .collect();
-    // `Digests` is queued behind every append, so the file is complete.
     let digests = daemon.tenant_digests();
     let records = std::fs::read(dir.join("shard-0.jsonl")).unwrap();
     let inline = daemon.counters().inline_scores.load(Ordering::Relaxed);

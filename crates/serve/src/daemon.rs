@@ -2,14 +2,15 @@
 //!
 //! The daemon is the caller-facing half of the serving stack. It routes
 //! each tenant to a shard by name hash, enforces the caller deadline (a
-//! late shard produces a degraded accept-all reply — the caller is never
-//! stalled, whatever the fleet is doing), and runs a supervisor thread
-//! that watches shard heartbeats and inline scores, and replaces a stalled
-//! shard wholesale:
-//! the stuck worker is *abandoned*, not joined (joining a hung thread
-//! would just move the hang into the supervisor), a fresh worker warm
-//! starts the shard's tenants from its checkpoint file, and the zombie —
-//! which may wake up later — sees its retired flag and exits. If it wakes
+//! late shard produces a degraded accept-all reply — a socket client or a
+//! queued caller is never stalled, whatever the fleet is doing; an
+//! in-process caller scoring inline returns when its own score does), and
+//! runs a supervisor thread that watches shard heartbeats and inline
+//! scores, and replaces a stalled shard wholesale: the stuck worker is
+//! *abandoned*, not joined (joining a hung thread would just move the hang
+//! into the supervisor), a fresh worker warm starts the shard's tenants
+//! from its checkpoint file, and the zombie — which may wake up later —
+//! sees its retired flag and exits. If it wakes
 //! mid-checkpoint-append instead, the CRC seal on every record keeps the
 //! interleaving from being trusted on the next load.
 //!
@@ -20,8 +21,8 @@
 //! 3. missed deadline → degraded reply from the waiting side (fail open),
 //!    or from the supervisor when the request is being scored inline on
 //!    the thread that would wait
-//! 4. stalled heartbeat, or an inline score past its deadline →
-//!    supervisor replaces the whole shard
+//! 4. stalled heartbeat, or an inline score running past the watchdog
+//!    limit → supervisor replaces the whole shard
 //! 5. corrupt/torn checkpoint record → dropped by CRC, older gen wins
 
 use std::path::PathBuf;
@@ -143,18 +144,20 @@ impl Daemon {
                 .spawn(move || {
                     while !stop.load(Ordering::Acquire) {
                         std::thread::sleep(cfg.supervisor_poll);
-                        // An inline score past its deadline: answer its
-                        // slot degraded (rung 3), then retire the shard
-                        // whose submitter is stuck in it (rung 4).
+                        // An inline score past its deadline has its slot
+                        // answered degraded (rung 3); one that runs past
+                        // the watchdog limit retires its shard, as a
+                        // stalled heartbeat does (rung 4). The slot lock is
+                        // not held meanwhile: the answer may write to a
+                        // socket, and submitters take that lock to route.
                         for (idx, slot) in slots.iter().enumerate() {
-                            let mut slot = lock_unpoisoned(slot);
-                            if let Some(overdue) = slot.inner.take_overdue_inline() {
-                                overdue.expire();
+                            let inner = Arc::clone(&lock_unpoisoned(slot).inner);
+                            if inner.police_inline(cfg.watchdog_limit) {
                                 Self::replace_shard(
                                     &cfg,
-                                    &mut slot,
+                                    &mut lock_unpoisoned(slot),
                                     idx,
-                                    "inline score overran its deadline",
+                                    "inline score ran past the watchdog limit",
                                     &counters,
                                     &watchdog,
                                 );
@@ -291,9 +294,10 @@ impl Daemon {
     /// Scores a batch, observing the caller deadline; a missed deadline,
     /// shed, or tenant panic all yield a degraded accept-all reply. When
     /// the tenant's shard is idle the batch is scored on the calling
-    /// thread, and the call returns when the score does (a score that
-    /// overruns the deadline is answered degraded, and its shard
-    /// replaced). A queued batch is waited for at most the deadline (plus
+    /// thread, and the call returns when the score does, however long that
+    /// takes (a score that overruns the deadline is answered degraded, and
+    /// one that runs past the watchdog limit has its shard replaced). A
+    /// queued batch is waited for at most the deadline (plus
     /// scheduler noise).
     pub fn score(&self, req: ScoreRequest) -> ScoreReply {
         let slot = ReplySlot::for_caller(req.candidates.len(), self.cfg.deadline, &self.counters);

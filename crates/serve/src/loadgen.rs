@@ -97,14 +97,8 @@ impl Default for DrillConfig {
             duration_ms: 600,
             base_rate: 3,
             callers: 4,
-            // Queue bounds at the caller count, so the spike and the hung
-            // shard's abandoned jobs reach the shed policy: each caller has
-            // one request in flight, which keeps a shard queue far below
-            // the daemon's default bounds (64 per shard, 16 per tenant).
             serve: ServeConfig {
                 shards: 3,
-                queue_capacity: 4,
-                tenant_quota: 2,
                 deadline: Duration::from_millis(100),
                 checkpoint_every: 16,
                 watchdog_limit: Duration::from_millis(300),

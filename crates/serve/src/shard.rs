@@ -22,11 +22,12 @@
 //!   on arrival, so a runaway tenant cannot starve its neighbours.
 //!
 //! Checkpoint barriers are taken under the tenant lock, at the cadence,
-//! by whichever thread scored the request that reached it. The sealed
-//! append and its fsync are a job for the worker, queued under that lock
-//! so one tenant's generations reach the file in order, and behind every
-//! job queued before them. A tenant's newer snapshot replaces its append
-//! still in the queue, so appends cannot pile up behind a slow disk.
+//! by whichever thread scored the request that reached it. The snapshot
+//! waits in memory for the worker, which alone appends to the file: a
+//! queued append names only the tenant, and the worker writes whatever
+//! snapshot of that tenant is newest when it gets there. So a tenant's
+//! generations reach the file in order, and at most one append per tenant
+//! waits in the queue however far the disk falls behind.
 //!
 //! Fault isolation: `catch_unwind` wraps every score. A panic poisons at
 //! most the one tenant being scored — that tenant is discarded and rebuilt
@@ -34,7 +35,7 @@
 //! caller gets a degraded accept-all reply, and the shard keeps serving
 //! its other tenants without missing a beat.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::SyncSender;
@@ -68,21 +69,15 @@ pub(crate) enum Job {
         /// When the job entered the queue (feeds the queue-wait span).
         at: Instant,
     },
-    /// Append one checkpoint barrier's snapshot to the shard's file.
-    Append(Append),
+    /// Append the tenant's newest snapshot to the shard's file, unless it
+    /// is there already.
+    Append(String),
     /// Checkpoint every dirty tenant now; replies with records written.
     Flush(SyncSender<u64>),
     /// Report `(tenant, gen, weights_digest)` for every live tenant.
     Digests(SyncSender<Vec<(String, u64, u64)>>),
     /// Exit the worker loop (after a final flush).
     Stop,
-}
-
-/// One checkpoint barrier's snapshot, to be appended by the worker.
-pub(crate) struct Append {
-    tenant: String,
-    gen: u64,
-    weights: Vec<u8>,
 }
 
 /// The shard's job queue, with its score jobs counted.
@@ -94,22 +89,7 @@ struct Queue {
 }
 
 impl Queue {
-    /// Queues `job`. An append for a tenant that already has one queued
-    /// takes that one's place: a load keeps only a tenant's last record,
-    /// and the queue holds at most one append per tenant however far the
-    /// worker's fsyncs fall behind the barriers.
     fn push(&mut self, job: Job) {
-        if let Job::Append(new) = job {
-            let queued = self.jobs.iter_mut().find_map(|j| match j {
-                Job::Append(old) if old.tenant == new.tenant => Some(old),
-                _ => None,
-            });
-            match queued {
-                Some(old) => *old = new,
-                None => self.jobs.push_back(Job::Append(new)),
-            }
-            return;
-        }
         self.scores += usize::from(matches!(job, Job::Score { .. }));
         self.jobs.push_back(job);
     }
@@ -128,14 +108,21 @@ struct ShardState {
     /// panic. Each barrier updates it with the snapshot it takes (the
     /// intended bytes, whatever injected corruption the file then gets).
     restored: HashMap<String, RestoredTenant>,
+    /// Tenants whose snapshot in `restored` has not reached the file yet.
+    unwritten: BTreeSet<String>,
 }
 
-/// Takes a barrier on `tenant`: returns its append and makes the snapshot
-/// the tenant's rebuild source in `restored`.
-fn barrier(restored: &mut HashMap<String, RestoredTenant>, tenant: &mut TenantState) -> Append {
+/// Takes a barrier on `tenant`: its snapshot becomes the tenant's rebuild
+/// source in `restored` and waits in `unwritten` for the file. Returns
+/// whether the tenant needs an append queued (it had none pending).
+fn barrier(
+    restored: &mut HashMap<String, RestoredTenant>,
+    unwritten: &mut BTreeSet<String>,
+    tenant: &mut TenantState,
+) -> bool {
     let (gen, weights) = tenant.barrier();
-    restored.insert(tenant.name.clone(), RestoredTenant { gen, weights: weights.clone() });
-    Append { tenant: tenant.name.clone(), gen, weights }
+    restored.insert(tenant.name.clone(), RestoredTenant { gen, weights });
+    unwritten.insert(tenant.name.clone())
 }
 
 /// Builds `name` from its last snapshot in `restored`, or fresh.
@@ -151,6 +138,13 @@ fn build_tenant(
         }),
         None => TenantState::fresh(name),
     }
+}
+
+/// A request being scored on the thread that submitted it.
+struct InlineScore {
+    since: Instant,
+    /// Taken by the supervisor when it answers the request itself.
+    reply: Option<ReplySlot>,
 }
 
 /// Shared half of a shard: the queue callers submit into and the tenant
@@ -170,9 +164,9 @@ pub(crate) struct ShardInner {
     quota: usize,
     /// The shard's tenants, locked by whichever thread scores.
     state: Mutex<ShardState>,
-    /// The slot of the request being scored inline, if any, so the
-    /// supervisor can answer it when it overruns its deadline.
-    inline: Mutex<Option<ReplySlot>>,
+    /// The request being scored inline, if any, so the supervisor can
+    /// answer it when it overruns its deadline.
+    inline: Mutex<Option<InlineScore>>,
     /// Whether a submitter may score inline: false while a `slow-shard`
     /// fault targets this instance, so the injected stall stays on the
     /// worker.
@@ -226,7 +220,11 @@ impl ShardInner {
             cv: Condvar::new(),
             capacity: cfg.queue_capacity.max(1),
             quota: cfg.tenant_quota.max(1),
-            state: Mutex::new(ShardState { tenants: HashMap::new(), restored }),
+            state: Mutex::new(ShardState {
+                tenants: HashMap::new(),
+                restored,
+                unwritten: BTreeSet::new(),
+            }),
             inline: Mutex::new(None),
             inline_ok,
             faults: cfg.faults.clone(),
@@ -313,11 +311,12 @@ impl ShardInner {
     /// The slot is parked in `inline` meanwhile, where the supervisor
     /// finds it if the score overruns the deadline.
     fn score_inline(&self, mut st: MutexGuard<'_, ShardState>, req: ScoreRequest, reply: ReplySlot) {
-        *lock_unpoisoned(&self.inline) = Some(reply);
+        *lock_unpoisoned(&self.inline) =
+            Some(InlineScore { since: Instant::now(), reply: Some(reply) });
         let out = self.score_locked(&mut st, &req);
         // Take the slot back before the tenant lock goes: the next inline
         // scorer parks its own slot there.
-        let reply = lock_unpoisoned(&self.inline).take();
+        let reply = lock_unpoisoned(&self.inline).take().and_then(|s| s.reply);
         drop(st);
         self.counters.inline_scores.fetch_add(1, Ordering::Relaxed);
         if let Some(reply) = reply {
@@ -325,22 +324,34 @@ impl ShardInner {
         }
     }
 
-    /// The inline slot, if one is being scored past its deadline. The
-    /// supervisor takes it to answer it degraded.
-    pub(crate) fn take_overdue_inline(&self) -> Option<ReplySlot> {
-        let mut inline = lock_unpoisoned(&self.inline);
-        if inline.as_ref().is_some_and(ReplySlot::overdue) {
-            inline.take()
-        } else {
-            None
+    /// The supervisor's check of the inline score, once per poll. Answers
+    /// its slot degraded once it is past its deadline, and returns whether
+    /// the score has run for longer than `limit`: the shard is then stuck,
+    /// as with a stalled heartbeat, and its slot is answered at once, as a
+    /// retiring shard's drain answers its queued jobs.
+    pub(crate) fn police_inline(&self, limit: Duration) -> bool {
+        let (reply, stuck) = match lock_unpoisoned(&self.inline).as_mut() {
+            Some(s) => {
+                let stuck = s.since.elapsed() > limit;
+                (s.reply.take_if(|r| stuck || r.overdue()), stuck)
+            }
+            None => (None, false),
+        };
+        if let Some(reply) = reply {
+            if reply.overdue() {
+                reply.expire();
+            } else {
+                reply.degrade();
+            }
         }
+        stuck
     }
 
     /// Scores `req` against the shard's tenants: the one scoring path,
     /// run by the worker for a queued job and by a submitter inline. When
-    /// the tenant's checkpoint cadence comes due, takes the barrier and
-    /// queues its append for the worker (both under the tenant lock, so a
-    /// tenant's generations are appended in order).
+    /// the tenant's checkpoint cadence comes due, takes the barrier and,
+    /// unless the tenant already has one pending, queues an append for the
+    /// worker.
     fn score_locked(&self, st: &mut ShardState, req: &ScoreRequest) -> ScoreReply {
         let name = req.tenant.as_str();
         let tenant_hash = route_hash(name);
@@ -391,9 +402,9 @@ impl ShardInner {
                 // owns the checkpoint file now.
                 if tenant.since_checkpoint >= self.checkpoint_every
                     && !self.retired.load(Ordering::Acquire)
+                    && barrier(&mut st.restored, &mut st.unwritten, tenant)
                 {
-                    let append = barrier(&mut st.restored, tenant);
-                    self.submit_control(Job::Append(append));
+                    self.submit_control(Job::Append(name.to_owned()));
                 }
                 ScoreReply { degraded: false, decisions }
             }
@@ -488,12 +499,12 @@ impl ShardWorker {
             let Some(job) = self.inner.next_job(&self.heartbeat) else { return };
             match job {
                 Job::Score { req, reply, at } => self.score(req, reply, at),
-                Job::Append(append) => {
+                Job::Append(tenant) => {
                     // A zombie worker (replaced by the supervisor) must not
                     // keep appending stale generations to a file its
                     // replacement now owns.
                     if !self.inner.retired.load(Ordering::Acquire) {
-                        self.append(&append);
+                        self.append_unwritten(&tenant);
                     }
                 }
                 Job::Flush(done) => {
@@ -535,14 +546,27 @@ impl ShardWorker {
         reply.answer(out);
     }
 
+    /// Appends `tenant`'s newest snapshot if it has not reached the file
+    /// yet (a `Flush` may have written it since the append was queued).
+    fn append_unwritten(&self, tenant: &str) -> u64 {
+        let snapshot = {
+            let mut st = lock_unpoisoned(&self.inner.state);
+            if !st.unwritten.remove(tenant) {
+                return 0;
+            }
+            st.restored.get(tenant).map(|r| (r.gen, r.weights.clone()))
+        };
+        snapshot.map_or(0, |(gen, weights)| self.append(tenant, gen, &weights))
+    }
+
     /// Appends one sealed record; returns records written (0 or 1).
-    fn append(&self, append: &Append) -> u64 {
-        let (inner, tenant, gen) = (&*self.inner, append.tenant.as_str(), append.gen);
+    fn append(&self, tenant: &str, gen: u64, weights: &[u8]) -> u64 {
+        let inner = &*self.inner;
         let bitflip = inner.faults.iter().any(|f| {
             matches!(f, FaultSpec::CheckpointBitflip { pat } if tenant.contains(pat.as_str()))
         });
         let append_t0 = Instant::now();
-        match self.store.append(tenant, gen, &append.weights, bitflip) {
+        match self.store.append(tenant, gen, weights, bitflip) {
             Ok(()) => {
                 let append_ns = append_t0.elapsed().as_nanos() as u64;
                 if inner.prof_on {
@@ -569,49 +593,26 @@ impl ShardWorker {
         }
     }
 
-    /// Takes a barrier on every dirty tenant, in name order, and appends
-    /// each. The barriers are taken under the tenant lock and appended
-    /// after it is released, before any job queued later.
+    /// Takes a barrier on every dirty tenant and appends every snapshot
+    /// not yet on file, in name order. The barriers are taken under the
+    /// tenant lock and appended after it is released; an append still
+    /// queued for one of these tenants then finds nothing to write.
     fn flush(&self) -> u64 {
-        let mut appends = Vec::new();
-        {
+        let snapshots: Vec<(String, u64, Vec<u8>)> = {
             let mut guard = lock_unpoisoned(&self.inner.state);
             let st = &mut *guard;
-            let mut dirty: Vec<&mut TenantState> =
-                st.tenants.values_mut().filter(|t| t.since_checkpoint > 0).collect();
-            dirty.sort_by(|a, b| a.name.cmp(&b.name));
-            for tenant in dirty {
-                appends.push(barrier(&mut st.restored, tenant));
+            for tenant in st.tenants.values_mut().filter(|t| t.since_checkpoint > 0) {
+                barrier(&mut st.restored, &mut st.unwritten, tenant);
             }
-        }
-        appends.iter().map(|a| self.append(a)).sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn append(tenant: &str, gen: u64) -> Job {
-        Job::Append(Append { tenant: tenant.into(), gen, weights: vec![gen as u8] })
-    }
-
-    #[test]
-    fn a_newer_append_replaces_the_queued_one_in_place() {
-        let mut q = Queue::default();
-        q.push(append("t000-a", 1));
-        q.push(append("t001-b", 1));
-        q.push(append("t000-a", 2));
-        let queued: Vec<(String, u64, Vec<u8>)> = std::iter::from_fn(|| q.pop())
-            .map(|j| match j {
-                Job::Append(a) => (a.tenant, a.gen, a.weights),
-                _ => unreachable!("only appends were queued"),
-            })
-            .collect();
-        assert_eq!(
-            queued,
-            [("t000-a".to_string(), 2, vec![2]), ("t001-b".to_string(), 1, vec![1])]
-        );
-        assert_eq!(q.scores, 0);
+            std::mem::take(&mut st.unwritten)
+                .into_iter()
+                .filter_map(|name| {
+                    let r = st.restored.get(&name)?;
+                    let (gen, weights) = (r.gen, r.weights.clone());
+                    Some((name, gen, weights))
+                })
+                .collect()
+        };
+        snapshots.iter().map(|(tenant, gen, weights)| self.append(tenant, *gen, weights)).sum()
     }
 }

@@ -5,7 +5,10 @@
 //! checkpoint barriers at the cadence: the same decisions, the same final
 //! weights and generations, and the same checkpoint file, byte for byte.
 //! An inline score that overruns its deadline must still be answered in
-//! time: the supervisor answers it degraded and replaces the shard.
+//! time: the supervisor answers it degraded, and replaces the shard only
+//! once the score runs past the watchdog limit. A tenant's checkpoint
+//! generations must reach the file in barrier order whatever mix of
+//! queued appends and flushes carries them.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -158,25 +161,17 @@ fn inline_and_queued_paths_match_a_single_threaded_replay() {
 /// unwinds: a score stuck on its submitting thread.
 const STUCK: Duration = Duration::from_millis(600);
 
-#[test]
-fn supervisor_answers_an_overrunning_inline_score_and_retires_the_shard() {
-    std::panic::set_hook(Box::new(|info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|s| s.contains("injected tenant fault"));
-        if injected {
-            std::thread::sleep(STUCK);
-        } else {
-            eprintln!("{info}");
-        }
-    }));
-    let dir = tmpdir("overrun");
+/// Serves tenant t000 over a socket from a one-shard daemon whose second
+/// t000 request is held for `STUCK` on the connection thread that scores
+/// it. Returns how long the client waited for that reply, and the shard
+/// replacements, deadline misses and inline scores at the end.
+fn stuck_inline_score(dir: &Path, watchdog_limit: Duration) -> (Duration, [u64; 3]) {
     let sock = dir.join("s.sock");
     let daemon = Daemon::start(ServeConfig {
         shards: 1,
         checkpoint_dir: dir.join("ckpt"),
         deadline: Duration::from_millis(50),
+        watchdog_limit,
         supervisor_poll: Duration::from_millis(10),
         faults: vec![FaultSpec::TenantPanic { pat: "t000".into(), nth: 2 }],
         ..ServeConfig::default()
@@ -202,19 +197,98 @@ fn supervisor_answers_an_overrunning_inline_score_and_retires_the_shard() {
     let reply = client.score(t000[1]).unwrap();
     let waited = t0.elapsed();
     assert!(reply.degraded, "an overdue inline score fails open");
-    assert!(waited < STUCK / 2, "answered at the deadline, not after the stall: {waited:?}");
 
-    // The replacement shard (incarnation 1) serves the tenant again.
+    // The tenant serves again once the stuck thread lets go: rebuilt on
+    // the same shard, or warm started on its replacement.
     assert!(!client.score(t000[2]).unwrap().degraded);
-    let stats = client.stats().unwrap();
     client.shutdown().unwrap();
     let daemon = server.join().unwrap().unwrap();
     let c = daemon.counters();
-    assert_eq!(c.shard_replacements.load(Ordering::Relaxed), 1, "{stats}");
-    assert_eq!(c.deadline_misses.load(Ordering::Relaxed), 1, "{stats}");
-    assert_eq!(c.inline_scores.load(Ordering::Relaxed), 3, "{stats}");
+    let counts = [&c.shard_replacements, &c.deadline_misses, &c.inline_scores]
+        .map(|a| a.load(Ordering::Relaxed));
     daemon.shutdown();
+    (waited, counts)
+}
+
+#[test]
+fn supervisor_answers_an_overrunning_inline_score_and_retires_only_a_stuck_shard() {
+    std::panic::set_hook(Box::new(|info| {
+        let injected = info
+            .payload()
+            .downcast_ref::<String>()
+            .is_some_and(|s| s.contains("injected tenant fault"));
+        if injected {
+            std::thread::sleep(STUCK);
+        } else {
+            eprintln!("{info}");
+        }
+    }));
+    // Past the deadline but within the watchdog limit: the slot is
+    // answered degraded, and the shard keeps its tenants.
+    let dir = tmpdir("overrun");
+    let (waited, [replacements, misses, inline]) =
+        stuck_inline_score(&dir, Duration::from_secs(5));
+    assert!(waited < STUCK / 2, "answered at the deadline, not after the stall: {waited:?}");
+    assert_eq!((replacements, misses, inline), (0, 1, 3));
+
+    // Past the watchdog limit as well: the shard is replaced, and the
+    // replacement (incarnation 1) serves the tenant.
+    let dir2 = tmpdir("stuck");
+    let (waited, [replacements, misses, inline]) =
+        stuck_inline_score(&dir2, Duration::from_millis(200));
+    assert!(waited < STUCK / 2, "answered at the deadline, not after the stall: {waited:?}");
+    assert_eq!((replacements, misses, inline), (1, 1, 3));
     let _ = std::panic::take_hook();
+    for d in [dir, dir2] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+#[test]
+fn a_flush_behind_a_queued_barrier_leaves_the_newest_generation_on_file() {
+    // Every score waits STALL on the worker, so jobs submitted meanwhile
+    // queue up behind it in submission order.
+    const STALL: Duration = Duration::from_millis(200);
+    let dir = tmpdir("flush-order");
+    let daemon = Daemon::start(ServeConfig {
+        shards: 1,
+        checkpoint_dir: dir.clone(),
+        checkpoint_every: 2,
+        deadline: Duration::from_secs(5),
+        watchdog_limit: Duration::from_secs(10),
+        faults: vec![FaultSpec::SlowShard { shard: 0, millis: STALL.as_millis() as u64 }],
+        ..ServeConfig::default()
+    });
+    let reqs = request_stream();
+    let mine: Vec<&ScoreRequest> = reqs.iter().filter(|r| r.tenant.starts_with("t000")).collect();
+    assert!(!daemon.score(mine[0].clone()).degraded);
+    // The queue becomes [score a, score b, Flush]. Scoring `a` takes the
+    // tenant's barrier (gen 1) and queues its append behind the `Flush`;
+    // `b` dirties the tenant again, and the `Flush` writes gen 2.
+    std::thread::scope(|s| {
+        let daemon = &daemon;
+        for (i, r) in mine[1..3].iter().enumerate() {
+            s.spawn(move || {
+                std::thread::sleep(STALL / 8 * i as u32);
+                assert!(!daemon.score((*r).clone()).degraded);
+            });
+        }
+        std::thread::sleep(STALL / 2);
+        daemon.flush();
+    });
+    // `Digests` queues behind the barrier's append, so that has run too.
+    let digests = daemon.tenant_digests();
+    assert_eq!(digests.len(), 1);
+    assert_eq!(digests[0].1, 2, "a barrier and a flush: {digests:?}");
+    let on_file = ShardCheckpoint::new(&dir, 0).load().tenants;
+    let last = &on_file[&digests[0].0];
+    let warm = TenantState::warm(&digests[0].0, last.gen, &last.weights).unwrap();
+    assert_eq!(
+        (last.gen, warm.filter.weights_digest()),
+        (digests[0].1, digests[0].2),
+        "the file's last record is the tenant's live state"
+    );
+    daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

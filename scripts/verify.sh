@@ -23,9 +23,10 @@
 #                                 #   (ppf-serve must not depend on
 #                                 #   ppf-bench or ppf-analysis), chaos
 #                                 #   drill (fault injection + 10x spike +
-#                                 #   warm restart; must shed), the socket
-#                                 #   round trip (must score inline) and
-#                                 #   the socket hung shard
+#                                 #   warm restart), the same spike on
+#                                 #   shallow queues (must shed), the
+#                                 #   socket round trip (must score
+#                                 #   inline) and the socket hung shard
 #   scripts/verify.sh --observe   # observe gate only: default build must
 #                                 #   ignore PPF_OBSERVE byte-for-byte;
 #                                 #   observe build must export valid
@@ -147,12 +148,14 @@ run_ledger_check() {
 # tenant, a hung shard, and a 10x load spike, then warm-restarts from the
 # checkpoints it wrote. The binary itself enforces the acceptance bar (zero
 # stalled callers, warm start clean) and exits nonzero otherwise; the gate
-# also requires a tenant restart and at least one shed request. It
-# additionally proves the unix-socket front end round-trips and shuts down
-# with requests scored inline (the daemon's final counters line must show
-# `inline_scores` above 0), and that a hung shard behind the socket still
-# answers every request degraded within the deadline plus the drill's
-# 200-ms stall margin.
+# also requires a tenant restart. The drill's callers block on one request
+# each, so at the daemon's default queue bounds it sheds nothing; the
+# `spike` test runs the same spike with the bounds at the caller count and
+# requires it to shed. The gate additionally proves the unix-socket front
+# end round-trips and shuts down with requests scored inline (the daemon's
+# final counters line must show `inline_scores` above 0), and that a hung
+# shard behind the socket still answers every request degraded within the
+# deadline plus the drill's 200-ms stall margin.
 run_serve_gate() {
     echo "== serve gate: chaos drill (tenant panic + bitflip + hung shard + 10x spike) =="
     serve_dir="$(mktemp -d)"
@@ -165,8 +168,10 @@ run_serve_gate() {
     grep -q "tenant restarts 0" "$serve_dir/drill.out" \
         && { echo "serve gate: injected panic produced no restart"; \
              rm -rf "$serve_dir"; exit 1; }
-    grep -q "(shed 0," "$serve_dir/drill.out" \
-        && { echo "serve gate: the spike and the hung shard shed nothing"; \
+
+    echo "== serve gate: 10x spike on shallow queues (must shed) =="
+    cargo test -q -p ppf-serve --test spike \
+        || { echo "serve gate: the spike on shallow queues failed"; \
              rm -rf "$serve_dir"; exit 1; }
 
     echo "== serve gate: socket round trip =="
